@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -344,13 +345,12 @@ def orchestrate(cfg, plan):
         if ladder:
             summaries = []
             for eps in ladder:
-                member_cfg = tk.RunConfig(
-                    model_id=cfg.model_id, model_params=cfg.model_params,
-                    initial=cfg.initial, epsilon=eps, t_end=cfg.t_end,
-                    rho=None, eps0=None, eps1=None, c0=cfg.c0,
-                    tie_tol_factor=cfg.tie_tol_factor,
-                    audit_rel_tol=cfg.audit_rel_tol, event_cap=cfg.event_cap,
-                    front_cap=cfg.front_cap, seed=cfg.seed)
+                # a fixed rho holds for every member; under eps3, rho and the
+                # shock thresholds default from the member's epsilon
+                member_cfg = replace(
+                    cfg, epsilon=eps,
+                    rho=cfg.rho if cfg.rho_rule == "fixed" else None,
+                    eps0=None, eps1=None)
                 sub = os.path.join(outdir, f"eps_{eps:g}")
                 timeline = tk.run(member_cfg)
                 rep, audit_failed = run_checks(timeline, plan)

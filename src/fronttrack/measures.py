@@ -155,8 +155,44 @@ def glimm_Q(field):
     return q1 + q2
 
 
-def glimm_functional(field, c0):
-    return total_variation_V(field) + c0 * glimm_Q(field)
+def _q_columns(fronts):
+    """|size|, family, speed and physical flag of each front, as arrays."""
+    n = len(fronts)
+    return (np.abs(np.fromiter([f.size for f in fronts], float, n)),
+            np.fromiter([f.family for f in fronts], float, n),
+            np.fromiter([f.speed for f in fronts], float, n),
+            np.fromiter([f.is_physical for f in fronts], bool, n))
+
+
+def _pair_weights(a, b):
+    """glimm_Q's weight of every pair (alpha from a, beta from b) with alpha
+    left of beta, as an |a| x |b| array of _q_columns entries."""
+    s_a, fam_a, sig_a, phys_a = (c[:, None] for c in a)
+    s_b, fam_b, sig_b, phys_b = b
+    absprod = s_a * s_b
+    same = (fam_a == fam_b) & phys_a & phys_b
+    return np.where(fam_a > fam_b, absprod,
+                    np.where(same, 0.5 * absprod * np.abs(sig_a - sig_b), 0.0))
+
+
+def splice_deltas(fronts, j, outgoing):
+    """(dV, dQ) of replacing the adjacent pair fronts[j], fronts[j + 1] by the
+    outgoing list. Only pairs with a replaced front change Q: each incoming and
+    outgoing front is weighed against the untouched fronts on either side, plus
+    the pairs inside the window; the cost is O(len(fronts))."""
+    f_left, f_right = fronts[j], fronts[j + 1]
+    dV = sum(abs(f.size) for f in outgoing) - abs(f_left.size) - abs(f_right.size)
+    cols = _q_columns(fronts)
+    left = [c[:j] for c in cols]
+    right = [c[j + 2:] for c in cols]
+    window = [np.concatenate((c[j:j + 2], o))
+              for c, o in zip(cols, _q_columns(outgoing))]
+    sign = np.array([-1.0, -1.0] + [1.0] * len(outgoing))
+    inside = np.triu(_pair_weights(window, window), 1)
+    dQ = (float((_pair_weights(left, window) * sign).sum())
+          + float((sign[:, None] * _pair_weights(window, right)).sum())
+          + float(inside[2:, 2:].sum()) - float(inside[0, 1]))
+    return float(dV), dQ
 
 
 def interaction_amount(f1, f2):
@@ -190,8 +226,7 @@ def calibrate_c0(dVs, dQs, v0, q0, rel_tol=1e-12, max_doublings=20):
 
 def glimm_deltas(event, c0, upsilon0, rel_tol=1e-12):
     """Per-event deltas plus the monotonicity/estimate audit verdict."""
-    dV = event.V_post - event.V_pre
-    dQ = event.Q_post - event.Q_pre
+    dV, dQ = event.dV, event.dQ
     dUps = dV + c0 * dQ
     monotone = dUps <= rel_tol * max(upsilon0, 1e-30)
     # strict clause: when Q strictly decreases at a genuine interaction, the

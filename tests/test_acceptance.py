@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line (run with -s to see them live)."""
 
+import collections
 import json
 import math
 import os
@@ -131,6 +132,27 @@ def test_criterion_02_interaction_estimates(random_suite):
     report(2, "interaction estimates dQ <= -cI, |dV| <= KI", ok,
            ", ".join(f"{m}: c={v['c']:.3g} K={v['K']:.3g}"
                      for m, v in sorted(fitted.items())) + f"; {source}")
+
+
+def test_running_ledger_matches_full_recompute(random_suite):
+    """The ledger sums per-event deltas from t = 0; at every event time no
+    other event shares, and at t_end, it must agree with V and Q recomputed
+    over the whole reconstructed field."""
+    suites, _ = random_suite
+    checked = 0
+    for runs in suites.values():
+        for tl in runs:
+            tol = 1e-12 * max(tl.ledger.upsilon0(), 1e-30)
+            counts = collections.Counter(tl.event_times())
+            points = [(e.t, e.V_post, e.Q_post) for e in tl.events
+                      if counts[e.t] == 1]
+            points.append((tl.t_end, tl.ledger.Vs[-1], tl.ledger.Qs[-1]))
+            for t, v, q in points:
+                fld = tl.slice_at(t)
+                assert abs(v - ms.total_variation_V(fld)) <= tol
+                assert abs(q - ms.glimm_Q(fld)) <= tol
+                checked += 1
+    assert checked > 2000
 
 
 def test_criterion_03_scalar_oracles():

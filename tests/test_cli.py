@@ -5,6 +5,7 @@ import pytest
 
 from fronttrack import cli
 from fronttrack import fileio as io
+from fronttrack import tracker as tk
 from fronttrack.errors import ConfigError
 
 
@@ -163,6 +164,44 @@ class TestOrchestrate:
             assert (root / member / "events.jsonl").exists()
         summary = json.loads((root / "diagnostics.json").read_text())
         assert [m["epsilon"] for m in summary["ladder"]] == [0.1, 0.05]
+
+    def _ladder_members(self, tmp_path, monkeypatch, numerics):
+        """Run the merge scenario on a two-member ladder; returns each
+        member's config and its events."""
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["numerics"].update(numerics)
+        doc["outputs"] = {"dir": str(tmp_path / "ladder")}
+        doc["diagnostics"] = {"epsilon_ladder": [0.1, 0.05]}
+        configs = []
+        run = tk.run
+
+        def recording_run(cfg):
+            configs.append(cfg)
+            return run(cfg)
+
+        monkeypatch.setattr(tk, "run", recording_run)
+        cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
+        assert cli.orchestrate(cfg, plan) == cli.EXIT_OK
+        root = tmp_path / "ladder"
+        events = [io.read_events_jsonl(root / f"eps_{eps:g}" / "events.jsonl")
+                  for eps in (0.1, 0.05)]
+        return configs, events
+
+    def test_ladder_keeps_fixed_rho(self, tmp_path, monkeypatch):
+        # rho = 0.2 >= I = 0.125 sends the merge to the simplified solver
+        configs, events = self._ladder_members(
+            tmp_path, monkeypatch, {"rho": 0.2, "rho_rule": "fixed"})
+        assert [(c.epsilon, c.rho, c.rho_rule) for c in configs] == [
+            (0.1, 0.2, "fixed"), (0.05, 0.2, "fixed")]
+        assert [ev[0]["solver"] for ev in events] == ["simplified"] * 2
+
+    def test_ladder_scales_eps3_rho_per_member(self, tmp_path, monkeypatch):
+        configs, events = self._ladder_members(
+            tmp_path, monkeypatch, {"rho": 0.2})
+        assert [(c.epsilon, c.rho_rule) for c in configs] == [
+            (0.1, "eps3"), (0.05, "eps3")]
+        assert [c.rho for c in configs] == pytest.approx([0.1 ** 3, 0.05 ** 3])
+        assert [ev[0]["solver"] for ev in events] == ["accurate"] * 2
 
 
 class TestDeterminismAndRoundTrip:

@@ -82,6 +82,35 @@ class TestVandQ:
             fld = make_field(fronts)
             assert ms.glimm_Q(fld) == pytest.approx(q_bruteforce(fronts), abs=1e-14)
 
+    def test_splice_deltas_against_full_recompute(self):
+        rng = np.random.default_rng(37)
+
+        def random_front(fid):
+            fam = int(rng.integers(1, 4))  # family 3 is the nonphysical N + 1
+            if fam == 3:
+                return synth_front(0.0, 3, float(rng.uniform(0, 0.2)),
+                                   float(rng.uniform(-1, 1)), "nonphysical", fid)
+            return synth_front(0.0, fam, float(rng.uniform(-1, 1)),
+                               float(rng.uniform(-1, 1)), "shock", fid)
+
+        windows = set()
+        for trial in range(200):
+            m = int(rng.integers(2, 10))
+            before = [random_front(k) for k in range(m)]
+            j = int(rng.integers(0, m - 1))
+            outgoing = [random_front(m + k) for k in range(trial % 5)]
+            after = before[:j] + outgoing + before[j + 2:]
+            dV, dQ = ms.splice_deltas(before, j, outgoing)
+            full_dQ = ms.glimm_Q(make_field(after)) - ms.glimm_Q(make_field(before))
+            full_dV = (ms.total_variation_V(make_field(after))
+                       - ms.total_variation_V(make_field(before)))
+            assert dQ == pytest.approx(full_dQ, abs=1e-13)
+            assert dV == pytest.approx(full_dV, abs=1e-13)
+            windows.add((j == 0, j == m - 2))
+        # windows at the left end, the right end, both (m = 2) and neither
+        assert windows == {(True, False), (False, True), (True, True),
+                           (False, False)}
+
 
 class TestInteractionAmount:
     def test_same_family_hand_numbers(self):

@@ -29,6 +29,20 @@ class TestInitSample:
         assert all(float(f.jump()[0]) < 0 for f in fld.fronts)
         assert fld.sampling_l1 == pytest.approx(0.025, rel=1e-3)
 
+    @pytest.mark.parametrize("name, samples, params, l1", [
+        ("ramp", 40, {}, 0.025000000000000036),
+        ("ramp", 37, {"x0": -0.7, "x1": 1.3, "u_left": 0.4, "u_right": -0.9},
+         0.017567567567567582),
+        ("sawtooth", 640, {"teeth": 6, "amplitude": 0.3}, 0.005135730743408388),
+        ("sawtooth", 24, {"teeth": 3, "amplitude": 0.5}, 0.1041666666666668),
+    ])
+    def test_sampling_l1_pinned_bitwise(self, name, samples, params, l1):
+        m = fc.make_model("burgers")
+        spec = {"kind": "profile", "name": name, "samples": samples,
+                "params": params}
+        _, _, estimate = tk._breakpoints_from_spec(m, spec)
+        assert estimate == l1
+
     def test_constant_profile_no_fronts(self):
         m = fc.make_model("burgers")
         fld = tk.init_sample(m, {"kind": "breakpoints", "xs": [0.0],
@@ -210,6 +224,39 @@ class TestRun:
         f1 = tl1.slice_at(1.0)
         f2 = tl2.slice_at(1.0)
         assert [f.x for f in f1.fronts] == [f.x for f in f2.fronts]
+
+
+class TestLedgerCounts:
+    def test_one_glimm_q_and_one_collision_scan_per_event(self, monkeypatch):
+        calls = {"glimm_Q": 0, "next_collision": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ms, "glimm_Q", counted("glimm_Q", ms.glimm_Q))
+        monkeypatch.setattr(tk, "next_collision",
+                            counted("next_collision", tk.next_collision))
+        initial = {"kind": "profile", "name": "sawtooth", "samples": 24,
+                   "params": {"teeth": 3, "amplitude": 0.5}}
+        tl = quick_run("burgers", initial, epsilon=0.05, t_end=2.0)
+        assert len(tl.events) > 10
+        assert calls == {"glimm_Q": 1, "next_collision": len(tl.events) + 1}
+
+    def test_step_on_its_own_starts_the_ledger(self):
+        cfg = tk.RunConfig(model_id="burgers", initial=TestStepDispatch.BASE,
+                           epsilon=0.1, t_end=5.0)
+        fld = tk.init_sample(fc.make_model("burgers"), cfg.initial, cfg.epsilon)
+        v0, q0 = ms.total_variation_V(fld), ms.glimm_Q(fld)
+        fld, ev = tk.step(fld, cfg)
+        assert (ev.V_pre, ev.Q_pre) == (v0, q0)
+        assert ev.V_post == ev.V_pre + ev.dV and ev.Q_post == ev.Q_pre + ev.dQ
+        assert ev.V_post == pytest.approx(ms.total_variation_V(fld), abs=1e-15)
+        assert ev.Q_post == pytest.approx(ms.glimm_Q(fld), abs=1e-15)
+        with pytest.raises(SolverError):
+            tk.step(fld, cfg)
 
 
 class TestSliceAt:
