@@ -84,7 +84,6 @@ def parse_config(path):
         audit_rel_tol=float(tol.get("audit_rel", 1e-12)),
         event_cap=int(num.get("event_cap", 200000)),
         front_cap=int(num.get("front_cap", 20000)),
-        seed=int(doc.get("diagnostics", {}).get("seed", 0)),
     )
     if cfg.rho_rule not in ("eps3", "fixed"):
         raise ConfigError("numerics.rho_rule", f"unknown rule {cfg.rho_rule!r}")

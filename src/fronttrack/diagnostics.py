@@ -9,6 +9,7 @@ dict; fitted constants are reported, never asserted against universal values.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -25,21 +26,30 @@ _RIDE_TOL = 1e-10
 @dataclass
 class CharCurve:
     """Minimal generalized characteristic: piecewise-linear, with per-segment
-    slope and the id of the front ridden (None when free)."""
+    slope and the id of the front ridden (None when free). Node times never
+    decrease (repeats are zero-length segments), and nodes are only appended."""
 
     family: int
     nodes: list = field(default_factory=list)  # (t, x)
     slopes: list = field(default_factory=list)
     rode: list = field(default_factory=list)
+    _ts: list = field(default_factory=list, init=False, repr=False,
+                      compare=False)  # node times, refreshed when nodes grow
 
     def position(self, t):
         nodes = self.nodes
         if t <= nodes[0][0]:
             return nodes[0][1]
-        for (t0, x0), (t1, x1) in zip(nodes[:-1], nodes[1:]):
-            if t0 <= t <= t1 and t1 > t0:
-                return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-        return nodes[-1][1]
+        if len(self._ts) != len(nodes):
+            self._ts = [n[0] for n in nodes]
+        # the first segment with t0 < t <= t1 ends at the first node time
+        # >= t, so a query at a shared node interpolates from the left
+        # (k == 0 only for a NaN t)
+        k = bisect.bisect_left(self._ts, t)
+        if not 0 < k < len(nodes):
+            return nodes[-1][1]
+        (t0, x0), (t1, x1) = nodes[k - 1], nodes[k]
+        return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
 
     def segments(self):
         for j in range(len(self.nodes) - 1):
@@ -443,55 +453,68 @@ def _positive_window(g_lo, g_hi, lo, hi):
     return (lo, root) if g_lo > 0.0 else (root, hi)
 
 
+def _triangle_states(timeline, tris):
+    """Distinct states met by each triangle (a, b, tau, eta, t_hi) between
+    tau and t_hi, in first-met order.
+
+    One replay of the timeline serves every triangle. States are keyed on
+    their float tuples, which compare like np.array_equal (0.0 == -0.0).
+    """
+    seen = [{} for _ in tris]
+    live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
+    if not live:
+        return [[] for _ in tris]
+    t_stop = max(tris[k][4] for k in live)
+    for fld, frame_hi in tk.iter_frames(timeline, t_stop):
+        xs = [f.x for f in fld.fronts]
+        speeds = [f.speed for f in fld.fronts]
+        chain = fld.states()
+        for k in live:
+            a, b, t_lo, eta, t_hi = tris[k]
+            lo = max(fld.time, t_lo)
+            hi = min(frame_hi, t_hi)
+            if hi <= lo:
+                continue
+            for j, u in enumerate(chain):
+                # region j lives between front j-1 and front j
+                # (x_{-1} = -inf, x_m = +inf); it meets the shrinking
+                # triangle iff its left edge stays under b - eta t and
+                # its right edge above a + eta t on a subinterval
+                win = (lo, hi)
+                if j > 0:
+                    xj, sj = xs[j - 1], speeds[j - 1]
+                    gl = (b - eta * win[0]) - (xj + sj * (win[0] - fld.time))
+                    gh = (b - eta * win[1]) - (xj + sj * (win[1] - fld.time))
+                    win = _positive_window(gl, gh, *win)
+                    if win is None:
+                        continue
+                if j < len(xs):
+                    xj, sj = xs[j], speeds[j]
+                    gl = (xj + sj * (win[0] - fld.time)) - (a + eta * win[0])
+                    gh = (xj + sj * (win[1] - fld.time)) - (a + eta * win[1])
+                    win = _positive_window(gl, gh, *win)
+                    if win is None:
+                        continue
+                if win[1] - win[0] <= 1e-15:
+                    continue
+                seen[k].setdefault(tuple(u.tolist()), u)
+    return [list(states.values()) for states in seen]
+
+
 def tame_oscillation_check(timeline, triangles):
     """Osc(u; triangle) <= C' TotVar(u(tau); ]a, b[) over the supplied
     triangles {a, b, tau, eta?}; reports per-triangle ratios."""
     model = timeline.model
-    rows = []
-    worst = 0.0
+    tris = []
     for tri in triangles:
         a, b, tau = float(tri["a"]), float(tri["b"]), float(tri["tau"])
         eta = float(tri.get("eta", default_eta_bar(model)))
         apex = (b - a) / (2.0 * eta)
-        t_lo, t_hi = tau, min(apex, timeline.t_end)
-        states = []
-        if t_hi > t_lo:
-            for fld, frame_hi in tk.iter_frames(timeline, t_hi):
-                lo = max(fld.time, t_lo)
-                hi = min(frame_hi, t_hi)
-                if hi <= lo:
-                    continue
-                xs = [f.x for f in fld.fronts]
-                speeds = [f.speed for f in fld.fronts]
-                chain = fld.states()
-                for j, u in enumerate(chain):
-                    # region j lives between front j-1 and front j
-                    # (x_{-1} = -inf, x_m = +inf); it meets the shrinking
-                    # triangle iff its left edge stays under b - eta t and
-                    # its right edge above a + eta t on a subinterval
-                    win = (lo, hi)
-                    if j > 0:
-                        xj, sj = xs[j - 1], speeds[j - 1]
-                        gl = (b - eta * win[0]) - (xj + sj * (win[0] - fld.time))
-                        gh = (b - eta * win[1]) - (xj + sj * (win[1] - fld.time))
-                        win = _positive_window(gl, gh, *win)
-                        if win is None:
-                            continue
-                    if j < len(xs):
-                        xj, sj = xs[j], speeds[j]
-                        gl = (xj + sj * (win[0] - fld.time)) - (a + eta * win[0])
-                        gh = (xj + sj * (win[1] - fld.time)) - (a + eta * win[1])
-                        win = _positive_window(gl, gh, *win)
-                        if win is None:
-                            continue
-                    if win[1] - win[0] <= 1e-15:
-                        continue
-                    states.append(u)
+        tris.append((a, b, tau, eta, min(apex, timeline.t_end)))
+    rows = []
+    worst = 0.0
+    for (a, b, tau, eta, _), uniq in zip(tris, _triangle_states(timeline, tris)):
         osc = 0.0
-        uniq = []
-        for u in states:
-            if not any(np.array_equal(u, v) for v in uniq):
-                uniq.append(u)
         for p in range(len(uniq)):
             for q in range(p + 1, len(uniq)):
                 osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))

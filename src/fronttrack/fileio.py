@@ -128,11 +128,6 @@ def write_curves_csv(path, curves_by_family):
     _write_csv(path, ["curve_id", "family", "t", "x", "segment_size"], rows)
 
 
-def read_jsonl_or_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_diagnostics_json(path, report):
     with open(path, "w") as fh:
         fh.write(dumps_canonical(report))

@@ -71,10 +71,6 @@ class AtomicMeasure1D:
             return float(np.abs(w).sum())
         raise ValueError(f"unknown part {part!r}")
 
-    def restrict(self, sets):
-        m = self._mask(sets)
-        return AtomicMeasure1D(self.xs[m], self.ws[m])
-
     def restrict_ids(self, keep_mask):
         return AtomicMeasure1D(self.xs[keep_mask], self.ws[keep_mask])
 
@@ -107,17 +103,11 @@ class SpaceTimeAtoms:
         m = (self.ts >= t_lo) & (self.ts <= t_hi)
         return float(np.abs(self.ws[m]).sum())
 
-    def mass_at_time(self, t):
-        return float(np.abs(self.ws[self.ts == t]).sum())
-
     def times_with_mass_above(self, threshold):
         out = {}
         for t, w in zip(self.ts, self.ws):
             out[t] = out.get(t, 0.0) + abs(w)
         return sorted(t for t, m in out.items() if m > threshold)
-
-    def absolute(self):
-        return SpaceTimeAtoms(self.ts.copy(), self.xs.copy(), np.abs(self.ws))
 
 
 def interval_length(sets):
@@ -288,7 +278,7 @@ def wave_measure_slice(field, i, include_nonphysical=True):
     """i-th wave measure v_i of a field: one atom per front at its position.
 
     Nonphysical fronts contribute through the same decomposition; their total
-    is O(epsilon) and can be queried via nonphysical_wave_content.
+    is O(epsilon).
     """
     atoms = []
     for f in field.fronts:
@@ -296,11 +286,6 @@ def wave_measure_slice(field, i, include_nonphysical=True):
             continue
         atoms.append((f.x, front_wave_content(field.model, i, f.uL, f.uR)))
     return AtomicMeasure1D.from_atoms(atoms)
-
-
-def nonphysical_wave_content(field, i):
-    return float(sum(abs(front_wave_content(field.model, i, f.uL, f.uR))
-                     for f in field.fronts if not f.is_physical))
 
 
 def nonphysical_total_strength(field):

@@ -66,12 +66,6 @@ class WaveFan:
     sizes: np.ndarray  # per-family totals s_1..s_N
     nonphysical_strength: float = 0.0
 
-    def left_state(self):
-        return self.intermediate_states[0]
-
-    def right_state(self):
-        return self.intermediate_states[-1]
-
 
 # ---------------------------------------------------------------------------
 # robust scalar root solving (Brent)

@@ -136,7 +136,6 @@ class RunConfig:
     event_cap: int = 200000
     front_cap: int = 20000
     audit_rel_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -310,7 +309,6 @@ def init_sample(model, data_spec, eps):
             fronts.append(f)
     fld = FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts)
     fld.sampling_l1 = l1_estimate
-    fld.initial_tv = tv
     return fld
 
 

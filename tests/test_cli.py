@@ -252,6 +252,10 @@ class TestDeterminismAndRoundTrip:
         doc = json.loads(json.dumps(MINIMAL))
         doc["initial"] = {"kind": "profile", "name": "sawtooth", "samples": 12,
                           "params": {"teeth": 2, "amplitude": 0.4}}
+        # the child imports the same fronttrack as this process
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         blobs = []
         for rep in ("a", "b"):
             sdoc = json.loads(json.dumps(doc))
@@ -260,7 +264,7 @@ class TestDeterminismAndRoundTrip:
             path.write_text(json.dumps(sdoc))
             res = subprocess.run(
                 [sys.executable, "-m", "fronttrack.cli", "run", str(path)],
-                capture_output=True)
+                capture_output=True, env=env)
             assert res.returncode == 0, res.stderr
             blobs.append((tmp_path / f"proc_{rep}" / "events.jsonl").read_bytes()
                          + (tmp_path / f"proc_{rep}" / "ledger.csv").read_bytes())

@@ -5,8 +5,123 @@ import pytest
 
 from fronttrack import diagnostics as dg
 from fronttrack import measures as ms
+from fronttrack import tracker as tk
 
 from conftest import quick_run
+
+
+def scan_position(curve, t):
+    """Reference CharCurve.position: linear scan over the segments."""
+    nodes = curve.nodes
+    if t <= nodes[0][0]:
+        return nodes[0][1]
+    for (t0, x0), (t1, x1) in zip(nodes[:-1], nodes[1:]):
+        if t0 <= t <= t1 and t1 > t0:
+            return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
+    return nodes[-1][1]
+
+
+def reference_triangle_states(timeline, a, b, eta, t_lo, t_hi):
+    """Reference state collection: one replay for the triangle, and list
+    deduplication with np.array_equal."""
+    states = []
+    if t_hi > t_lo:
+        for fld, frame_hi in tk.iter_frames(timeline, t_hi):
+            lo = max(fld.time, t_lo)
+            hi = min(frame_hi, t_hi)
+            if hi <= lo:
+                continue
+            xs = [f.x for f in fld.fronts]
+            speeds = [f.speed for f in fld.fronts]
+            for j, u in enumerate(fld.states()):
+                win = (lo, hi)
+                if j > 0:
+                    xj, sj = xs[j - 1], speeds[j - 1]
+                    gl = (b - eta * win[0]) - (xj + sj * (win[0] - fld.time))
+                    gh = (b - eta * win[1]) - (xj + sj * (win[1] - fld.time))
+                    win = dg._positive_window(gl, gh, *win)
+                    if win is None:
+                        continue
+                if j < len(xs):
+                    xj, sj = xs[j], speeds[j]
+                    gl = (xj + sj * (win[0] - fld.time)) - (a + eta * win[0])
+                    gh = (xj + sj * (win[1] - fld.time)) - (a + eta * win[1])
+                    win = dg._positive_window(gl, gh, *win)
+                    if win is None:
+                        continue
+                if win[1] - win[0] <= 1e-15:
+                    continue
+                states.append(u)
+    uniq = []
+    for u in states:
+        if not any(np.array_equal(u, v) for v in uniq):
+            uniq.append(u)
+    return uniq
+
+
+def reference_tame_check(timeline, triangles):
+    """Reference tame_oscillation_check, triangle by triangle."""
+    rows = []
+    worst = 0.0
+    for tri in triangles:
+        a, b, tau = float(tri["a"]), float(tri["b"]), float(tri["tau"])
+        eta = float(tri.get("eta", dg.default_eta_bar(timeline.model)))
+        t_hi = min((b - a) / (2.0 * eta), timeline.t_end)
+        uniq = reference_triangle_states(timeline, a, b, eta, tau, t_hi)
+        osc = 0.0
+        for p in range(len(uniq)):
+            for q in range(p + 1, len(uniq)):
+                osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))
+        base = timeline.slice_at(tau)
+        tv = float(sum(np.linalg.norm(f.jump()) for f in base.fronts if a < f.x < b))
+        ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
+        worst = max(worst, ratio)
+        rows.append({"a": a, "b": b, "tau": tau, "eta": eta, "osc": osc,
+                     "tv_base": tv, "ratio": ratio})
+    return {"rows": rows, "C_prime": worst}
+
+
+class TestCharCurvePosition:
+    @staticmethod
+    def queries(curve):
+        ts = [t for t, _ in curve.nodes]
+        qs = list(ts)
+        qs += [0.5 * (t0 + t1) for t0, t1 in zip(ts[:-1], ts[1:])]
+        qs += [ts[0] - 1.0, ts[0] - 1e-12, ts[-1] + 1e-12, ts[-1] + 1.0]
+        return qs
+
+    def test_matches_scan_on_characteristics(self, sawtooth_timeline,
+                                             remark_timeline):
+        curves = [dg.min_characteristic(sawtooth_timeline, 1, 0.0, x, 2.0)
+                  for x in (-0.9, -0.4, 0.1, 0.6)]
+        curves += [dg.min_characteristic(remark_timeline, i, 0.2, x, 1.5)
+                   for i in (1, 2) for x in (-0.6, 0.0, 0.5)]
+        for c in curves:
+            assert len(c.nodes) > 2
+            for t in self.queries(c):
+                assert c.position(t) == scan_position(c, t)
+
+    def test_repeated_node_times(self):
+        # zero-length segments at t = 1 and a triple node at t = 2: a query at
+        # a shared node interpolates from the left, as the scan does
+        c = dg.CharCurve(family=1, nodes=[
+            (0.0, 0.1), (1.0, 0.30000000000000004), (1.0, 0.7), (1.5, 0.9),
+            (2.0, 1.3), (2.0, 1.7), (2.0, 2.1), (3.0, 2.2)])
+        for t in self.queries(c) + [1.0, 2.0, 0.999999, 2.000001]:
+            assert c.position(t) == scan_position(c, t)
+        assert c.position(math.nan) == scan_position(c, math.nan) == 2.2
+        assert c.position(2.0) == scan_position(c, 2.0) == 0.9 + 0.4
+
+    def test_single_node(self):
+        c = dg.CharCurve(family=1, nodes=[(0.5, -0.25)])
+        for t in (0.0, 0.5, 1.0):
+            assert c.position(t) == scan_position(c, t) == -0.25
+
+    def test_grown_curve_refreshes_times(self):
+        c = dg.CharCurve(family=1, nodes=[(0.0, 0.0), (1.0, 1.0)])
+        assert c.position(1.5) == 1.0
+        c.nodes.append((2.0, 3.0))
+        assert c.position(1.5) == scan_position(c, 1.5) == 2.0
 
 
 class TestMinCharacteristic:
@@ -170,6 +285,55 @@ class TestTameOscillation:
         finite = [r["ratio"] for r in rep["rows"] if math.isfinite(r["ratio"])]
         assert finite, "all triangles degenerate"
         assert math.isfinite(rep["C_prime"])
+
+
+class TestTameMatchesReference:
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_rows_bit_identical(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        eta = dg.default_eta_bar(tl.model)
+        rng = np.random.default_rng(31)
+        tris = []
+        for _ in range(50):
+            a = float(rng.uniform(-2.0, 1.0))
+            b = a + float(rng.uniform(0.2, 3.0))
+            t_hi = min((b - a) / (2.0 * eta), tl.t_end)
+            tau = float(rng.uniform(0.0, 1.0)) * t_hi
+            tris.append({"a": a, "b": b, "tau": tau})
+        # an explicit slope and a triangle whose apex is below tau
+        tris.append({"a": -1.0, "b": 1.0, "tau": 0.1, "eta": 0.7})
+        tris.append({"a": 0.0, "b": 0.05, "tau": 0.5})
+        rep = dg.tame_oscillation_check(tl, tris)
+        ref = reference_tame_check(tl, tris)
+        assert rep["rows"] == ref["rows"]
+        assert rep["C_prime"] == ref["C_prime"]
+        assert sum(r["osc"] > 0.0 for r in rep["rows"]) >= 25
+
+    def test_states_match_reference_order(self, remark_timeline):
+        tl = remark_timeline
+        eta = dg.default_eta_bar(tl.model)
+        tris = [(-1.5, 1.5, 0.0, eta, min(1.5 / eta, tl.t_end)),
+                (-1.0, 1.2, 0.2, eta, min(1.1 / eta, tl.t_end))]
+        got = dg._triangle_states(tl, tris)
+        for (a, b, t_lo, eta, t_hi), states in zip(tris, got):
+            ref = reference_triangle_states(tl, a, b, eta, t_lo, t_hi)
+            assert len(states) == len(ref) > 2
+            assert all(u is v for u, v in zip(states, ref))
+
+    def test_signed_zero_states_count_once(self):
+        # the left state is -0.0 and the right state 0.0: one state, as
+        # np.array_equal counts them, and the first one met is kept
+        tl = quick_run("burgers", {"kind": "breakpoints", "xs": [-0.5, 0.5],
+                                   "values": [[-0.0], [0.5], [0.0]]}, 0.1, 2.0)
+        assert np.signbit(tl.initial_field.left_state[0])
+        eta = dg.default_eta_bar(tl.model)
+        tri = (-3.0, 3.0, 0.0, eta, min(3.0 / eta, tl.t_end))
+        states = dg._triangle_states(tl, [tri])[0]
+        ref = reference_triangle_states(tl, *tri[:2], eta, tri[2], tri[4])
+        zeros = [u for u in states if u[0] == 0.0]
+        assert len(zeros) == 1 and np.signbit(zeros[0][0])
+        assert len(states) == len(ref)
+        assert all(u is v for u, v in zip(states, ref))
 
 
 class TestSbvAtomReport:
