@@ -98,6 +98,12 @@ def parse_config(path):
     plan.setdefault("families", list(range(1, fc.make_model(model_id, model_params).N + 1)))
     plan["outputs"] = doc.get("outputs", {})
     plan["epsilon_ladder"] = [float(e) for e in plan.get("epsilon_ladder", [])]
+    if plan["epsilon_ladder"]:
+        # ladder members take their shock thresholds from their own epsilon
+        for key in ("eps0", "eps1"):
+            if num.get(key) is not None:
+                raise ConfigError(f"numerics.{key}",
+                                  "cannot be set with diagnostics.epsilon_ladder")
     return cfg, plan
 
 
@@ -107,7 +113,7 @@ def parse_config(path):
 
 
 def _domain_window(timeline):
-    xs = [f.x for f in timeline.initial_field.fronts]
+    xs = timeline.initial_field.xs
     if not xs:
         xs = [0.0]
     span = float(timeline.model.lambda_fences[-1] - timeline.model.lambda_fences[0])
@@ -346,6 +352,7 @@ def orchestrate(cfg, plan):
             for eps in ladder:
                 # a fixed rho holds for every member; under eps3, rho and the
                 # shock thresholds default from the member's epsilon
+                # (parse_config refuses explicit thresholds with a ladder)
                 member_cfg = replace(
                     cfg, epsilon=eps,
                     rho=cfg.rho if cfg.rho_rule == "fixed" else None,

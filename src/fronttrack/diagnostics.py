@@ -93,11 +93,16 @@ def _resolve_at_point(model, i, left_state, group):
 
 
 def min_characteristic(timeline, i, t0, x0, t1):
-    """Minimal generalized i-characteristic from (t0, x0) up to t1."""
+    """Minimal generalized i-characteristic from (t0, x0) up to t1.
+
+    The front order follows the events; every front position is its record's
+    closed form.
+    """
     if not (0.0 <= t0 < t1 <= timeline.t_end):
         raise SolverError("characteristic needs 0 <= t0 < t1 <= t_end")
     model = timeline.model
     fld = timeline.slice_at(t0)
+    fronts = fld.fronts
     pending = [ev for ev in timeline.events if t0 < ev.t <= t1]
     curve = CharCurve(family=i, nodes=[(t0, x0)])
     t, x = t0, x0
@@ -115,20 +120,18 @@ def min_characteristic(timeline, i, t0, x0, t1):
         t_next = min(t_next, t1)
         if mode == "ride":
             slope = carrier.speed
-            live = next((f for f in fld.fronts if f.id == carrier.id), None)
-            if live is None:
+            if carrier not in fronts:
                 raise SolverError("characteristic lost its carrier front")
-            x_new = live.x + slope * (t_next - fld.time)
+            x_new = carrier.position(t_next)
             push(t_next, x_new, slope, carrier.id)
             t, x = t_next, x_new
         else:
             slope = carrier
-            hit = _next_crossing(fld, t, x, slope, t_next, crossed)
+            hit = _next_crossing(fronts, t, x, slope, t_next, crossed)
             if hit is not None:
                 tc, xc, g = hit
                 push(tc, xc, slope, None)
                 t, x = tc, xc
-                _advance_working(fld, t)
                 crossed.add(g.id)
                 kind, payload = _resolve_at_point(model, i, g.uL, [g])
                 mode, carrier = kind, payload
@@ -143,42 +146,35 @@ def min_characteristic(timeline, i, t0, x0, t1):
                 consumed = mode == "ride" and carrier.id in (
                     ev.incoming[0].id, ev.incoming[1].id)
                 at_node = consumed or (mode == "free" and abs(ev.x - x) <= 1e-12)
-                tk.apply_event(fld, ev)
+                tk.apply_event(fronts, ev)
                 if at_node:
                     x = ev.x
-                    group = [f for f in fld.fronts if f.x == ev.x and f.born_at == ev.t]
-                    left_state = group[0].uL if group else fld.state_at(ev.x - 1e-12)
+                    group = [f for f in fronts
+                             if f.born_x == ev.x and f.born_t == ev.t]
+                    left_state = group[0].uL if group else tk.field_at(
+                        model, fld.left_state, fronts, t).state_at(ev.x - 1e-12)
                     kind, payload = _resolve_at_point(model, i, left_state, group)
                     mode, carrier = kind, payload
                 ev_idx += 1
             crossed = set()
-        _advance_working(fld, t)
     return curve
 
 
 def _initial_anchor(model, i, fld, x0):
-    here = [f for f in fld.fronts if f.x == x0]
+    here = [f for f, xf in zip(fld.fronts, fld.xs) if xf == x0]
     if here:
         return _resolve_at_point(model, i, here[0].uL, here)
     return "free", _lambda_i(model, i, fld.state_at(x0))
 
 
-def _advance_working(fld, t):
-    if t > fld.time:
-        dt = t - fld.time
-        for f in fld.fronts:
-            f.x += f.speed * dt
-        fld.time = t
-
-
-def _next_crossing(fld, t, x, slope, t_hi, skip):
+def _next_crossing(fronts, t, x, slope, t_hi, skip):
     """Earliest strict crossing of the free characteristic with a front in
     (t, t_hi); returns (tc, xc, front) or None."""
     best = None
-    for g in fld.fronts:
+    for g in fronts:
         if g.id in skip:
             continue
-        xg = g.x + g.speed * (t - fld.time)
+        xg = g.position(t)
         rel = slope - g.speed
         dx = xg - x
         if rel == 0.0:
@@ -457,21 +453,26 @@ def _triangle_states(timeline, tris):
     """Distinct states met by each triangle (a, b, tau, eta, t_hi) between
     tau and t_hi, in first-met order.
 
-    One replay of the timeline serves every triangle. States are keyed on
-    their float tuples, which compare like np.array_equal (0.0 == -0.0).
+    One sweep over the events serves every triangle: between two event times
+    the front order is fixed and each front moves on its closed form. States
+    are keyed on their float tuples, which compare like np.array_equal
+    (0.0 == -0.0).
     """
     seen = [{} for _ in tris]
     live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
     if not live:
         return [[] for _ in tris]
     t_stop = max(tris[k][4] for k in live)
-    for fld, frame_hi in tk.iter_frames(timeline, t_stop):
-        xs = [f.x for f in fld.fronts]
-        speeds = [f.speed for f in fld.fronts]
-        chain = fld.states()
+    left_state = timeline.initial_field.left_state
+
+    def visit(fronts, frame_lo, frame_hi):
+        chain = [left_state] + [f.uR for f in fronts]
+        # (born_x, speed, born_t) per front: Front.position, inlined for the
+        # inner loop
+        lines = [(f.born_x, f.speed, f.born_t) for f in fronts]
         for k in live:
             a, b, t_lo, eta, t_hi = tris[k]
-            lo = max(fld.time, t_lo)
+            lo = max(frame_lo, t_lo)
             hi = min(frame_hi, t_hi)
             if hi <= lo:
                 continue
@@ -482,22 +483,33 @@ def _triangle_states(timeline, tris):
                 # its right edge above a + eta t on a subinterval
                 win = (lo, hi)
                 if j > 0:
-                    xj, sj = xs[j - 1], speeds[j - 1]
-                    gl = (b - eta * win[0]) - (xj + sj * (win[0] - fld.time))
-                    gh = (b - eta * win[1]) - (xj + sj * (win[1] - fld.time))
+                    xj, sj, tj = lines[j - 1]
+                    gl = (b - eta * win[0]) - (xj + sj * (win[0] - tj))
+                    gh = (b - eta * win[1]) - (xj + sj * (win[1] - tj))
                     win = _positive_window(gl, gh, *win)
                     if win is None:
                         continue
-                if j < len(xs):
-                    xj, sj = xs[j], speeds[j]
-                    gl = (xj + sj * (win[0] - fld.time)) - (a + eta * win[0])
-                    gh = (xj + sj * (win[1] - fld.time)) - (a + eta * win[1])
+                if j < len(lines):
+                    xj, sj, tj = lines[j]
+                    gl = (xj + sj * (win[0] - tj)) - (a + eta * win[0])
+                    gh = (xj + sj * (win[1] - tj)) - (a + eta * win[1])
                     win = _positive_window(gl, gh, *win)
                     if win is None:
                         continue
                 if win[1] - win[0] <= 1e-15:
                     continue
                 seen[k].setdefault(tuple(u.tolist()), u)
+
+    fronts = list(timeline.initial_field.fronts)
+    frame_lo = 0.0
+    for ev in timeline.events:
+        if ev.t > t_stop:
+            break
+        if ev.t > frame_lo:
+            visit(fronts, frame_lo, ev.t)
+            frame_lo = ev.t
+        tk.apply_event(fronts, ev)
+    visit(fronts, frame_lo, t_stop)
     return [list(states.values()) for states in seen]
 
 
@@ -519,7 +531,8 @@ def tame_oscillation_check(timeline, triangles):
             for q in range(p + 1, len(uniq)):
                 osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))
         base = timeline.slice_at(tau)
-        tv = float(sum(np.linalg.norm(f.jump()) for f in base.fronts if a < f.x < b))
+        tv = float(sum(np.linalg.norm(f.jump())
+                       for f, x in zip(base.fronts, base.xs) if a < x < b))
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)
         rows.append({"a": a, "b": b, "tau": tau, "eta": eta, "osc": osc,
@@ -547,9 +560,9 @@ def sbv_atom_report(timeline, i, threshold, times=()):
         spectra = {}
         for t in times:
             fld = timeline.slice_at(t)
-            spectra[t] = [(f.x, timeline.model.fprime(float(f.uR[0]))
+            spectra[t] = [(x, timeline.model.fprime(float(f.uR[0]))
                            - timeline.model.fprime(float(f.uL[0])))
-                          for f in fld.fronts]
+                          for f, x in zip(fld.fronts, fld.xs)]
         report["fprime_atom_spectra"] = spectra
     return report
 

@@ -20,10 +20,6 @@ def fmt(x):
     return str(x)
 
 
-def _state_fields(prefix, u):
-    return {f"{prefix}{k}": float(v) for k, v in enumerate(u)}
-
-
 def write_events_jsonl(path, timeline):
     lines = []
     for ev in timeline.events:
@@ -101,8 +97,8 @@ def write_slices_csv(path, timeline, times):
     n = timeline.model.N
     for t in times:
         fld = timeline.slice_at(t)
-        for f in fld.fronts:
-            row = [t, f.x, f.family, f.size, f.speed]
+        for f, x in zip(fld.fronts, fld.xs):
+            row = [t, x, f.family, f.size, f.speed]
             row += [float(v) for v in f.uL]
             row += [float(v) for v in f.uR]
             rows.append(row)

@@ -281,10 +281,10 @@ def wave_measure_slice(field, i, include_nonphysical=True):
     is O(epsilon).
     """
     atoms = []
-    for f in field.fronts:
+    for f, x in zip(field.fronts, field.xs):
         if not include_nonphysical and not f.is_physical:
             continue
-        atoms.append((f.x, front_wave_content(field.model, i, f.uL, f.uR)))
+        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR)))
     return AtomicMeasure1D.from_atoms(atoms)
 
 
@@ -299,7 +299,7 @@ def lambda_component_slice(field, i, curves):
     model = field.model
     on_curves = curve_front_ids(curves)
     atoms = []
-    for f in field.fronts:
+    for f, x in zip(field.fronts, field.xs):
         if not f.is_physical:
             continue
         if f.id in on_curves:
@@ -309,13 +309,13 @@ def lambda_component_slice(field, i, curves):
                         for k in range(1, model.N + 1)]
             denom = sum(contents)
             if denom > 0.0:
-                atoms.append((f.x, (lam_r - lam_l) * contents[i - 1] / denom))
+                atoms.append((x, (lam_r - lam_l) * contents[i - 1] / denom))
                 continue
             # no jump weight at this point: contribute through the
             # continuous branch instead
         sys = fc.average_eigs(model, f.uL, f.uR)
         w = float(sys.left[i - 1] @ (f.uR - f.uL))
-        atoms.append((f.x, float(sys.gnl_rates[i - 1]) * w))
+        atoms.append((x, float(sys.gnl_rates[i - 1]) * w))
     return AtomicMeasure1D.from_atoms(atoms)
 
 
@@ -413,7 +413,7 @@ def extract_shock_curves(timeline, i, eps0, eps1):
 
     for f in timeline.initial_field.fronts:
         if _qualifies(f, i, eps0):
-            start((0.0, f.x), None, f)
+            start((0.0, f.born_x), None, f)
 
     for ev_idx, ev in enumerate(timeline.events):
         ins = [f for f in ev.incoming if f.id in active]
@@ -433,9 +433,7 @@ def extract_shock_curves(timeline, i, eps0, eps1):
     t_end = timeline.t_end
     for fid in sorted(active):
         c = active[fid]
-        rec = timeline.front_records[fid]
-        x_end = rec.born_x + rec.speed * (t_end - rec.born_t)
-        c.nodes.append((t_end, x_end))
+        c.nodes.append((t_end, timeline.front_records[fid].position(t_end)))
         c.node_events.append(None)
         c.survives = True
         done.append(c)
@@ -451,8 +449,8 @@ def split_jump_cont(field, i, curves):
     ids = curve_front_ids(curves)
     atoms = []
     member = []
-    for f in field.fronts:
-        atoms.append((f.x, front_wave_content(field.model, i, f.uL, f.uR)))
+    for f, x in zip(field.fronts, field.xs):
+        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR)))
         member.append(f.id in ids)
     vi = AtomicMeasure1D.from_atoms(atoms)
     # from_atoms applies a stable sort by position; replicate it on the mask
@@ -553,6 +551,6 @@ def mass_relative(field, x_ref):
     """Integral of (u - u(-inf)) over (-inf, x_ref]; finite for fields whose
     fronts all sit left of x_ref."""
     total = np.zeros(field.model.N)
-    for f in field.fronts:
-        total += (x_ref - f.x) * (f.uR - f.uL)
+    for f, x in zip(field.fronts, field.xs):
+        total += (x_ref - x) * (f.uR - f.uL)
     return total

@@ -96,7 +96,7 @@ def l1_error(field, oracle_pieces, lo, hi):
     over [lo, hi]; exact on constant pieces, Simpson elsewhere (vector norms
     are the 1-norm)."""
     cuts = {lo, hi}
-    cuts.update(f.x for f in field.fronts if lo < f.x < hi)
+    cuts.update(x for x in field.xs if lo < x < hi)
     for (a, b, payload) in oracle_pieces:
         if lo < a < hi:
             cuts.add(a)

@@ -24,23 +24,36 @@ NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class Front:
-    """One moving discontinuity; family N+1 marks nonphysical fronts."""
+    """One moving discontinuity; family N+1 marks nonphysical fronts.
+
+    Once the tracker splices a front, the object is its birth-to-death
+    record: it moves on the straight line through (born_t, born_x) with its
+    speed, and its fields do not change except for the death ones. Fronts
+    compare by identity, so a front list is searched for the record itself.
+    """
 
     family: int
-    x: float
     speed: float
     uL: np.ndarray
     uR: np.ndarray
     size: float
     kind: str  # shock | rarefaction | contact | nonphysical
-    born_at: float = 0.0
     id: int = -1
+    born_t: float = 0.0
+    born_x: float = 0.0
+    birth_event: int | None = None  # None: initial datum
+    died_t: float | None = None
+    died_x: float | None = None
+    death_event: int | None = None
 
     @property
     def is_physical(self):
         return self.kind != "nonphysical"
+
+    def position(self, t):
+        return self.born_x + self.speed * (t - self.born_t)
 
     def jump(self):
         return self.uR - self.uL
@@ -477,7 +490,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
             continue
         left_state = states[-1]
         right_state = np.array([u_to])
-        fronts.append(Front(family=1, x=0.0, speed=float(sigma), uL=left_state,
+        fronts.append(Front(family=1, speed=float(sigma), uL=left_state,
                             uR=right_state, size=float(u_to - u_from), kind=kind))
         states.append(right_state)
     if fronts:
@@ -508,11 +521,11 @@ def _system_front(model, k, uL, s):
     else:
         speed = front_speed(model, k, uL, state)
         kind = "contact" if kind_tag == LD else ("shock" if s < 0 else "rarefaction")
-    return Front(family=k, x=0.0, speed=speed, uL=uL, uR=state, size=s, kind=kind)
+    return Front(family=k, speed=speed, uL=uL, uR=state, size=s, kind=kind)
 
 
 def _nonphysical_front(model, uL, uR):
-    return Front(family=model.N + 1, x=0.0, speed=model.lambda_hat, uL=uL, uR=uR,
+    return Front(family=model.N + 1, speed=model.lambda_hat, uL=uL, uR=uR,
                  size=float(np.linalg.norm(uR - uL)), kind="nonphysical")
 
 
@@ -636,7 +649,7 @@ def _emit_fan(model, k, omega0, sk, eps, fronts):
         else:
             nxt, _ = _curve_state(model, k, omega0, dlam * m / n, "lambda")
         piece_size = float(model.point_eig(prev).left[k - 1] @ (nxt - prev))
-        fronts.append(Front(family=k, x=0.0, speed=front_speed(model, k, prev, nxt),
+        fronts.append(Front(family=k, speed=front_speed(model, k, prev, nxt),
                             uL=prev, uR=nxt, size=piece_size, kind="rarefaction"))
         prev = nxt
     return end

@@ -24,23 +24,20 @@ STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 
 @dataclass
 class FrontField:
-    """The piecewise-constant solution at one time."""
+    """The piecewise-constant solution at one time: fronts left to right,
+    with xs[k] the position of fronts[k]."""
 
     model: object
     time: float
     left_state: np.ndarray
     fronts: list
-
-    def states(self):
-        out = [self.left_state]
-        out.extend(f.uR for f in self.fronts)
-        return out
+    xs: list
 
     def state_at(self, x):
         """Right-continuous evaluation at position x."""
         u = self.left_state
-        for f in self.fronts:
-            if f.x <= x:
+        for f, xf in zip(self.fronts, self.xs):
+            if xf <= x:
                 u = f.uR
             else:
                 break
@@ -49,13 +46,13 @@ class FrontField:
     def validate(self, atol=1e-9):
         prev_x = -math.inf
         u = self.left_state
-        for f in self.fronts:
+        for f, xf in zip(self.fronts, self.xs):
             # just before a collision fires, positions may overlap by fp noise
-            if f.x < prev_x - 1e-12 * max(1.0, abs(prev_x)):
+            if xf < prev_x - 1e-12 * max(1.0, abs(prev_x)):
                 raise SolverError("front positions out of order")
             if np.max(np.abs(f.uL - u)) > atol:
                 raise SolverError("state chain broken")
-            prev_x = f.x
+            prev_x = xf
             u = f.uR
         return True
 
@@ -75,8 +72,8 @@ class InteractionEvent:
     t: float
     x: float
     solver: str  # accurate | simplified | crude
-    incoming: list  # frozen Front copies (exactly two)
-    outgoing: list  # frozen copies of the spliced fronts
+    incoming: list  # the two fronts that met
+    outgoing: list  # the spliced fronts
     amount_I: float
     cancellation: float
     V_pre: float
@@ -85,37 +82,6 @@ class InteractionEvent:
     dQ: float
     V_post: float
     Q_post: float
-
-
-@dataclass
-class FrontRecord:
-    """Birth-to-death record of one front, for geometry and measures."""
-
-    id: int
-    family: int
-    kind: str
-    size: float
-    speed: float
-    uL: np.ndarray
-    uR: np.ndarray
-    born_t: float
-    born_x: float
-    birth_event: int | None  # None: initial datum
-    died_t: float | None = None
-    died_x: float | None = None
-    death_event: int | None = None
-
-    @property
-    def is_physical(self):
-        return self.kind != "nonphysical"
-
-    def position(self, t):
-        return self.born_x + self.speed * (t - self.born_t)
-
-    def alive_at(self, t):
-        if t < self.born_t:
-            return False
-        return self.died_t is None or t < self.died_t
 
 
 @dataclass
@@ -157,7 +123,9 @@ class RunConfig:
 
 
 class Timeline:
-    """Immutable record of one run: initial field, events, ledgers, records."""
+    """Immutable record of one run: initial field, events, ledgers, and
+    front_records, which maps each front id to its Front. The initial field
+    and the events hold the same Front objects."""
 
     def __init__(self, model, config, initial_field, events, front_records,
                  ledger, c0, t_end):
@@ -302,12 +270,12 @@ def init_sample(model, data_spec, eps):
         # exact, so every fan front is spliced as-is
         fan = rm.solve_accurate(model, va, vb, eps)
         for f in fan.fronts:
-            f.x = float(x)
-            f.born_at = 0.0
+            f.born_x = float(x)
             f.id = next_id
             next_id += 1
             fronts.append(f)
-    fld = FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts)
+    fld = FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts,
+                     xs=[f.born_x for f in fronts])
     fld.sampling_l1 = l1_estimate
     return fld
 
@@ -320,17 +288,17 @@ def init_sample(model, data_spec, eps):
 def next_collision(fld, tie_tol=0.0):
     """Earliest adjacent-pair collision; near-simultaneous times (within
     tie_tol) are resolved by smallest collision position, then left front id."""
-    fronts = fld.fronts
+    fronts, xs = fld.fronts, fld.xs
     cands = []
     for j in range(len(fronts) - 1):
         ds = fronts[j].speed - fronts[j + 1].speed
         if ds <= 0.0:
             continue
-        dt = (fronts[j + 1].x - fronts[j].x) / ds
+        dt = (xs[j + 1] - xs[j]) / ds
         if dt < 0.0:
             dt = 0.0
         t = fld.time + dt
-        x = fronts[j].x + fronts[j].speed * dt
+        x = xs[j] + fronts[j].speed * dt
         cands.append((t, x, fronts[j].id, j))
     if not cands:
         return None
@@ -342,21 +310,18 @@ def next_collision(fld, tie_tol=0.0):
 
 
 def _advance(fld, t):
+    """Move the live field to time t, each position by its own increment."""
     dt = t - fld.time
     if dt != 0.0:
-        for f in fld.fronts:
-            f.x += f.speed * dt
+        fld.xs = [x + f.speed * dt for x, f in zip(fld.xs, fld.fronts)]
     fld.time = t
-
-
-def _freeze(front):
-    return replace(front)
 
 
 def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
          Q_pre=None):
     """Process the next collision: dispatch a solver by interaction amount,
-    splice the outgoing fan, and return the event record.
+    splice the outgoing fan, and return the event record. The incoming
+    fronts get their death fields; no other spliced front is changed.
 
     col is the field's next collision when the caller has already found it.
     V_pre and Q_pre carry the running ledger; when omitted, the ledger starts
@@ -380,8 +345,6 @@ def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
     _advance(fld, col.t)
     j = col.index
     f_left, f_right = fld.fronts[j], fld.fronts[j + 1]
-    f_left.x = col.x
-    f_right.x = col.x
     amount, cancellation = ms.interaction_amount(f_left, f_right)
     if not f_left.is_physical:
         fan = rm.solve_crude(model, f_left, f_right)
@@ -394,19 +357,24 @@ def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
         solver = "simplified"
     kept = _select_outgoing(model, fan, f_left, f_right)
     for f in kept:
-        f.x = col.x
-        f.born_at = col.t
+        f.born_t = col.t
+        f.born_x = col.x
+        f.birth_event = event_index
         f.id = next_id()
+    for f in (f_left, f_right):
+        f.died_t = col.t
+        f.died_x = col.x
+        f.death_event = event_index
     dV, dQ = ms.splice_deltas(fld.fronts, j, kept)
     fld.fronts[j:j + 2] = kept
+    fld.xs[j:j + 2] = [col.x] * len(kept)
     if len(fld.fronts) > config.front_cap:
         raise CapExceededError(
             f"front cap {config.front_cap} exceeded at t={col.t:.6g} "
             "(is rho set correctly?)")
     event = InteractionEvent(
         index=event_index, t=col.t, x=col.x, solver=solver,
-        incoming=[_freeze(f_left), _freeze(f_right)],
-        outgoing=[_freeze(f) for f in kept],
+        incoming=[f_left, f_right], outgoing=kept,
         amount_I=amount, cancellation=cancellation,
         V_pre=V_pre, Q_pre=Q_pre, dV=dV, dQ=dQ,
         V_post=V_pre + dV, Q_post=Q_pre + dQ)
@@ -436,14 +404,9 @@ def run(config):
     """Front-track until t_end or quiescence; returns the Timeline."""
     model = fc.make_model(config.model_id, config.model_params)
     fld = init_sample(model, config.initial, config.epsilon)
-    initial_frozen = FrontField(model=model, time=0.0,
-                                left_state=fld.left_state,
-                                fronts=[_freeze(f) for f in fld.fronts])
-    records = {}
-    for f in fld.fronts:
-        records[f.id] = FrontRecord(
-            id=f.id, family=f.family, kind=f.kind, size=f.size, speed=f.speed,
-            uL=f.uL, uR=f.uR, born_t=0.0, born_x=f.x, birth_event=None)
+    initial = FrontField(model=model, time=0.0, left_state=fld.left_state,
+                         fronts=list(fld.fronts), xs=list(fld.xs))
+    records = {f.id: f for f in fld.fronts}
     counter = [max((f.id for f in fld.fronts), default=-1) + 1]
 
     def next_id():
@@ -463,16 +426,8 @@ def run(config):
                 f"event cap {config.event_cap} exceeded (is rho set correctly?)")
         fld, ev = step(fld, config, next_id, len(events), col, V, Q)
         V, Q = ev.V_post, ev.Q_post
-        for f in ev.incoming:
-            rec = records[f.id]
-            rec.died_t = ev.t
-            rec.died_x = ev.x
-            rec.death_event = ev.index
         for f in ev.outgoing:
-            records[f.id] = FrontRecord(
-                id=f.id, family=f.family, kind=f.kind, size=f.size,
-                speed=f.speed, uL=f.uL, uR=f.uR, born_t=ev.t, born_x=ev.x,
-                birth_event=ev.index)
+            records[f.id] = f
         events.append(ev)
 
     dVs = np.array([e.dV for e in events])
@@ -487,54 +442,37 @@ def run(config):
         Vs=np.concatenate([[v0], [e.V_post for e in events]]),
         Qs=np.concatenate([[q0], [e.Q_post for e in events]]),
         dVs=dVs, dQs=dQs, C0=c0, calibrated=calibrated)
-    return Timeline(model, config, initial_frozen, events, records, ledger,
+    return Timeline(model, config, initial, events, records, ledger,
                     c0, config.t_end)
 
 
-def clone_field(src):
-    return FrontField(model=src.model, time=src.time, left_state=src.left_state,
-                      fronts=[_freeze(f) for f in src.fronts])
-
-
-def apply_event(fld, ev):
-    """Advance a replayed field to an event and splice its outgoing fronts."""
-    _advance(fld, ev.t)
-    ids = [f.id for f in fld.fronts]
+def apply_event(fronts, ev):
+    """Splice an event's outgoing fronts in place of its incoming pair."""
     try:
-        j = ids.index(ev.incoming[0].id)
+        j = fronts.index(ev.incoming[0])
     except ValueError:
         raise SolverError("timeline replay lost an incoming front")
-    fld.fronts[j:j + 2] = [_freeze(f) for f in ev.outgoing]
+    fronts[j:j + 2] = ev.outgoing
 
 
 def slice_at(timeline, t):
     """Reconstructed field at time t; event times resolve to the right limit.
 
-    The replay repeats the run's incremental position arithmetic so slices
-    agree bitwise with the live evolution.
+    The front order comes from splicing the events up to t, never from
+    sorting positions (fronts about to meet agree only to roundoff). Each
+    position is its front's closed form born_x + speed*(t - born_t).
     """
     if t < 0.0 or t > timeline.t_end:
         raise SolverError(f"slice time {t} outside [0, {timeline.t_end}]")
-    fld = clone_field(timeline.initial_field)
+    fronts = list(timeline.initial_field.fronts)
     for ev in timeline.events:
         if ev.t > t:
             break
-        apply_event(fld, ev)
-    _advance(fld, t)
-    return fld
+        apply_event(fronts, ev)
+    return field_at(timeline.model, timeline.initial_field.left_state, fronts, t)
 
 
-def iter_frames(timeline, t_stop=None):
-    """Yield (field, t_hi) pairs: each field is the solution on [field.time,
-    t_hi) with fronts moving linearly. The yielded field is reused; callers
-    must not keep references across iterations."""
-    t_stop = timeline.t_end if t_stop is None else t_stop
-    fld = clone_field(timeline.initial_field)
-    for ev in timeline.events:
-        if ev.t > t_stop:
-            break
-        if ev.t > fld.time:
-            yield fld, ev.t
-        apply_event(fld, ev)
-    if t_stop >= fld.time:
-        yield fld, t_stop
+def field_at(model, left_state, fronts, t):
+    """The field with this front order at time t, positions in closed form."""
+    return FrontField(model=model, time=t, left_state=left_state,
+                      fronts=fronts, xs=[f.position(t) for f in fronts])

@@ -77,3 +77,55 @@ def remark_timeline():
     rng = np.random.default_rng(7)
     initial = random_breakpoint_scenario("remark-2x2", rng, n_jumps=5)
     return quick_run("remark-2x2", initial, epsilon=0.05, t_end=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Reference replay: slices rebuilt by repeating the live loop's incremental
+# position arithmetic (x += speed*dt) from t = 0. The tracker builds slices
+# from front records in closed form instead; tests compare the two.
+# ---------------------------------------------------------------------------
+
+
+def replay_clone_field(src):
+    return tk.FrontField(model=src.model, time=src.time,
+                         left_state=src.left_state, fronts=list(src.fronts),
+                         xs=list(src.xs))
+
+
+def replay_advance(fld, t):
+    dt = t - fld.time
+    if dt != 0.0:
+        fld.xs = [x + f.speed * dt for x, f in zip(fld.xs, fld.fronts)]
+    fld.time = t
+
+
+def replay_apply_event(fld, ev):
+    """Advance to an event and splice its outgoing fronts at the event point."""
+    replay_advance(fld, ev.t)
+    j = [f.id for f in fld.fronts].index(ev.incoming[0].id)
+    fld.fronts[j:j + 2] = ev.outgoing
+    fld.xs[j:j + 2] = [ev.x] * len(ev.outgoing)
+
+
+def replay_slice_at(timeline, t):
+    fld = replay_clone_field(timeline.initial_field)
+    for ev in timeline.events:
+        if ev.t > t:
+            break
+        replay_apply_event(fld, ev)
+    replay_advance(fld, t)
+    return fld
+
+
+def replay_frames(timeline, t_stop):
+    """Yield (field, t_hi): the replayed field is the solution on
+    [field.time, t_hi). The field is reused between iterations."""
+    fld = replay_clone_field(timeline.initial_field)
+    for ev in timeline.events:
+        if ev.t > t_stop:
+            break
+        if ev.t > fld.time:
+            yield fld, ev.t
+        replay_apply_event(fld, ev)
+    if t_stop >= fld.time:
+        yield fld, t_stop

@@ -176,8 +176,8 @@ def test_criterion_04_wave_balance(diagnostic_suite):
     detail = []
     for mid, tl in diagnostic_suite.items():
         rng = np.random.default_rng(400 + len(mid))
-        lo = min((f.x for f in tl.initial_field.fronts), default=0.0) - 1.0
-        hi = max((f.x for f in tl.initial_field.fronts), default=0.0) + 1.0
+        lo = min(tl.initial_field.xs, default=0.0) - 1.0
+        hi = max(tl.initial_field.xs, default=0.0) + 1.0
         worst = 0.0
         n_done = 0
         for i in range(1, tl.model.N + 1):

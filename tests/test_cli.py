@@ -39,6 +39,23 @@ class TestParseConfig:
             cli.parse_config(write_scenario(tmp_path, doc))
         assert "eps0" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["eps0", "eps1"])
+    def test_threshold_with_ladder_names_key(self, tmp_path, key, capsys):
+        # ladder members derive eps0/eps1 from their own epsilon, so an
+        # explicit threshold would be silently dropped
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["numerics"][key] = 0.2
+        doc["diagnostics"] = {"epsilon_ladder": [0.1, 0.05]}
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert err.value.key == f"numerics.{key}"
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert f"numerics.{key}" in capsys.readouterr().err
+        del doc["diagnostics"]
+        cfg, _ = cli.parse_config(write_scenario(tmp_path, doc, "single.json"))
+        assert getattr(cfg, key) == 0.2
+
     def test_unknown_model_names_key(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["model"]["id"] = "kdv"

@@ -5,9 +5,8 @@ import pytest
 
 from fronttrack import diagnostics as dg
 from fronttrack import measures as ms
-from fronttrack import tracker as tk
 
-from conftest import quick_run
+from conftest import quick_run, replay_frames, replay_slice_at
 
 
 def scan_position(curve, t):
@@ -22,18 +21,19 @@ def scan_position(curve, t):
 
 
 def reference_triangle_states(timeline, a, b, eta, t_lo, t_hi):
-    """Reference state collection: one replay for the triangle, and list
-    deduplication with np.array_equal."""
+    """Reference state collection: one incremental replay for the triangle,
+    and list deduplication with np.array_equal."""
     states = []
     if t_hi > t_lo:
-        for fld, frame_hi in tk.iter_frames(timeline, t_hi):
+        for fld, frame_hi in replay_frames(timeline, t_hi):
             lo = max(fld.time, t_lo)
             hi = min(frame_hi, t_hi)
             if hi <= lo:
                 continue
-            xs = [f.x for f in fld.fronts]
+            xs = fld.xs
             speeds = [f.speed for f in fld.fronts]
-            for j, u in enumerate(fld.states()):
+            chain = [fld.left_state] + [f.uR for f in fld.fronts]
+            for j, u in enumerate(chain):
                 win = (lo, hi)
                 if j > 0:
                     xj, sj = xs[j - 1], speeds[j - 1]
@@ -72,8 +72,9 @@ def reference_tame_check(timeline, triangles):
         for p in range(len(uniq)):
             for q in range(p + 1, len(uniq)):
                 osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))
-        base = timeline.slice_at(tau)
-        tv = float(sum(np.linalg.norm(f.jump()) for f in base.fronts if a < f.x < b))
+        base = replay_slice_at(timeline, tau)
+        tv = float(sum(np.linalg.norm(f.jump())
+                       for f, x in zip(base.fronts, base.xs) if a < x < b))
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)
         rows.append({"a": a, "b": b, "tau": tau, "eta": eta, "osc": osc,

@@ -11,11 +11,12 @@ from conftest import quick_run
 
 def make_field(fronts, left=1.0):
     return tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                         left_state=np.array([left]), fronts=fronts)
+                         left_state=np.array([left]), fronts=fronts,
+                         xs=[f.born_x for f in fronts])
 
 
 def synth_front(x, family, size, speed, kind="shock", fid=0):
-    return rm.Front(family=family, x=x, speed=speed, uL=np.array([0.0]),
+    return rm.Front(family=family, born_x=x, speed=speed, uL=np.array([0.0]),
                     uR=np.array([size]), size=size, kind=kind, id=fid)
 
 
@@ -217,7 +218,8 @@ class TestWaveMeasureSlice:
     def test_remark_pure_family2_jump(self):
         m = fc.make_model("remark-2x2")
         f = rm._system_front(m, 2, np.array([0.1, 0.0]), 0.12)
-        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f])
+        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
+                            xs=[0.0])
         v2 = ms.wave_measure_slice(fld, 2)
         v1 = ms.wave_measure_slice(fld, 1)
         assert v2.ws == pytest.approx([0.12], abs=1e-12)
@@ -225,7 +227,7 @@ class TestWaveMeasureSlice:
 
     def test_constant_field_empty(self):
         fld = tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                            left_state=np.array([0.5]), fronts=[])
+                            left_state=np.array([0.5]), fronts=[], xs=[])
         assert len(ms.wave_measure_slice(fld, 1)) == 0
 
     def test_scalar_total_matches_V(self, sawtooth_timeline):
@@ -250,7 +252,8 @@ class TestLambdaComponentSlice:
         m = fc.make_model("remark-2x2")
         f = rm._system_front(m, 1, np.array([0.0, 0.1]), 0.15)
         f.id = 0
-        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f])
+        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
+                            xs=[0.0])
         curve = ms.ShockCurve(family=1, nodes=[(0.0, 0.0), (1.0, 0.0)],
                               node_events=[None, None],
                               segment_sizes=[f.size], segment_front_ids=[0],
@@ -263,13 +266,14 @@ class TestLambdaComponentSlice:
         m = fc.make_model("burgers")
         f = rm._system_front(m, 1, np.array([0.2]), 0.1)
         f.id = 0
-        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f])
+        fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
+                            xs=[0.0])
         atoms = ms.lambda_component_slice(fld, 1, [])
         assert atoms.ws == pytest.approx([0.1])  # rate 1 times content 0.1
 
     def test_constant_field_empty(self):
         fld = tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                            left_state=np.array([0.0]), fronts=[])
+                            left_state=np.array([0.0]), fronts=[], xs=[])
         assert len(ms.lambda_component_slice(fld, 1, [])) == 0
 
 

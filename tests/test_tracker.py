@@ -6,7 +6,7 @@ from fronttrack import measures as ms
 from fronttrack import tracker as tk
 from fronttrack.errors import InitialDataError, SolverError
 
-from conftest import quick_run, random_breakpoint_scenario
+from conftest import quick_run, random_breakpoint_scenario, replay_slice_at
 
 
 class TestInitSample:
@@ -16,7 +16,8 @@ class TestInitSample:
                                  "values": [[1.0], [0.0]]}, 0.1)
         assert len(fld.fronts) == 1
         f = fld.fronts[0]
-        assert f.x == 0.0 and f.uL[0] == 1.0 and f.uR[0] == 0.0
+        assert fld.xs == [0.0] and f.born_x == 0.0 and f.born_t == 0.0
+        assert f.uL[0] == 1.0 and f.uR[0] == 0.0
         assert f.speed == pytest.approx(0.5)
 
     def test_ramp_profile_is_monotone_staircase(self):
@@ -72,13 +73,13 @@ class TestNextCollision:
         u = 1.0
         for j, (x, s) in enumerate(zip(positions, speeds)):
             # chain of downward unit jumps; speeds are set directly
-            f = tk.rm.Front(family=1, x=x, speed=s, uL=np.array([u]),
+            f = tk.rm.Front(family=1, speed=s, uL=np.array([u]),
                             uR=np.array([u - 0.1]), size=-0.1, kind="shock",
-                            born_at=0.0, id=j)
+                            id=j, born_t=0.0, born_x=x)
             fronts.append(f)
             u -= 0.1
         return tk.FrontField(model=m, time=0.0, left_state=np.array([1.0]),
-                             fronts=fronts)
+                             fronts=fronts, xs=list(positions))
 
     def test_linear_intersection(self):
         fld = self._field([0.0, 1.0], [1.0, 0.0])
@@ -144,7 +145,7 @@ class TestRun:
                                    "values": [[1.0], [0.0]]}, 0.1, 1.0)
         assert tl.events == []
         fld = tl.slice_at(1.0)
-        assert fld.fronts[0].x == pytest.approx(0.5)
+        assert fld.xs[0] == pytest.approx(0.5)
 
     def test_two_approaching_shocks_one_event(self, burgers_merge_timeline):
         assert len(burgers_merge_timeline.events) == 1
@@ -223,7 +224,7 @@ class TestRun:
             assert [f.size for f in e1.outgoing] == [f.size for f in e2.outgoing]
         f1 = tl1.slice_at(1.0)
         f2 = tl2.slice_at(1.0)
-        assert [f.x for f in f1.fronts] == [f.x for f in f2.fronts]
+        assert f1.xs == f2.xs
 
 
 class TestLedgerCounts:
@@ -263,21 +264,87 @@ class TestSliceAt:
     def test_time_zero_is_initial(self, burgers_merge_timeline):
         fld = burgers_merge_timeline.slice_at(0.0)
         init = burgers_merge_timeline.initial_field
-        assert [f.x for f in fld.fronts] == [f.x for f in init.fronts]
+        assert fld.xs == init.xs
+        assert fld.fronts == init.fronts
 
     def test_linear_advection_of_single_front(self):
         tl = quick_run("burgers", {"kind": "breakpoints", "xs": [0.25],
                                    "values": [[1.0], [0.0]]}, 0.1, 2.0)
         fld = tl.slice_at(1.5)
-        assert fld.fronts[0].x == pytest.approx(0.25 + 0.5 * 1.5)
+        assert fld.xs[0] == pytest.approx(0.25 + 0.5 * 1.5)
 
     def test_right_continuity_at_event_time(self, burgers_merge_timeline):
         t_ev = burgers_merge_timeline.events[0].t
         fld = burgers_merge_timeline.slice_at(t_ev)
         assert len(fld.fronts) == 1  # outgoing fan present
 
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline",
+                                         "burgers_merge_timeline"])
+    def test_records_match_incremental_replay(self, fixture, request):
+        # closed-form positions agree with the live loop's x += speed*dt to
+        # roundoff; the order and the states are exactly the replayed ones
+        tl = request.getfixturevalue(fixture)
+        ts = sorted(set(tl.event_times()))
+        assert ts
+        times = [0.0, *ts, tl.t_end]
+        times += [0.5 * (t0 + t1) for t0, t1 in zip([0.0, *ts], ts)]
+        for t in times:
+            got = tl.slice_at(t)
+            ref = replay_slice_at(tl, t)
+            assert got.time == ref.time == t
+            assert [f.id for f in got.fronts] == [f.id for f in ref.fronts]
+            assert all(tl.front_records[f.id] is f for f in got.fronts)
+            for f, g in zip(got.fronts, ref.fronts):
+                assert np.array_equal(f.uL, g.uL) and np.array_equal(f.uR, g.uR)
+            for x, x_ref in zip(got.xs, ref.xs):
+                assert abs(x - x_ref) <= 1e-12 * max(1.0, abs(x_ref))
+            assert len(got.xs) == len(got.fronts)
+            got.validate()
+
     def test_out_of_range_rejected(self, burgers_merge_timeline):
         with pytest.raises(SolverError):
             burgers_merge_timeline.slice_at(-0.1)
         with pytest.raises(SolverError):
             burgers_merge_timeline.slice_at(99.0)
+
+
+class TestFrontRecords:
+    @staticmethod
+    def snapshot(tl):
+        return {fid: (f.family, f.kind, f.born_x, f.born_t, f.died_t, f.died_x,
+                      f.birth_event, f.death_event, f.speed, f.size,
+                      f.uL.tobytes(), f.uR.tobytes())
+                for fid, f in tl.front_records.items()}
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_one_object_per_front(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        recs = tl.front_records
+        for f in tl.initial_field.fronts:
+            assert recs[f.id] is f
+            assert f.birth_event is None and f.born_t == 0.0
+        for ev in tl.events:
+            for f in ev.incoming:
+                assert recs[f.id] is f
+                assert (f.died_t, f.died_x, f.death_event) == (ev.t, ev.x, ev.index)
+            for f in ev.outgoing:
+                assert recs[f.id] is f
+                assert (f.born_t, f.born_x, f.birth_event) == (ev.t, ev.x, ev.index)
+        born = len(tl.initial_field.fronts) + sum(len(e.outgoing) for e in tl.events)
+        assert len(recs) == born
+        assert all(f.id == fid for fid, f in recs.items())
+        assert len({id(f) for f in recs.values()}) == born
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_checks_leave_records_unchanged(self, fixture, request, tmp_path):
+        from fronttrack import cli
+        tl = request.getfixturevalue(fixture)
+        before = self.snapshot(tl)
+        plan = {"checks": list(cli._KNOWN_CHECKS), "families": [1, 2],
+                "seed": 0, "balance_regions": 5, "tame_triangles": 10,
+                "convergence": {"scenario": "burgers_shock",
+                                "ladder": [0.1, 0.05]}}
+        report, _ = cli.run_checks(tl, plan)
+        assert set(report["checks"]) == set(cli._KNOWN_CHECKS)
+        cli._emit_artifacts(str(tmp_path / "out"), tl, plan, report)
+        assert self.snapshot(tl) == before
