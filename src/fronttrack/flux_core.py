@@ -95,11 +95,25 @@ class FluxModel:
     @property
     def lambda_hat(self):
         """Speed of nonphysical fronts, strictly above every fence."""
-        return self.lambda_fences[-1] + 1.0
+        return float(self.lambda_fences[-1]) + 1.0
 
-    def contains(self, u, slack=1e-12):
-        lo, hi = self.domain[:, 0], self.domain[:, 1]
-        return bool(np.all(u >= lo - slack) and np.all(u <= hi + slack))
+    @property
+    def domain(self):
+        return self._domain
+
+    @domain.setter
+    def domain(self, box):
+        self._domain = box
+        # per-component (lo, hi) as floats, widened by the 1e-12 slack
+        self._bounds = tuple((float(lo) - 1e-12, float(hi) + 1e-12)
+                             for lo, hi in box)
+
+    def contains(self, u):
+        """Inside the domain box up to a 1e-12 slack; NaN is outside."""
+        for x, (lo, hi) in zip(u.tolist(), self._bounds):
+            if not lo <= x <= hi:
+                return False
+        return True
 
     def require_inside(self, u, what="state"):
         if not self.contains(np.asarray(u, dtype=float)):

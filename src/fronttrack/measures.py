@@ -13,6 +13,7 @@ riemann module notes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,18 +146,33 @@ def glimm_Q(field):
     return q1 + q2
 
 
-def _q_columns(fronts):
-    """|size|, family, speed and physical flag of each front, as arrays."""
+class QColumns(NamedTuple):
+    """glimm_Q's per-front data as arrays: |size|, family, speed and the
+    physical flag of each front."""
+
+    size: np.ndarray
+    family: np.ndarray
+    speed: np.ndarray
+    physical: np.ndarray
+
+    def splice(self, j, other):
+        """The columns with rows j, j + 1 replaced by other's rows."""
+        return QColumns(*(np.concatenate((c[:j], o, c[j + 2:]))
+                          for c, o in zip(self, other)))
+
+
+def q_columns(fronts):
+    """The QColumns of a front list."""
     n = len(fronts)
-    return (np.abs(np.fromiter([f.size for f in fronts], float, n)),
-            np.fromiter([f.family for f in fronts], float, n),
-            np.fromiter([f.speed for f in fronts], float, n),
-            np.fromiter([f.is_physical for f in fronts], bool, n))
+    return QColumns(np.abs(np.fromiter([f.size for f in fronts], float, n)),
+                    np.fromiter([f.family for f in fronts], float, n),
+                    np.fromiter([f.speed for f in fronts], float, n),
+                    np.fromiter([f.is_physical for f in fronts], bool, n))
 
 
 def _pair_weights(a, b):
     """glimm_Q's weight of every pair (alpha from a, beta from b) with alpha
-    left of beta, as an |a| x |b| array of _q_columns entries."""
+    left of beta, as an |a| x |b| array of QColumns entries."""
     s_a, fam_a, sig_a, phys_a = (c[:, None] for c in a)
     s_b, fam_b, sig_b, phys_b = b
     absprod = s_a * s_b
@@ -165,19 +181,17 @@ def _pair_weights(a, b):
                     np.where(same, 0.5 * absprod * np.abs(sig_a - sig_b), 0.0))
 
 
-def splice_deltas(fronts, j, outgoing):
-    """(dV, dQ) of replacing the adjacent pair fronts[j], fronts[j + 1] by the
-    outgoing list. Only pairs with a replaced front change Q: each incoming and
-    outgoing front is weighed against the untouched fronts on either side, plus
-    the pairs inside the window; the cost is O(len(fronts))."""
-    f_left, f_right = fronts[j], fronts[j + 1]
-    dV = sum(abs(f.size) for f in outgoing) - abs(f_left.size) - abs(f_right.size)
-    cols = _q_columns(fronts)
+def splice_deltas(cols, j, out_cols):
+    """(dV, dQ) of replacing the adjacent pair at rows j, j + 1 of a field's
+    QColumns by the outgoing fronts' QColumns. Only pairs with a replaced
+    front change Q: each incoming and outgoing front is weighed against the
+    untouched fronts on either side, plus the pairs inside the window; the
+    cost is O(len(cols.size)) in numpy."""
+    dV = sum(out_cols.size.tolist()) - cols.size[j] - cols.size[j + 1]
     left = [c[:j] for c in cols]
     right = [c[j + 2:] for c in cols]
-    window = [np.concatenate((c[j:j + 2], o))
-              for c, o in zip(cols, _q_columns(outgoing))]
-    sign = np.array([-1.0, -1.0] + [1.0] * len(outgoing))
+    window = [np.concatenate((c[j:j + 2], o)) for c, o in zip(cols, out_cols)]
+    sign = np.array([-1.0, -1.0] + [1.0] * len(out_cols.size))
     inside = np.triu(_pair_weights(window, window), 1)
     dQ = (float((_pair_weights(left, window) * sign).sum())
           + float((sign[:, None] * _pair_weights(window, right)).sum())

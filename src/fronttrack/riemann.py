@@ -22,6 +22,7 @@ from .flux_core import GENERAL, GNL, LD
 SIZE_FLOOR = 1e-13  # below this, a wave size is treated as absent
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
+FLOAT_EPS = np.finfo(float).eps  # machine epsilon for brentq's tolerance
 
 
 @dataclass(eq=False)
@@ -102,7 +103,7 @@ def brentq(fn, a, b, xtol=1e-14, maxiter=120):
         if abs(fc_) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc_ = fb, fc_, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
+        tol1 = 2.0 * FLOAT_EPS * abs(b) + 0.5 * xtol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

@@ -25,13 +25,19 @@ STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 @dataclass
 class FrontField:
     """The piecewise-constant solution at one time: fronts left to right,
-    with xs[k] the position of fronts[k]."""
+    with xs[k] the position of fronts[k].
+
+    A field in the live loop (run, step) holds xs as a float64 array and
+    cols, the fronts' measures.QColumns; step splices both with fronts.
+    Other fields hold xs as a list of floats and no cols.
+    """
 
     model: object
     time: float
     left_state: np.ndarray
     fronts: list
     xs: list
+    cols: ms.QColumns | None = field(default=None, repr=False, compare=False)
 
     def state_at(self, x):
         """Right-continuous evaluation at position x."""
@@ -285,35 +291,45 @@ def init_sample(model, data_spec, eps):
 # ---------------------------------------------------------------------------
 
 
+def _make_live(fld):
+    """Give a field the live loop's columns: positions as a float64 array
+    and the fronts' QColumns."""
+    if fld.cols is None:
+        fld.xs = np.array(fld.xs, dtype=float)
+        fld.cols = ms.q_columns(fld.fronts)
+
+
 def next_collision(fld, tie_tol=0.0):
     """Earliest adjacent-pair collision; near-simultaneous times (within
-    tie_tol) are resolved by smallest collision position, then left front id."""
-    fronts, xs = fld.fronts, fld.xs
-    cands = []
-    for j in range(len(fronts) - 1):
-        ds = fronts[j].speed - fronts[j + 1].speed
-        if ds <= 0.0:
-            continue
-        dt = (xs[j + 1] - xs[j]) / ds
-        if dt < 0.0:
-            dt = 0.0
-        t = fld.time + dt
-        x = xs[j] + fronts[j].speed * dt
-        cands.append((t, x, fronts[j].id, j))
-    if not cands:
+    tie_tol) are resolved by smallest collision position, then left front id.
+
+    Every pair is computed at once, each with the same float operations as
+    a pair-by-pair loop, so the winner is the same to the last bit."""
+    fronts = fld.fronts
+    xs = np.asarray(fld.xs, dtype=float)
+    sp = (fld.cols if fld.cols is not None else ms.q_columns(fronts)).speed
+    ds = sp[:-1] - sp[1:]
+    js = (ds > 0.0).nonzero()[0]
+    if not len(js):
         return None
-    t_min = min(c[0] for c in cands)
-    group = [c for c in cands if c[0] <= t_min + tie_tol]
-    t, x, left_id, j = min(group, key=lambda c: (c[1], c[2]))
-    return Collision(t=t, x=x, index=j, left_id=left_id,
-                     right_id=fronts[j + 1].id)
+    dt = (xs[js + 1] - xs[js]) / ds[js]
+    dt[dt < 0.0] = 0.0
+    ts = fld.time + dt
+    xc = xs[js] + sp[js] * dt
+    group = ts <= ts.min() + tie_tol
+    # pairs of the group meeting at its smallest x; more than one is rare
+    tied = (group & (xc == xc[group].min())).nonzero()[0].tolist()
+    g = min(tied, key=lambda g: fronts[js[g]].id)
+    j = int(js[g])
+    return Collision(t=float(ts[g]), x=float(xc[g]), index=j,
+                     left_id=fronts[j].id, right_id=fronts[j + 1].id)
 
 
 def _advance(fld, t):
     """Move the live field to time t, each position by its own increment."""
     dt = t - fld.time
     if dt != 0.0:
-        fld.xs = [x + f.speed * dt for x, f in zip(fld.xs, fld.fronts)]
+        fld.xs += fld.cols.speed * dt
     fld.time = t
 
 
@@ -328,6 +344,7 @@ def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
     from this field.
     """
     model = fld.model
+    _make_live(fld)
     if next_id is None:
         counter = [max((f.id for f in fld.fronts), default=-1) + 1]
 
@@ -365,9 +382,11 @@ def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
         f.died_t = col.t
         f.died_x = col.x
         f.death_event = event_index
-    dV, dQ = ms.splice_deltas(fld.fronts, j, kept)
+    out_cols = ms.q_columns(kept)
+    dV, dQ = ms.splice_deltas(fld.cols, j, out_cols)
     fld.fronts[j:j + 2] = kept
-    fld.xs[j:j + 2] = [col.x] * len(kept)
+    fld.xs = np.concatenate((fld.xs[:j], [col.x] * len(kept), fld.xs[j + 2:]))
+    fld.cols = fld.cols.splice(j, out_cols)
     if len(fld.fronts) > config.front_cap:
         raise CapExceededError(
             f"front cap {config.front_cap} exceeded at t={col.t:.6g} "
@@ -406,6 +425,7 @@ def run(config):
     fld = init_sample(model, config.initial, config.epsilon)
     initial = FrontField(model=model, time=0.0, left_state=fld.left_state,
                          fronts=list(fld.fronts), xs=list(fld.xs))
+    _make_live(fld)
     records = {f.id: f for f in fld.fronts}
     counter = [max((f.id for f in fld.fronts), default=-1) + 1]
 

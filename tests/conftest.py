@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fronttrack import flux_core as fc
+from fronttrack import measures as ms
+from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
 MODEL_IDS = ["burgers", "cubic", "remark-2x2", "p-system"]
@@ -129,3 +131,92 @@ def replay_frames(timeline, t_stop):
         replay_apply_event(fld, ev)
     if t_stop >= fld.time:
         yield fld, t_stop
+
+
+# ---------------------------------------------------------------------------
+# Reference live loop: the pair-by-pair collision scan, the per-front
+# advance and the per-front Glimm columns, run with the tracker's solver
+# dispatch. The tracker runs the same arithmetic on numpy columns; tests
+# compare the two with ==.
+# ---------------------------------------------------------------------------
+
+
+def reference_next_collision(fld, tie_tol=0.0):
+    fronts, xs = fld.fronts, fld.xs
+    cands = []
+    for j in range(len(fronts) - 1):
+        ds = fronts[j].speed - fronts[j + 1].speed
+        if ds <= 0.0:
+            continue
+        dt = (xs[j + 1] - xs[j]) / ds
+        if dt < 0.0:
+            dt = 0.0
+        t = fld.time + dt
+        x = xs[j] + fronts[j].speed * dt
+        cands.append((t, x, fronts[j].id, j))
+    if not cands:
+        return None
+    t_min = min(c[0] for c in cands)
+    group = [c for c in cands if c[0] <= t_min + tie_tol]
+    t, x, left_id, j = min(group, key=lambda c: (c[1], c[2]))
+    return tk.Collision(t=t, x=x, index=j, left_id=left_id,
+                        right_id=fronts[j + 1].id)
+
+
+def reference_q_columns(fronts):
+    n = len(fronts)
+    return (np.abs(np.fromiter([f.size for f in fronts], float, n)),
+            np.fromiter([f.family for f in fronts], float, n),
+            np.fromiter([f.speed for f in fronts], float, n),
+            np.fromiter([f.is_physical for f in fronts], bool, n))
+
+
+def reference_splice_deltas(fronts, j, outgoing):
+    f_left, f_right = fronts[j], fronts[j + 1]
+    dV = sum(abs(f.size) for f in outgoing) - abs(f_left.size) - abs(f_right.size)
+    cols = reference_q_columns(fronts)
+    left = [c[:j] for c in cols]
+    right = [c[j + 2:] for c in cols]
+    window = [np.concatenate((c[j:j + 2], o))
+              for c, o in zip(cols, reference_q_columns(outgoing))]
+    sign = np.array([-1.0, -1.0] + [1.0] * len(outgoing))
+    inside = np.triu(ms._pair_weights(window, window), 1)
+    dQ = (float((ms._pair_weights(left, window) * sign).sum())
+          + float((sign[:, None] * ms._pair_weights(window, right)).sum())
+          + float(inside[2:, 2:].sum()) - float(inside[0, 1]))
+    return float(dV), dQ
+
+
+def reference_events(config):
+    """(t, x, solver, incoming ids, outgoing ids, dV, dQ) of every event of
+    the run, from the reference loop on a field of lists."""
+    model = fc.make_model(config.model_id, config.model_params)
+    fld = tk.init_sample(model, config.initial, config.epsilon)
+    tie_tol = config.tie_tol_factor * max(1.0, config.t_end)
+    next_id = max((f.id for f in fld.fronts), default=-1) + 1
+    events = []
+    while True:
+        col = reference_next_collision(fld, tie_tol)
+        if col is None or col.t > config.t_end:
+            return events
+        replay_advance(fld, col.t)
+        j = col.index
+        f_left, f_right = fld.fronts[j], fld.fronts[j + 1]
+        amount, _ = ms.interaction_amount(f_left, f_right)
+        if not f_left.is_physical:
+            fan, solver = rm.solve_crude(model, f_left, f_right), "crude"
+        elif amount > config.rho:
+            fan = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon)
+            solver = "accurate"
+        else:
+            fan = rm.solve_simplified(model, f_left, f_right)
+            solver = "simplified"
+        kept = tk._select_outgoing(model, fan, f_left, f_right)
+        for f in kept:
+            f.id = next_id
+            next_id += 1
+        dV, dQ = reference_splice_deltas(fld.fronts, j, kept)
+        fld.fronts[j:j + 2] = kept
+        fld.xs[j:j + 2] = [col.x] * len(kept)
+        events.append((col.t, col.x, solver, [f_left.id, f_right.id],
+                       [f.id for f in kept], dV, dQ))

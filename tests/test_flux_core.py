@@ -196,3 +196,30 @@ class TestCatalog:
                 for k in range(model.N):
                     assert fences[k] < lam[k] < fences[k + 1]
             assert model.lambda_hat > fences[-1]
+
+
+class TestContains:
+    @pytest.mark.parametrize("mid", MODEL_IDS + ["linear"])
+    def test_matches_numpy_box_test(self, mid):
+        model = fc.make_model(mid)
+        lo, hi = model.domain[:, 0], model.domain[:, 1]
+
+        def numpy_box(u):
+            return bool(np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12))
+
+        inside = 0.5 * (lo + hi)
+        for k in range(model.N):
+            edges = [lo[k] - 1e-12, hi[k] + 1e-12]
+            probes = [lo[k], hi[k], inside[k], np.nan, np.inf, -np.inf]
+            for e in edges:
+                probes += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+            for v in probes:
+                u = inside.copy()
+                u[k] = v
+                assert model.contains(u) is numpy_box(u), (k, v)
+        assert not model.contains(np.full(model.N, np.nan))
+        assert model.contains(inside)
+
+    def test_lambda_hat_is_float(self):
+        for mid in MODEL_IDS:
+            assert type(fc.make_model(mid).lambda_hat) is float

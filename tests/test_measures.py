@@ -6,7 +6,7 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import quick_run
+from conftest import quick_run, reference_splice_deltas
 
 
 def make_field(fronts, left=1.0):
@@ -101,7 +101,8 @@ class TestVandQ:
             j = int(rng.integers(0, m - 1))
             outgoing = [random_front(m + k) for k in range(trial % 5)]
             after = before[:j] + outgoing + before[j + 2:]
-            dV, dQ = ms.splice_deltas(before, j, outgoing)
+            dV, dQ = ms.splice_deltas(ms.q_columns(before), j,
+                                      ms.q_columns(outgoing))
             full_dQ = ms.glimm_Q(make_field(after)) - ms.glimm_Q(make_field(before))
             full_dV = (ms.total_variation_V(make_field(after))
                        - ms.total_variation_V(make_field(before)))
@@ -111,6 +112,27 @@ class TestVandQ:
         # windows at the left end, the right end, both (m = 2) and neither
         assert windows == {(True, False), (False, True), (True, True),
                            (False, False)}
+
+    def test_splice_deltas_match_reference_bitwise(self):
+        # spliced columns give the per-front reference's bits
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            m = int(rng.integers(2, 12))
+            fronts = []
+            for k in range(m + trial % 5):
+                fam = int(rng.integers(1, 4))
+                kind = "nonphysical" if fam == 3 else "shock"
+                size = float(rng.uniform(0, 0.2) if fam == 3 else rng.uniform(-1, 1))
+                fronts.append(synth_front(0.0, fam, size,
+                                          float(rng.uniform(-1, 1)), kind, k))
+            before, outgoing = fronts[:m], fronts[m:]
+            j = int(rng.integers(0, m - 1))
+            got = ms.splice_deltas(ms.q_columns(before), j, ms.q_columns(outgoing))
+            assert got == reference_splice_deltas(before, j, outgoing)
+            after = ms.q_columns(before).splice(j, ms.q_columns(outgoing))
+            expect = ms.q_columns(before[:j] + outgoing + before[j + 2:])
+            for c, e in zip(after, expect):
+                assert c.dtype == e.dtype and np.array_equal(c, e)
 
 
 class TestInteractionAmount:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from fronttrack import measures as ms
 from fronttrack import tracker as tk
 from fronttrack.errors import InitialDataError, SolverError
 
-from conftest import quick_run, random_breakpoint_scenario, replay_slice_at
+from conftest import (quick_run, random_breakpoint_scenario,
+                      reference_events, reference_next_collision,
+                      replay_slice_at)
 
 
 class TestInitSample:
@@ -348,3 +352,116 @@ class TestFrontRecords:
         assert set(report["checks"]) == set(cli._KNOWN_CHECKS)
         cli._emit_artifacts(str(tmp_path / "out"), tl, plan, report)
         assert self.snapshot(tl) == before
+
+
+def _collision_field(xs, speeds, ids=None, time=0.0):
+    m = fc.make_model("burgers")
+    ids = range(len(xs)) if ids is None else ids
+    fronts = [tk.rm.Front(family=1, speed=sp, uL=np.array([0.0]),
+                          uR=np.array([-0.1]), size=-0.1, kind="shock", id=i)
+              for sp, i in zip(speeds, ids)]
+    return tk.FrontField(model=m, time=time, left_state=np.array([0.0]),
+                         fronts=fronts, xs=list(xs))
+
+
+def _same_collision(got, ref):
+    if ref is None:
+        return got is None
+    return (got == ref and type(got.t) is float and type(got.x) is float
+            and math.copysign(1.0, got.t) == math.copysign(1.0, ref.t)
+            and math.copysign(1.0, got.x) == math.copysign(1.0, ref.x))
+
+
+class TestLiveColumns:
+    """The live loop on numpy columns against the pair-by-pair reference."""
+
+    @staticmethod
+    def check(xs, speeds, ids=None, time=0.0, tie_tol=0.0):
+        ref = reference_next_collision(
+            _collision_field(xs, speeds, ids, time), tie_tol)
+        # a field of lists, as built outside the live loop
+        got = tk.next_collision(_collision_field(xs, speeds, ids, time), tie_tol)
+        assert _same_collision(got, ref), (got, ref)
+        live = _collision_field(xs, speeds, ids, time)
+        tk._make_live(live)
+        got = tk.next_collision(live, tie_tol)
+        assert _same_collision(got, ref), (got, ref)
+        return got
+
+    def test_exact_tie_in_t(self):
+        col = self.check([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0])
+        assert (col.t, col.x, col.index) == (1.0, 1.0, 0)
+
+    def test_equal_x_broken_by_left_id(self):
+        # three fronts meet at (1, 0); the pair with left id 3 goes first
+        col = self.check([-1.0, 0.0, 1.0], [1.0, 0.0, -1.0], ids=[7, 3, 5])
+        assert (col.t, col.x, col.index, col.left_id) == (1.0, 0.0, 1, 3)
+
+    def test_tie_within_tie_tol(self):
+        xs, speeds, ids = [-1.0, 0.0, 1.0 + 1e-14], [1.0, 0.0, -1.0], [7, 3, 5]
+        assert self.check(xs, speeds, ids, tie_tol=1e-13).index == 1
+        assert self.check(xs, speeds, ids, tie_tol=0.0).index == 0
+
+    def test_negative_dt_clamped(self):
+        col = self.check([0.0, -1e-13], [1.0, 0.0], time=0.5)
+        assert (col.t, col.x) == (0.5, 0.0)
+
+    def test_negative_zero_gap(self):
+        col = self.check([0.0, -0.0], [1.0, 0.0], time=-0.0)
+        assert math.copysign(1.0, col.t) == -1.0
+
+    def test_no_approaching_pair(self):
+        assert self.check([0.0, 1.0, 2.0], [-1.0, 0.0, 0.0]) is None
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_fronts(self, n):
+        assert self.check([0.0] * n, [1.0] * n) is None
+
+    def test_seeded_fields(self):
+        # positions and speeds on coarse grids make exact ties in t and x common
+        rng = np.random.default_rng(2024)
+        found = 0
+        for _ in range(300):
+            m = int(rng.integers(0, 12))
+            xs = np.sort(rng.integers(-8, 8, m) / 4.0).tolist()
+            speeds = (rng.integers(-4, 5, m) / 2.0).tolist()
+            ids = rng.permutation(m).tolist()
+            time = float(rng.choice([0.0, 0.25, 1.0 / 3.0]))
+            tie_tol = float(rng.choice([0.0, 1e-13, 0.3]))
+            found += self.check(xs, speeds, ids, time, tie_tol) is not None
+        assert found > 100
+
+    @pytest.mark.parametrize("model_id, initial, epsilon", [
+        ("burgers", {"kind": "profile", "name": "sawtooth", "samples": 160,
+                     "params": {"teeth": 6, "amplitude": 0.3}}, 0.02),
+        ("remark-2x2", random_breakpoint_scenario(
+            "remark-2x2", np.random.default_rng(5), n_jumps=12), 0.05),
+        # acceptance-corpus p-system scenario with all three solvers
+        ("p-system", random_breakpoint_scenario(
+            "p-system", np.random.default_rng(9000 + 17 * 8), n_jumps=5), 0.05),
+    ])
+    def test_run_matches_reference_loop(self, model_id, initial, epsilon):
+        cfg = tk.RunConfig(model_id=model_id, initial=initial, epsilon=epsilon,
+                           t_end=2.0 if model_id == "burgers" else 1.5)
+        got = [(ev.t, ev.x, ev.solver, [f.id for f in ev.incoming],
+                [f.id for f in ev.outgoing], ev.dV, ev.dQ)
+               for ev in tk.run(cfg).events]
+        ref = reference_events(cfg)
+        assert len(ref) > 20
+        assert got == ref
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_positions_and_records_are_floats(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        fld = tk.init_sample(tl.model, tl.config.initial, tl.config.epsilon)
+        values = list(fld.xs) + list(tl.initial_field.xs)
+        for t in [0.0, *tl.event_times(), tl.t_end]:
+            values += tl.slice_at(t).xs
+        for f in tl.front_records.values():
+            values += [f.speed, f.size, f.born_t, f.born_x]
+            values += [v for v in (f.died_t, f.died_x) if v is not None]
+        for ev in tl.events:
+            values += [ev.t, ev.x, ev.amount_I, ev.cancellation, ev.V_pre,
+                       ev.Q_pre, ev.dV, ev.dQ, ev.V_post, ev.Q_post]
+        assert type(fld.xs) is list and type(tl.initial_field.xs) is list
+        assert {type(v) for v in values} == {float}
