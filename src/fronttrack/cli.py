@@ -97,7 +97,7 @@ def parse_config(path):
             raise ConfigError("diagnostics.checks", f"unknown check {name!r}")
     plan.setdefault("families", list(range(1, fc.make_model(model_id, model_params).N + 1)))
     plan["outputs"] = doc.get("outputs", {})
-    plan["epsilon_ladder"] = [float(e) for e in plan.get("epsilon_ladder", [])]
+    plan["epsilon_ladder"] = _parse_ladder(plan.get("epsilon_ladder", []))
     if plan["epsilon_ladder"]:
         # ladder members take their shock thresholds from their own epsilon
         for key in ("eps0", "eps1"):
@@ -105,6 +105,27 @@ def parse_config(path):
                 raise ConfigError(f"numerics.{key}",
                                   "cannot be set with diagnostics.epsilon_ladder")
     return cfg, plan
+
+
+def _member_dir(eps):
+    """Artifact subdirectory of the epsilon-ladder member eps."""
+    return f"eps_{eps:g}"
+
+
+def _parse_ladder(raw):
+    """diagnostics.epsilon_ladder as floats, each finite and positive and
+    each with its own artifact directory."""
+    key = "diagnostics.epsilon_ladder"
+    try:
+        ladder = [float(e) for e in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(key, "must be a list of numbers")
+    if not all(math.isfinite(e) and e > 0 for e in ladder):
+        raise ConfigError(key, "members must be finite and positive")
+    if len({_member_dir(e) for e in ladder}) < len(ladder):
+        raise ConfigError(key, "members must differ in their first 6 digits "
+                               "(each writes to eps_<epsilon:g>)")
+    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +368,10 @@ def orchestrate(cfg, plan):
     io.ensure_dir(outdir)
     exit_code = EXIT_OK
     try:
-        if ladder:
-            summaries = []
-            for eps in ladder:
+        summaries = []
+        for eps in ladder or [None]:
+            member_cfg, sub = cfg, outdir
+            if ladder:
                 # a fixed rho holds for every member; under eps3, rho and the
                 # shock thresholds default from the member's epsilon
                 # (parse_config refuses explicit thresholds with a ladder)
@@ -357,11 +379,14 @@ def orchestrate(cfg, plan):
                     cfg, epsilon=eps,
                     rho=cfg.rho if cfg.rho_rule == "fixed" else None,
                     eps0=None, eps1=None)
-                sub = os.path.join(outdir, f"eps_{eps:g}")
-                timeline = tk.run(member_cfg)
-                rep, audit_failed = run_checks(timeline, plan)
-                _emit_artifacts(sub, timeline, plan, rep)
-                manifest["members"].append(os.path.basename(sub))
+                sub = os.path.join(outdir, _member_dir(eps))
+            timeline = tk.run(member_cfg)
+            rep, audit_failed = run_checks(timeline, plan)
+            _emit_artifacts(sub, timeline, plan, rep)
+            if audit_failed:
+                exit_code = EXIT_AUDIT
+            if ladder:
+                manifest["members"].append(_member_dir(eps))
                 summaries.append({
                     "epsilon": eps,
                     "nonphysical_total": ms.nonphysical_total_strength(
@@ -370,17 +395,9 @@ def orchestrate(cfg, plan):
                     "exceptional_times": rep["checks"].get("sbv_atoms", {}).get(
                         "families", {}),
                     "audit_failed": audit_failed})
-                if audit_failed:
-                    exit_code = EXIT_AUDIT
-            ladder_report = {"ladder": summaries}
+        if ladder:
             io.write_diagnostics_json(os.path.join(outdir, "diagnostics.json"),
-                                      ladder_report)
-        else:
-            timeline = tk.run(cfg)
-            rep, audit_failed = run_checks(timeline, plan)
-            _emit_artifacts(outdir, timeline, plan, rep)
-            if audit_failed:
-                exit_code = EXIT_AUDIT
+                                      {"ladder": summaries})
         manifest["complete"] = True
     except (ConfigError, InitialDataError) as exc:
         manifest["error"] = str(exc)

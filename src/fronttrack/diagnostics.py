@@ -219,11 +219,6 @@ class Region:
         return [(lc.position(t), rc.position(t))
                 for lc, rc in zip(self.left_curves, self.right_curves)]
 
-    def contains(self, t, x):
-        if not self.t0 < t <= self.t1:
-            return False
-        return any(a <= x <= b for a, b in self.sections(t))
-
 
 def make_region(timeline, i, t0, tau, intervals):
     region = Region(family=i, t0=t0, tau=tau, intervals=sorted(intervals))
@@ -242,6 +237,7 @@ def make_region(timeline, i, t0, tau, intervals):
 
 
 _ON_TOL = 1e-9  # positions within this of a boundary count as on it
+_BALANCE_ATOL = 1e-9  # a balance difference this small needs no mu mass
 
 
 def _region_membership(rec, t, sections):
@@ -274,7 +270,7 @@ def _boundary_transitions(rec, lo, hi, curve, inward_sign):
     return out
 
 
-def region_balance_check(timeline, region, fit_constant=None, atol=1e-9):
+def region_balance_check(timeline, region):
     """Audit the i-wave balance across a region boundary: signed difference
     against mu_I, sign-split differences against mu_IC (with the boundary
     flux reported).
@@ -369,13 +365,10 @@ def region_balance_check(timeline, region, fit_constant=None, atol=1e-9):
         "flux_residual": flux_residual,
         "boundary_events": boundary_events,
         "ratio_signed": diff_signed / mu_i_mass if mu_i_mass > 0 else
-        (0.0 if diff_signed <= atol else math.inf),
+        (0.0 if diff_signed <= _BALANCE_ATOL else math.inf),
         "ratio_split": max(diff_pos, diff_neg) / mu_ic_mass if mu_ic_mass > 0
-        else (0.0 if max(diff_pos, diff_neg) <= atol else math.inf),
+        else (0.0 if max(diff_pos, diff_neg) <= _BALANCE_ATOL else math.inf),
     }
-    if fit_constant is not None:
-        report["pass_signed"] = diff_signed <= fit_constant * mu_i_mass + atol
-        report["pass_split"] = max(diff_pos, diff_neg) <= fit_constant * mu_ic_mass + atol
     return report
 
 

@@ -46,12 +46,6 @@ class EigenSystem:
     gnl_rates: np.ndarray  # grad_lambda_i . r_i under the unit normalization
 
 
-# Same layout, computed from the averaged matrix A(uL, uR); gnl_rates use the
-# segment midpoint gradient so that the degenerate case uL == uR reproduces
-# the point system.
-AveragedEigenSystem = EigenSystem
-
-
 class FluxModel:
     """Base class for catalog flux models.
 
@@ -509,6 +503,8 @@ def average_matrix(model, uL, uR):
 
 
 def average_eigs(model, uL, uR):
+    """EigenSystem of the averaged matrix A(uL, uR); gnl_rates use the
+    segment midpoint gradient, and uL == uR gives the point system."""
     uL = as_state(uL, model.N)
     uR = as_state(uR, model.N)
     model.require_inside(uL, "left state")

@@ -72,9 +72,6 @@ class AtomicMeasure1D:
             return float(np.abs(w).sum())
         raise ValueError(f"unknown part {part!r}")
 
-    def restrict_ids(self, keep_mask):
-        return AtomicMeasure1D(self.xs[keep_mask], self.ws[keep_mask])
-
 
 @dataclass
 class SpaceTimeAtoms:
@@ -288,7 +285,7 @@ def front_wave_content(model, i, uL, uR):
     return float(sys.left[i - 1] @ (uR - uL))
 
 
-def wave_measure_slice(field, i, include_nonphysical=True):
+def wave_measure_slice(field, i):
     """i-th wave measure v_i of a field: one atom per front at its position.
 
     Nonphysical fronts contribute through the same decomposition; their total
@@ -296,8 +293,6 @@ def wave_measure_slice(field, i, include_nonphysical=True):
     """
     atoms = []
     for f, x in zip(field.fronts, field.xs):
-        if not include_nonphysical and not f.is_physical:
-            continue
         atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR)))
     return AtomicMeasure1D.from_atoms(atoms)
 
@@ -361,24 +356,6 @@ class ShockCurve:
     def max_size(self):
         return max(abs(s) for s in self.segment_sizes)
 
-    def active_segment(self, t):
-        """Index of the segment alive at time t, or None."""
-        for j in range(len(self.segment_front_ids)):
-            t0, t1 = self.nodes[j][0], self.nodes[j + 1][0]
-            if t0 <= t < t1 or (self.survives and j == len(self.segment_front_ids) - 1
-                                and t == t1):
-                return j
-        return None
-
-    def position(self, t):
-        j = self.active_segment(t)
-        if j is None:
-            return None
-        (t0, x0), (t1, x1) = self.nodes[j], self.nodes[j + 1]
-        if t1 == t0:
-            return x0
-        return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
-
 
 def curve_front_ids(curves):
     ids = set()
@@ -405,14 +382,6 @@ def extract_shock_curves(timeline, i, eps0, eps1):
     active = {}
     done = []
 
-    def start(node, ev_idx, front):
-        c = ShockCurve(family=i)
-        c.nodes.append(node)
-        c.node_events.append(ev_idx)
-        c.segment_sizes.append(front.size)
-        c.segment_front_ids.append(front.id)
-        active[front.id] = c
-
     def extend(c, node, ev_idx, front):
         c.nodes.append(node)
         c.node_events.append(ev_idx)
@@ -427,7 +396,7 @@ def extract_shock_curves(timeline, i, eps0, eps1):
 
     for f in timeline.initial_field.fronts:
         if _qualifies(f, i, eps0):
-            start((0.0, f.born_x), None, f)
+            extend(ShockCurve(family=i), (0.0, f.born_x), None, f)
 
     for ev_idx, ev in enumerate(timeline.events):
         ins = [f for f in ev.incoming if f.id in active]
@@ -442,7 +411,7 @@ def extract_shock_curves(timeline, i, eps0, eps1):
         for f in ins[paired:]:
             close(active.pop(f.id), node, ev_idx)
         for f in outs[paired:]:
-            start(node, ev_idx, f)
+            extend(ShockCurve(family=i), node, ev_idx, f)
 
     t_end = timeline.t_end
     for fid in sorted(active):
@@ -461,19 +430,12 @@ def split_jump_cont(field, i, curves):
     """Split v_i into the part carried by the maximal shock fronts and the
     remainder; the two restrictions add back to v_i atom by atom."""
     ids = curve_front_ids(curves)
-    atoms = []
-    member = []
+    jump, cont = [], []
     for f, x in zip(field.fronts, field.xs):
-        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR)))
-        member.append(f.id in ids)
-    vi = AtomicMeasure1D.from_atoms(atoms)
-    # from_atoms applies a stable sort by position; replicate it on the mask
-    xs = np.array([a[0] for a in atoms]) if atoms else np.empty(0)
-    order = np.argsort(xs, kind="stable")
-    member = np.array(member, dtype=bool)[order] if atoms else np.empty(0, dtype=bool)
-    v_jump = vi.restrict_ids(member)
-    v_cont = vi.restrict_ids(~member)
-    return v_jump, v_cont
+        (jump if f.id in ids else cont).append(
+            (x, front_wave_content(field.model, i, f.uL, f.uR)))
+    # from_atoms sorts stably, so each part keeps v_i's order of its atoms
+    return AtomicMeasure1D.from_atoms(jump), AtomicMeasure1D.from_atoms(cont)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +462,7 @@ def source_measure_mu_jump(timeline, i, curves):
     Returns (atoms, node_report) where node_report lists the classification
     per node for auditing.
     """
+    # per node: [w_in, w_out, event index, n_in, n_out]
     flux = {}
     for c in curves:
         nseg = len(c.segment_front_ids)
@@ -507,28 +470,18 @@ def source_measure_mu_jump(timeline, i, curves):
             w = timeline.wave_content(fid, i)
             start_key = c.nodes[j]
             end_key = c.nodes[j + 1]
-            rec = flux.setdefault(start_key, [0.0, 0.0, c.node_events[j]])
+            rec = flux.setdefault(start_key, [0.0, 0.0, c.node_events[j], 0, 0])
             rec[1] += w  # outgoing at the segment's start node
+            rec[4] += 1
             if not (c.survives and j == nseg - 1):
-                rec = flux.setdefault(end_key, [0.0, 0.0, c.node_events[j + 1]])
+                rec = flux.setdefault(end_key, [0.0, 0.0, c.node_events[j + 1], 0, 0])
                 rec[0] += w  # incoming at the segment's end node
+                rec[3] += 1
     atoms = []
     report = []
-    counts = {}
-    for c in curves:
-        nseg = len(c.segment_front_ids)
-        for j in range(nseg + 1):
-            key = c.nodes[j]
-            n_in, n_out = counts.get(key, (0, 0))
-            if j < nseg:
-                n_out += 1
-            if j > 0 and not (c.survives and j == nseg):
-                n_in += 1
-            counts[key] = (n_in, n_out)
     for key in sorted(flux):
-        w_in, w_out, ev_idx = flux[key]
+        w_in, w_out, ev_idx, n_in, n_out = flux[key]
         q = w_out - w_in
-        n_in, n_out = counts[key]
         if n_in == 0:
             label = "initiation"
         elif n_out == 0:

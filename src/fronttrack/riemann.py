@@ -76,7 +76,6 @@ class WaveFan:
     """Outgoing fronts of one Riemann solve, ordered by speed."""
 
     fronts: list
-    intermediate_states: list
     sizes: np.ndarray  # per-family totals s_1..s_N
     nonphysical_strength: float = 0.0
 
@@ -462,7 +461,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
     model.require_inside(np.array([a]), "left state")
     model.require_inside(np.array([b]), "right state")
     if a == b:
-        return WaveFan([], [np.array([a])], np.zeros(1))
+        return WaveFan([], np.zeros(1))
     raw = []
     if abs(b - a) < 1e-12:
         raw.append((a, b, _secant(model, a, b), _classify_scalar(model, a, b, _secant(model, a, b))))
@@ -485,19 +484,17 @@ def scalar_envelope_fan(model, uL, uR, eps):
             else:
                 _split_curved(model, u_from, u_to, eps, raw)
     fronts = []
-    states = [np.array([a])]
+    left_state = np.array([a])
     for (u_from, u_to, sigma, kind) in raw:
         if abs(u_to - u_from) < 1e-14:
             continue
-        left_state = states[-1]
         right_state = np.array([u_to])
         fronts.append(Front(family=1, speed=float(sigma), uL=left_state,
                             uR=right_state, size=float(u_to - u_from), kind=kind))
-        states.append(right_state)
+        left_state = right_state
     if fronts:
         fronts[-1].uR = np.array([b])
-        states[-1] = fronts[-1].uR
-    return WaveFan(fronts, states, np.array([b - a]))
+    return WaveFan(fronts, np.array([b - a]))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +547,7 @@ def solve_accurate(model, uL, uR, eps):
     model.require_inside(uR, "right state")
     dvec = uR - uL
     if float(np.linalg.norm(dvec)) < 1e-14:
-        return WaveFan([], [uL], np.zeros(model.N))
+        return WaveFan([], np.zeros(model.N))
     if float(np.linalg.norm(dvec)) > model.riemann_radius:
         raise RiemannError(
             f"|uR-uL|={np.linalg.norm(dvec):.3g} exceeds Riemann radius")
@@ -575,8 +572,7 @@ def solve_accurate(model, uL, uR, eps):
     if fronts:
         fronts[-1].uR = uR.copy()
         fronts[-1].speed = front_speed(model, fronts[-1].family, fronts[-1].uL, uR)
-    states = [uL] + [f.uR for f in fronts]
-    return WaveFan(fronts, states, sizes)
+    return WaveFan(fronts, sizes)
 
 
 def _solve_sizes(model, uL, uR):
@@ -688,8 +684,7 @@ def solve_simplified(model, left, right):
     for f in fronts:
         if f.is_physical:
             sizes[f.family - 1] += f.size
-    states = [uL] + [f.uR for f in fronts]
-    return WaveFan(fronts, states, sizes, nonphysical_strength=np_front.size)
+    return WaveFan(fronts, sizes, nonphysical_strength=np_front.size)
 
 
 def solve_crude(model, nonphys, phys):
@@ -703,6 +698,4 @@ def solve_crude(model, nonphys, phys):
     np_front = _nonphysical_front(model, f.uR, uR)
     sizes = np.zeros(model.N)
     sizes[phys.family - 1] = phys.size
-    states = [uL, f.uR, uR]
-    return WaveFan([f, np_front], states, sizes,
-                   nonphysical_strength=np_front.size)
+    return WaveFan([f, np_front], sizes, nonphysical_strength=np_front.size)

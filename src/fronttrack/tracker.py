@@ -9,6 +9,7 @@ successive binary events without perturbing any stored speed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -27,9 +28,9 @@ class FrontField:
     """The piecewise-constant solution at one time: fronts left to right,
     with xs[k] the position of fronts[k].
 
-    A field in the live loop (run, step) holds xs as a float64 array and
-    cols, the fronts' measures.QColumns; step splices both with fronts.
-    Other fields hold xs as a list of floats and no cols.
+    The live field of run (built by _make_live, advanced by step) holds xs
+    as a float64 array and cols, the fronts' measures.QColumns; step splices
+    both with fronts. Other fields hold xs as a list of floats and no cols.
     """
 
     model: object
@@ -154,14 +155,12 @@ class Timeline:
                 self.model, i, rec.uL, rec.uR)
         return self._content_cache[key]
 
-    def curves(self, i, eps0=None, eps1=None):
+    def curves(self, i):
         """Maximal shock fronts at the run's thresholds (cached)."""
-        eps0 = self.config.eps0 if eps0 is None else eps0
-        eps1 = self.config.eps1 if eps1 is None else eps1
-        key = (i, eps0, eps1)
-        if key not in self._curve_cache:
-            self._curve_cache[key] = ms.extract_shock_curves(self, i, eps0, eps1)
-        return self._curve_cache[key]
+        if i not in self._curve_cache:
+            self._curve_cache[i] = ms.extract_shock_curves(
+                self, i, self.config.eps0, self.config.eps1)
+        return self._curve_cache[i]
 
     def event_times(self):
         return [e.t for e in self.events]
@@ -220,7 +219,7 @@ def _breakpoints_from_spec(model, data_spec):
             raise ConfigError("initial.values", "need len(values) == len(xs) + 1")
         if any(xs[j] >= xs[j + 1] for j in range(len(xs) - 1)):
             raise ConfigError("initial.xs", "breakpoints must be ascending")
-        return xs, values, None
+        return xs, values
     if kind == "profile":
         if model.N != 1:
             raise ConfigError("initial.profile", "named profiles are scalar-only")
@@ -238,15 +237,7 @@ def _breakpoints_from_spec(model, data_spec):
         values = [np.array([u_left])]
         values += [np.array([v]) for v in v_mid]
         values.append(np.array([u_right]))
-        # midpoint-sampling L1 distance estimate, recorded not enforced: one
-        # 33-point row per cell, each integrated on its own
-        h = edges[1] - edges[0]
-        fine = np.linspace(edges[:-1], edges[:-1] + h, 33, axis=1)
-        dev = np.abs(val(fine) - v_mid[:, None])
-        l1 = 0.0
-        for y, x in zip(dev, fine):
-            l1 += float(np.trapezoid(y, x))
-        return xs, values, l1
+        return xs, values
     raise ConfigError("initial.kind", f"unknown initial data kind {kind!r}")
 
 
@@ -259,7 +250,7 @@ def init_sample(model, data_spec, eps):
     """Piecewise-constant initial field; every jump expanded by the accurate
     solver at t = 0. Refuses data whose total variation exceeds the model's
     small-BV budget."""
-    xs, values, l1_estimate = _breakpoints_from_spec(model, data_spec)
+    xs, values = _breakpoints_from_spec(model, data_spec)
     for v in values:
         model.require_inside(v, "initial state")
     tv = initial_total_variation(values)
@@ -280,10 +271,8 @@ def init_sample(model, data_spec, eps):
             f.id = next_id
             next_id += 1
             fronts.append(f)
-    fld = FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts,
-                     xs=[f.born_x for f in fronts])
-    fld.sampling_l1 = l1_estimate
-    return fld
+    return FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts,
+                      xs=[f.born_x for f in fronts])
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +283,20 @@ def init_sample(model, data_spec, eps):
 def _make_live(fld):
     """Give a field the live loop's columns: positions as a float64 array
     and the fronts' QColumns."""
-    if fld.cols is None:
-        fld.xs = np.array(fld.xs, dtype=float)
-        fld.cols = ms.q_columns(fld.fronts)
+    fld.xs = np.array(fld.xs, dtype=float)
+    fld.cols = ms.q_columns(fld.fronts)
 
 
 def next_collision(fld, tie_tol=0.0):
-    """Earliest adjacent-pair collision; near-simultaneous times (within
-    tie_tol) are resolved by smallest collision position, then left front id.
+    """Earliest adjacent-pair collision of a live field; near-simultaneous
+    times (within tie_tol) are resolved by smallest collision position, then
+    left front id.
 
     Every pair is computed at once, each with the same float operations as
     a pair-by-pair loop, so the winner is the same to the last bit."""
     fronts = fld.fronts
-    xs = np.asarray(fld.xs, dtype=float)
-    sp = (fld.cols if fld.cols is not None else ms.q_columns(fronts)).speed
+    xs = fld.xs
+    sp = fld.cols.speed
     ds = sp[:-1] - sp[1:]
     js = (ds > 0.0).nonzero()[0]
     if not len(js):
@@ -333,32 +322,15 @@ def _advance(fld, t):
     fld.time = t
 
 
-def step(fld, config, next_id=None, event_index=0, col=None, V_pre=None,
-         Q_pre=None):
-    """Process the next collision: dispatch a solver by interaction amount,
-    splice the outgoing fan, and return the event record. The incoming
-    fronts get their death fields; no other spliced front is changed.
+def step(fld, config, next_id, event_index, col, V_pre, Q_pre):
+    """Process the live field's next collision col: dispatch a solver by
+    interaction amount, splice the outgoing fan, and return the event record.
+    The incoming fronts get their death fields; no other spliced front is
+    changed.
 
-    col is the field's next collision when the caller has already found it.
-    V_pre and Q_pre carry the running ledger; when omitted, the ledger starts
-    from this field.
+    next_id hands out front ids; V_pre and Q_pre carry the running ledger.
     """
     model = fld.model
-    _make_live(fld)
-    if next_id is None:
-        counter = [max((f.id for f in fld.fronts), default=-1) + 1]
-
-        def next_id():
-            counter[0] += 1
-            return counter[0] - 1
-    if col is None:
-        col = next_collision(fld, tie_tol=config.tie_tol_factor
-                             * max(1.0, config.t_end))
-    if col is None:
-        raise SolverError("step called with no pending collision")
-    if V_pre is None:
-        V_pre = ms.total_variation_V(fld)
-        Q_pre = ms.glimm_Q(fld)
     _advance(fld, col.t)
     j = col.index
     f_left, f_right = fld.fronts[j], fld.fronts[j + 1]
@@ -427,12 +399,7 @@ def run(config):
                          fronts=list(fld.fronts), xs=list(fld.xs))
     _make_live(fld)
     records = {f.id: f for f in fld.fronts}
-    counter = [max((f.id for f in fld.fronts), default=-1) + 1]
-
-    def next_id():
-        counter[0] += 1
-        return counter[0] - 1
-
+    next_id = itertools.count(max((f.id for f in fld.fronts), default=-1) + 1).__next__
     v0 = ms.total_variation_V(fld)
     q0 = ms.glimm_Q(fld)
     V, Q = v0, q0

@@ -220,3 +220,69 @@ def reference_events(config):
         fld.xs[j:j + 2] = [col.x] * len(kept)
         events.append((col.t, col.x, solver, [f_left.id, f_right.id],
                        [f.id for f in kept], dV, dQ))
+
+
+# ---------------------------------------------------------------------------
+# Reference measures: source_measure_mu_jump with a second pass counting the
+# curves through each node, and split_jump_cont as masks over the sorted v_i.
+# measures builds both in one pass; tests compare the two bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_source_measure_mu_jump(timeline, i, curves):
+    flux = {}
+    for c in curves:
+        nseg = len(c.segment_front_ids)
+        for j, fid in enumerate(c.segment_front_ids):
+            w = timeline.wave_content(fid, i)
+            start_key = c.nodes[j]
+            end_key = c.nodes[j + 1]
+            rec = flux.setdefault(start_key, [0.0, 0.0, c.node_events[j]])
+            rec[1] += w
+            if not (c.survives and j == nseg - 1):
+                rec = flux.setdefault(end_key, [0.0, 0.0, c.node_events[j + 1]])
+                rec[0] += w
+    atoms = []
+    report = []
+    counts = {}
+    for c in curves:
+        nseg = len(c.segment_front_ids)
+        for j in range(nseg + 1):
+            key = c.nodes[j]
+            n_in, n_out = counts.get(key, (0, 0))
+            if j < nseg:
+                n_out += 1
+            if j > 0 and not (c.survives and j == nseg):
+                n_in += 1
+            counts[key] = (n_in, n_out)
+    for key in sorted(flux):
+        w_in, w_out, ev_idx = flux[key]
+        q = w_out - w_in
+        n_in, n_out = counts[key]
+        if n_in == 0:
+            label = "initiation"
+        elif n_out == 0:
+            label = "termination"
+        elif n_in >= 2:
+            label = "merge"
+        else:
+            label = "off_curve_interaction"
+        atoms.append((key[0], key[1], q))
+        report.append({"t": key[0], "x": key[1], "q": q, "label": label,
+                       "event": ev_idx})
+    return ms.SpaceTimeAtoms.from_atoms(atoms), report
+
+
+def reference_split_jump_cont(field, i, curves):
+    ids = ms.curve_front_ids(curves)
+    atoms = []
+    member = []
+    for f, x in zip(field.fronts, field.xs):
+        atoms.append((x, ms.front_wave_content(field.model, i, f.uL, f.uR)))
+        member.append(f.id in ids)
+    vi = ms.AtomicMeasure1D.from_atoms(atoms)
+    xs = np.array([a[0] for a in atoms]) if atoms else np.empty(0)
+    order = np.argsort(xs, kind="stable")
+    member = np.array(member, dtype=bool)[order] if atoms else np.empty(0, dtype=bool)
+    return (ms.AtomicMeasure1D(vi.xs[member], vi.ws[member]),
+            ms.AtomicMeasure1D(vi.xs[~member], vi.ws[~member]))

@@ -56,6 +56,21 @@ class TestParseConfig:
         cfg, _ = cli.parse_config(write_scenario(tmp_path, doc, "single.json"))
         assert getattr(cfg, key) == 0.2
 
+    @pytest.mark.parametrize("ladder", [
+        [0.1, -0.05], [0.1, 0.0], [0.1, float("nan")], [float("inf")],
+        [0.1, "coarse"],
+        # both members would write to eps_0.1
+        [0.1, 0.10000001]])
+    def test_bad_ladder_names_key(self, tmp_path, ladder, capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["diagnostics"] = {"epsilon_ladder": ladder}
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert err.value.key == "diagnostics.epsilon_ladder"
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert "diagnostics.epsilon_ladder" in capsys.readouterr().err
+
     def test_unknown_model_names_key(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["model"]["id"] = "kdv"
@@ -181,6 +196,26 @@ class TestOrchestrate:
             assert (root / member / "events.jsonl").exists()
         summary = json.loads((root / "diagnostics.json").read_text())
         assert [m["epsilon"] for m in summary["ladder"]] == [0.1, 0.05]
+
+    def test_ladder_failure_keeps_earlier_members(self, tmp_path):
+        # 3, 6 and 12 events at epsilon 0.1, 0.05 and 0.02: the cap stops
+        # the second member
+        doc = {
+            "model": {"id": "burgers"},
+            "initial": {"kind": "breakpoints", "xs": [-1.0, 0.0, 1.0],
+                        "values": [[0.0], [1.0], [0.5], [0.0]]},
+            "numerics": {"epsilon": 0.1, "t_end": 5.0, "event_cap": 4},
+            "diagnostics": {"epsilon_ladder": [0.1, 0.05, 0.02]},
+            "outputs": {"dir": str(tmp_path / "ladder")},
+        }
+        cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
+        assert cli.orchestrate(cfg, plan) == cli.EXIT_RUNTIME
+        root = tmp_path / "ladder"
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert not manifest["complete"] and "cap" in manifest["error"]
+        assert manifest["members"] == ["eps_0.1"]
+        assert len(io.read_events_jsonl(root / "eps_0.1" / "events.jsonl")) == 3
+        assert sorted(os.listdir(root)) == ["eps_0.1", "manifest.json"]
 
     def _ladder_members(self, tmp_path, monkeypatch, numerics):
         """Run the merge scenario on a two-member ladder; returns each

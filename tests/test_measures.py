@@ -6,7 +6,8 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import quick_run, reference_splice_deltas
+from conftest import (quick_run, reference_source_measure_mu_jump,
+                      reference_splice_deltas, reference_split_jump_cont)
 
 
 def make_field(fronts, left=1.0):
@@ -457,6 +458,45 @@ class TestMuICJ:
         icj = ms.mu_ICJ(sawtooth_timeline, 1, curves)
         ups0 = sawtooth_timeline.ledger.upsilon0()
         assert icj.total_mass() <= 50.0 * ups0
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestAgainstReference:
+    """The one-pass measures against the two-pass references, bit for bit."""
+
+    FIXTURES = ["remark_timeline", "sawtooth_timeline", "burgers_merge_timeline"]
+
+    @staticmethod
+    def cases(tl):
+        for i in range(1, tl.model.N + 1):
+            for curves in (tl.curves(i), []):
+                yield i, curves
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_source_measure_mu_jump(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        for i, curves in self.cases(tl):
+            got, got_report = ms.source_measure_mu_jump(tl, i, curves)
+            ref, ref_report = reference_source_measure_mu_jump(tl, i, curves)
+            assert got_report == ref_report
+            for name in ("ts", "xs", "ws"):
+                assert _same_array(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_split_jump_cont(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        times = sorted(set(tl.event_times()))
+        times += [0.5 * (a + b) for a, b in zip(times[:-1], times[1:])]
+        for t in times:
+            fld = tl.slice_at(t)
+            for i, curves in self.cases(tl):
+                got = ms.split_jump_cont(fld, i, curves)
+                ref = reference_split_jump_cont(fld, i, curves)
+                for g, r in zip(got, ref):
+                    assert _same_array(g.xs, r.xs) and _same_array(g.ws, r.ws)
 
 
 class TestCalibration:
