@@ -169,25 +169,30 @@ def _initial_anchor(model, i, fld, x0):
 
 def _next_crossing(fronts, t, x, slope, t_hi, skip):
     """Earliest strict crossing of the free characteristic with a front in
-    (t, t_hi); returns (tc, xc, front) or None."""
+    (t, t_hi); returns (tc, xc, front) or None.
+
+    t_hi is at most the next event time, and until then the fronts keep their
+    order and do not meet, so a front is crossed only after every front
+    between it and the characteristic. Only the nearest front on each side
+    that is not in skip and not at x (those cannot be crossed) is tested.
+    """
+    k = bisect.bisect_right(fronts, x, key=lambda g: g.position(t))
     best = None
-    for g in fronts:
-        if g.id in skip:
-            continue
-        xg = g.position(t)
-        rel = slope - g.speed
-        dx = xg - x
-        if rel == 0.0:
-            continue
-        dt = dx / rel
-        if dt <= 0.0:
-            continue
-        tc = t + dt
-        if tc >= t_hi:
-            continue
-        key = (tc, g.id)
-        if best is None or key < best[0]:
-            best = (key, xg + g.speed * dt, g)
+    for side in (range(k - 1, -1, -1), range(k, len(fronts))):
+        for j in side:
+            g = fronts[j]
+            xg = g.position(t)
+            if g.id in skip or xg == x:
+                continue
+            rel = slope - g.speed
+            dx = xg - x
+            if rel != 0.0:
+                dt = dx / rel
+                tc = t + dt
+                if dt > 0.0 and tc < t_hi and (best is None
+                                               or (tc, g.id) < best[0]):
+                    best = ((tc, g.id), xg + g.speed * dt, g)
+            break
     if best is None:
         return None
     (tc, _), xc, g = best
@@ -308,6 +313,8 @@ def region_balance_check(timeline, region):
         rec = timeline.front_records[fid]
         born = rec.born_t
         died = rec.died_t if rec.died_t is not None else timeline.t_end
+        if born > t1 or died <= t0:
+            continue  # alive at no time in [t0, t1]: meets no edge
         w = timeline.wave_content(fid, i)
         if w == 0.0:
             continue
@@ -442,14 +449,25 @@ def _positive_window(g_lo, g_hi, lo, hi):
     return (lo, root) if g_lo > 0.0 else (root, hi)
 
 
+def _positive_windows(g_lo, g_hi, lo, hi):
+    """_positive_window elementwise over arrays, with the same float
+    operations in the same order: returns (lo, hi, nonempty)."""
+    with np.errstate(all="ignore"):
+        root = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    pos_lo = g_lo > 0.0
+    return (np.where(pos_lo, lo, root),
+            np.where(pos_lo & ~(g_hi > 0.0), root, hi),
+            ~((g_lo <= 0.0) & (g_hi <= 0.0)))
+
+
 def _triangle_states(timeline, tris):
     """Distinct states met by each triangle (a, b, tau, eta, t_hi) between
     tau and t_hi, in first-met order.
 
     One sweep over the events serves every triangle: between two event times
-    the front order is fixed and each front moves on its closed form. States
-    are keyed on their float tuples, which compare like np.array_equal
-    (0.0 == -0.0).
+    the front order is fixed and each front moves on its closed form, so each
+    frame is one array pass over triangles x regions. States are keyed on
+    their float tuples, which compare like np.array_equal (0.0 == -0.0).
     """
     seen = [{} for _ in tris]
     live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
@@ -459,39 +477,48 @@ def _triangle_states(timeline, tris):
     left_state = timeline.initial_field.left_state
 
     def visit(fronts, frame_lo, frame_hi):
-        chain = [left_state] + [f.uR for f in fronts]
-        # (born_x, speed, born_t) per front: Front.position, inlined for the
-        # inner loop
-        lines = [(f.born_x, f.speed, f.born_t) for f in fronts]
+        rows = []
         for k in live:
             a, b, t_lo, eta, t_hi = tris[k]
             lo = max(frame_lo, t_lo)
             hi = min(frame_hi, t_hi)
-            if hi <= lo:
-                continue
-            for j, u in enumerate(chain):
-                # region j lives between front j-1 and front j
-                # (x_{-1} = -inf, x_m = +inf); it meets the shrinking
-                # triangle iff its left edge stays under b - eta t and
-                # its right edge above a + eta t on a subinterval
-                win = (lo, hi)
-                if j > 0:
-                    xj, sj, tj = lines[j - 1]
-                    gl = (b - eta * win[0]) - (xj + sj * (win[0] - tj))
-                    gh = (b - eta * win[1]) - (xj + sj * (win[1] - tj))
-                    win = _positive_window(gl, gh, *win)
-                    if win is None:
-                        continue
-                if j < len(lines):
-                    xj, sj, tj = lines[j]
-                    gl = (xj + sj * (win[0] - tj)) - (a + eta * win[0])
-                    gh = (xj + sj * (win[1] - tj)) - (a + eta * win[1])
-                    win = _positive_window(gl, gh, *win)
-                    if win is None:
-                        continue
-                if win[1] - win[0] <= 1e-15:
-                    continue
-                seen[k].setdefault(tuple(u.tolist()), u)
+            if not hi <= lo:
+                rows.append((k, a, b, eta, lo, hi))
+        if not rows:
+            return
+        ks, a, b, eta, lo, hi = zip(*rows)
+        a, b, eta, lo, hi = (np.array(c)[:, None] for c in (a, b, eta, lo, hi))
+        m = len(fronts)
+        # region j lives between front j-1 and front j (x_{-1} = -inf,
+        # x_m = +inf); it meets the shrinking triangle iff its left edge
+        # stays under b - eta t and its right edge above a + eta t on a
+        # subinterval of [lo, hi]
+        w_lo = np.repeat(lo, m + 1, axis=1)
+        w_hi = np.repeat(hi, m + 1, axis=1)
+        ok = np.ones(w_lo.shape, dtype=bool)
+        if m:
+            xj = np.fromiter((f.born_x for f in fronts), float, m)
+            sj = np.fromiter((f.speed for f in fronts), float, m)
+            tj = np.fromiter((f.born_t for f in fronts), float, m)
+            # left edges: front j-1 under b - eta t, regions 1..m
+            gl = (b - eta * lo) - (xj + sj * (lo - tj))
+            gh = (b - eta * hi) - (xj + sj * (hi - tj))
+            w_lo[:, 1:], w_hi[:, 1:], ok[:, 1:] = _positive_windows(
+                gl, gh, lo, hi)
+            # right edges: front j above a + eta t, regions 0..m-1
+            wl, wh = w_lo[:, :-1], w_hi[:, :-1]
+            gl = (xj + sj * (wl - tj)) - (a + eta * wl)
+            gh = (xj + sj * (wh - tj)) - (a + eta * wh)
+            new_lo, new_hi, nonempty = _positive_windows(gl, gh, wl, wh)
+            w_lo[:, :-1], w_hi[:, :-1] = new_lo, new_hi
+            ok[:, :-1] &= nonempty
+        ok &= ~(w_hi - w_lo <= 1e-15)
+        keys = {}
+        for r, j in zip(*ok.nonzero()):  # by triangle, then region
+            if j not in keys:
+                u = left_state if j == 0 else fronts[j - 1].uR
+                keys[j] = (tuple(u.tolist()), u)
+            seen[ks[r]].setdefault(*keys[j])
 
     fronts = list(timeline.initial_field.fronts)
     frame_lo = 0.0
@@ -504,6 +531,41 @@ def _triangle_states(timeline, tris):
         tk.apply_event(fronts, ev)
     visit(fronts, frame_lo, t_stop)
     return [list(states.values()) for states in seen]
+
+
+def _diameter(states):
+    """Largest float(np.linalg.norm(u - v)) over pairs of the states, 0.0
+    for fewer than two.
+
+    Squared distances are screened in bulk, in row blocks of bounded size,
+    and the exact norm is taken only on pairs within 1e-9 relative of the
+    largest; the screen's roundoff is a few ulps and sqrt is monotone, so
+    the result is the pairwise loop's maximum to the last bit.
+    """
+    k = len(states)
+    if k < 2:
+        return 0.0
+    us = np.array(states)
+    block = max(1, (1 << 16) // k)
+    top = 0.0
+    found = []
+    for p0 in range(0, k, block):
+        diff = us[p0:p0 + block, None, :] - us[None, :, :]
+        d2 = (diff * diff).sum(axis=-1)
+        ps = np.arange(p0, p0 + len(d2))
+        d2[np.arange(k)[None, :] <= ps[:, None]] = -1.0  # pairs p < q only
+        block_top = float(d2.max())
+        if block_top < 0.0:
+            continue
+        top = max(top, block_top)
+        rows, cols = (d2 >= block_top * (1.0 - 1e-9)).nonzero()
+        found.extend(zip((rows + p0).tolist(), cols.tolist(),
+                         d2[rows, cols].tolist()))
+    osc = 0.0
+    for p, q, d in found:
+        if d >= top * (1.0 - 1e-9):
+            osc = max(osc, float(np.linalg.norm(states[p] - states[q])))
+    return osc
 
 
 def tame_oscillation_check(timeline, triangles):
@@ -519,10 +581,7 @@ def tame_oscillation_check(timeline, triangles):
     rows = []
     worst = 0.0
     for (a, b, tau, eta, _), uniq in zip(tris, _triangle_states(timeline, tris)):
-        osc = 0.0
-        for p in range(len(uniq)):
-            for q in range(p + 1, len(uniq)):
-                osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))
+        osc = _diameter(uniq)
         base = timeline.slice_at(tau)
         tv = float(sum(np.linalg.norm(f.jump())
                        for f, x in zip(base.fronts, base.xs) if a < x < b))

@@ -211,13 +211,16 @@ def interaction_amount(f1, f2):
     return abs(s1 * s2), 0.0
 
 
-def calibrate_c0(dVs, dQs, v0, q0, rel_tol=1e-12, max_doublings=20):
+C0_MAX_DOUBLINGS = 20  # calibrate_c0 gives up above 2**20
+
+
+def calibrate_c0(dVs, dQs, v0, q0, rel_tol=1e-12):
     """Smallest power-of-two constant making V + C0*Q nonincreasing over the
     recorded events; returns (C0, calibrated_ok)."""
     dVs = np.asarray(dVs)
     dQs = np.asarray(dQs)
     c0 = 1.0
-    for _ in range(max_doublings + 1):
+    for _ in range(C0_MAX_DOUBLINGS + 1):
         ups0 = v0 + c0 * q0
         if len(dVs) == 0 or float((dVs + c0 * dQs).max()) <= rel_tol * max(ups0, 1e-30):
             return c0, True
@@ -277,12 +280,19 @@ def record_interaction_measures(events):
 # ---------------------------------------------------------------------------
 
 
+def front_wave_contents(model, uL, uR):
+    """(l_tilde_1 . (uR - uL), ..., l_tilde_N . (uR - uL)) with the front's
+    own averaged eigensystem, computed once for every family."""
+    if np.array_equal(uL, uR):
+        return (0.0,) * model.N
+    sys = fc.average_eigs(model, uL, uR)
+    jump = uR - uL
+    return tuple(float(row @ jump) for row in sys.left)
+
+
 def front_wave_content(model, i, uL, uR):
     """l_tilde_i . (uR - uL) with the front's own averaged eigensystem."""
-    if np.array_equal(uL, uR):
-        return 0.0
-    sys = fc.average_eigs(model, uL, uR)
-    return float(sys.left[i - 1] @ (uR - uL))
+    return front_wave_contents(model, uL, uR)[i - 1]
 
 
 def wave_measure_slice(field, i):
@@ -314,8 +324,7 @@ def lambda_component_slice(field, i, curves):
         if f.id in on_curves:
             lam_r = float(model.point_eig(f.uR).lambdas[i - 1])
             lam_l = float(model.point_eig(f.uL).lambdas[i - 1])
-            contents = [abs(front_wave_content(model, k, f.uL, f.uR))
-                        for k in range(1, model.N + 1)]
+            contents = [abs(w) for w in front_wave_contents(model, f.uL, f.uR)]
             denom = sum(contents)
             if denom > 0.0:
                 atoms.append((x, (lam_r - lam_l) * contents[i - 1] / denom))

@@ -16,37 +16,35 @@ import numpy as np
 from .errors import ConfigError
 
 
-def burgers_riemann_oracle(uL, uR, x0=0.0):
-    """Exact entropy solution of Burgers with a single initial jump."""
+def burgers_riemann_oracle(uL, uR):
+    """Exact entropy solution of Burgers with a single initial jump at x = 0."""
 
     def pieces(t, lo, hi):
         if t <= 0:
-            return [(lo, x0, np.array([uL])), (x0, hi, np.array([uR]))]
+            return [(lo, 0.0, np.array([uL])), (0.0, hi, np.array([uR]))]
         if uL > uR:
-            xs = x0 + 0.5 * (uL + uR) * t
+            xs = 0.5 * (uL + uR) * t
             return [(lo, xs, np.array([uL])), (xs, hi, np.array([uR]))]
-        xa, xb = x0 + uL * t, x0 + uR * t
+        xa, xb = uL * t, uR * t
         return [(lo, xa, np.array([uL])),
-                (xa, xb, lambda x: (x - x0) / t),
+                (xa, xb, lambda x: x / t),
                 (xb, hi, np.array([uR]))]
 
     return pieces
 
 
-def cubic_riemann_oracle(uL=-1.0, uR=1.0, x0=0.0):
-    """Exact solution for f = u^3/3 between -1 and 1: shock from -1 to 1/2 at
-    speed 1/4 (convex-envelope tangency 2u^3 + 3u^2 - 1 = 0), then the fan
-    u = sqrt(x/t) up to speed 1."""
-    if not (uL == -1.0 and uR == 1.0):
-        raise ConfigError("diagnostics.convergence", "cubic oracle is pinned to uL=-1, uR=1")
+def cubic_riemann_oracle():
+    """Exact solution for f = u^3/3 from -1 to 1 at x = 0: shock from -1 to
+    1/2 at speed 1/4 (convex-envelope tangency 2u^3 + 3u^2 - 1 = 0), then the
+    fan u = sqrt(x/t) up to speed 1."""
 
     def pieces(t, lo, hi):
         if t <= 0:
-            return [(lo, x0, np.array([uL])), (x0, hi, np.array([uR]))]
-        xs = x0 + 0.25 * t
-        xb = x0 + 1.0 * t
+            return [(lo, 0.0, np.array([-1.0])), (0.0, hi, np.array([1.0]))]
+        xs = 0.25 * t
+        xb = t
         return [(lo, xs, np.array([-1.0])),
-                (xs, xb, lambda x: math.sqrt((x - x0) / t)),
+                (xs, xb, lambda x: math.sqrt(x / t)),
                 (xb, hi, np.array([1.0]))]
 
     return pieces
@@ -83,11 +81,13 @@ def linear_system_oracle(model, xs, values):
     return pieces
 
 
-def _simpson(fn, a, b, n=32):
-    # n even subintervals
-    xs = np.linspace(a, b, n + 1)
+SIMPSON_PANELS = 32  # even number of Simpson subintervals per piece
+
+
+def _simpson(fn, a, b):
+    xs = np.linspace(a, b, SIMPSON_PANELS + 1)
     ys = np.array([fn(x) for x in xs])
-    h = (b - a) / n
+    h = (b - a) / SIMPSON_PANELS
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
 
 

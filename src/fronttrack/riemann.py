@@ -23,6 +23,9 @@ SIZE_FLOOR = 1e-13  # below this, a wave size is treated as absent
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 FLOAT_EPS = np.finfo(float).eps  # machine epsilon for brentq's tolerance
+BRENT_XTOL = 1e-14
+BRENT_MAXIT = 120
+CLASSIFY_TOL = 1e-12  # Lax-condition slack when labelling a scalar front
 
 
 @dataclass(eq=False)
@@ -85,7 +88,7 @@ class WaveFan:
 # ---------------------------------------------------------------------------
 
 
-def brentq(fn, a, b, xtol=1e-14, maxiter=120):
+def brentq(fn, a, b):
     fa, fb = fn(a), fn(b)
     if fa == 0.0:
         return a
@@ -95,14 +98,14 @@ def brentq(fn, a, b, xtol=1e-14, maxiter=120):
         raise SolverError(f"brentq: no sign change on [{a}, {b}]")
     c, fc_ = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXIT):
         if fb * fc_ > 0:
             c, fc_ = a, fa
             d = e = b - a
         if abs(fc_) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc_ = fb, fc_, fb
-        tol1 = 2.0 * FLOAT_EPS * abs(b) + 0.5 * xtol
+        tol1 = 2.0 * FLOAT_EPS * abs(b) + 0.5 * BRENT_XTOL
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -417,10 +420,11 @@ def _secant(model, a, b):
     return (model.f_scalar(b) - model.f_scalar(a)) / (b - a)
 
 
-def _classify_scalar(model, a, b, sigma, tol=1e-12):
+def _classify_scalar(model, a, b, sigma):
     if model.field_kind[0] == LD:
         return "contact"
-    if model.fprime(a) >= sigma - tol and sigma >= model.fprime(b) - tol:
+    if (model.fprime(a) >= sigma - CLASSIFY_TOL
+            and sigma >= model.fprime(b) - CLASSIFY_TOL):
         return "shock"
     return "rarefaction"
 

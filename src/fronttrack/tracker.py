@@ -21,6 +21,7 @@ from . import riemann as rm
 from .errors import CapExceededError, ConfigError, InitialDataError, SolverError
 
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
+CHAIN_ATOL = 1e-9  # FrontField.validate: largest gap allowed in the state chain
 
 
 @dataclass
@@ -50,14 +51,14 @@ class FrontField:
                 break
         return u
 
-    def validate(self, atol=1e-9):
+    def validate(self):
         prev_x = -math.inf
         u = self.left_state
         for f, xf in zip(self.fronts, self.xs):
             # just before a collision fires, positions may overlap by fp noise
             if xf < prev_x - 1e-12 * max(1.0, abs(prev_x)):
                 raise SolverError("front positions out of order")
-            if np.max(np.abs(f.uL - u)) > atol:
+            if np.max(np.abs(f.uL - u)) > CHAIN_ATOL:
                 raise SolverError("state chain broken")
             prev_x = xf
             u = f.uR
@@ -111,6 +112,17 @@ class RunConfig:
     audit_rel_tol: float = 1e-12
 
     def __post_init__(self):
+        for key, value in (("numerics.epsilon", self.epsilon),
+                           ("numerics.t_end", self.t_end),
+                           ("numerics.rho", self.rho),
+                           ("numerics.eps0", self.eps0),
+                           ("numerics.eps1", self.eps1),
+                           ("numerics.C0", None if self.c0 == "auto" else self.c0),
+                           ("numerics.tolerances.tie_tol_factor",
+                            self.tie_tol_factor),
+                           ("numerics.tolerances.audit_rel", self.audit_rel_tol)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(key, f"must be finite, got {value}")
         if self.epsilon <= 0:
             raise ConfigError("numerics.epsilon", "must be positive")
         if self.t_end <= 0:
@@ -148,12 +160,14 @@ class Timeline:
         self._curve_cache = {}
 
     def wave_content(self, front_id, i):
-        key = (front_id, i)
-        if key not in self._content_cache:
+        """The front's i-wave content; every family's content comes from one
+        averaged eigensystem, cached per front."""
+        contents = self._content_cache.get(front_id)
+        if contents is None:
             rec = self.front_records[front_id]
-            self._content_cache[key] = ms.front_wave_content(
-                self.model, i, rec.uL, rec.uR)
-        return self._content_cache[key]
+            contents = self._content_cache[front_id] = ms.front_wave_contents(
+                self.model, rec.uL, rec.uR)
+        return contents[i - 1]
 
     def curves(self, i):
         """Maximal shock fronts at the run's thresholds (cached)."""

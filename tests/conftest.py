@@ -286,3 +286,35 @@ def reference_split_jump_cont(field, i, curves):
     member = np.array(member, dtype=bool)[order] if atoms else np.empty(0, dtype=bool)
     return (ms.AtomicMeasure1D(vi.xs[member], vi.ws[member]),
             ms.AtomicMeasure1D(vi.xs[~member], vi.ws[~member]))
+
+
+# ---------------------------------------------------------------------------
+# Reference crossing search: the free characteristic is tested against every
+# front of the field. diagnostics._next_crossing tests only the nearest front
+# on each side; tests compare the two with == and is.
+# ---------------------------------------------------------------------------
+
+
+def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
+    best = None
+    for g in fronts:
+        if g.id in skip:
+            continue
+        xg = g.position(t)
+        rel = slope - g.speed
+        dx = xg - x
+        if rel == 0.0:
+            continue
+        dt = dx / rel
+        if dt <= 0.0:
+            continue
+        tc = t + dt
+        if tc >= t_hi:
+            continue
+        key = (tc, g.id)
+        if best is None or key < best[0]:
+            best = (key, xg + g.speed * dt, g)
+    if best is None:
+        return None
+    (tc, _), xc, g = best
+    return tc, xc, g

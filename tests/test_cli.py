@@ -78,6 +78,29 @@ class TestParseConfig:
             cli.parse_config(write_scenario(tmp_path, doc))
         assert "model.id" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("numerics.epsilon", float("nan")),
+        ("numerics.t_end", float("inf")),
+        ("numerics.rho", float("inf")),
+        ("numerics.eps0", float("nan")),
+        ("numerics.eps1", float("inf")),
+        ("numerics.C0", float("inf")),
+        ("numerics.tolerances.tie_tol_factor", float("inf")),
+        ("numerics.tolerances.audit_rel", float("nan"))])
+    def test_non_finite_value_names_key(self, tmp_path, key, value, capsys):
+        # json reads Infinity and NaN; each must be refused under its own key
+        # before a run can pass or fail an audit on it
+        doc = json.loads(json.dumps(MINIMAL))
+        *parents, leaf = key.split(".")[1:]
+        section = doc["numerics"]
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key}: must be finite" in err
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -6,7 +6,9 @@ import pytest
 from fronttrack import diagnostics as dg
 from fronttrack import measures as ms
 
-from conftest import quick_run, replay_frames, replay_slice_at
+from conftest import (quick_run, random_breakpoint_scenario,
+                      reference_next_crossing, replay_frames,
+                      replay_slice_at)
 
 
 def scan_position(curve, t):
@@ -335,6 +337,175 @@ class TestTameMatchesReference:
         assert len(zeros) == 1 and np.signbit(zeros[0][0])
         assert len(states) == len(ref)
         assert all(u is v for u, v in zip(states, ref))
+
+
+def corpus_run(model_id, s):
+    """Run s of the acceptance corpus (criterion 01) for model_id."""
+    n_jumps, scale = {"cubic": (8, 0.6), "p-system": (5, None)}[model_id]
+    rng = np.random.default_rng(9000 + 17 * s)
+    init = random_breakpoint_scenario(model_id, rng, n_jumps=n_jumps,
+                                      scale=scale)
+    return quick_run(model_id, init, epsilon=0.05, t_end=1.5)
+
+
+@pytest.fixture(scope="module")
+def psystem_corpus_timeline():
+    return corpus_run("p-system", 0)
+
+
+@pytest.fixture(scope="module")
+def cubic_corpus_timeline():
+    return corpus_run("cubic", 0)
+
+
+class TestNextCrossingMatchesFullScan:
+    """The nearest-front crossing search returns the full scan's crossing,
+    front object included, on every call of seeded characteristic walks."""
+
+    @staticmethod
+    def starts(tl, seed):
+        rng = np.random.default_rng(seed)
+        xs = [f.born_x for f in tl.front_records.values()]
+        lo, hi = min(xs) - 0.5, max(xs) + 0.5
+        out = []
+        for i in range(1, tl.model.N + 1):
+            for _ in range(40):
+                out.append((i, float(rng.uniform(0.0, 0.9)) * tl.t_end,
+                            float(rng.uniform(lo, hi))))
+            # event points: the walk starts on a node of the front field
+            for ev in tl.events[::max(1, len(tl.events) // 40)]:
+                if ev.t < tl.t_end:
+                    out.append((i, ev.t, ev.x))
+        return out
+
+    @pytest.mark.parametrize("fixture", [
+        "remark_timeline", "sawtooth_timeline", "burgers_merge_timeline",
+        "psystem_corpus_timeline", "cubic_corpus_timeline"])
+    def test_same_crossing_as_full_scan(self, fixture, request, monkeypatch):
+        tl = request.getfixturevalue(fixture)
+        pairs = []
+        nearest = dg._next_crossing
+
+        def both(fronts, t, x, slope, t_hi, skip):
+            got = nearest(fronts, t, x, slope, t_hi, skip)
+            pairs.append((got, reference_next_crossing(fronts, t, x, slope,
+                                                       t_hi, skip)))
+            return got
+
+        monkeypatch.setattr(dg, "_next_crossing", both)
+        for i, t0, x0 in self.starts(tl, 17):
+            dg.min_characteristic(tl, i, t0, x0, tl.t_end)
+        hits = 0
+        for got, ref in pairs:
+            if ref is None:
+                assert got is None
+                continue
+            hits += 1
+            assert got[0] == ref[0] and got[1] == ref[1]
+            assert got[2] is ref[2]
+        assert len(pairs) >= 40 and hits >= 5
+
+
+def pairwise_diameter(states):
+    osc = 0.0
+    for p in range(len(states)):
+        for q in range(p + 1, len(states)):
+            osc = max(osc, float(np.linalg.norm(states[p] - states[q])))
+    return osc
+
+
+class TestScreenedDiameter:
+    def test_matches_pairwise_on_clouds(self):
+        rng = np.random.default_rng(3)
+        # 300 states need several row blocks of the screen
+        for k, n in ((0, 2), (1, 2), (2, 1), (7, 2), (40, 3), (300, 2)):
+            states = [rng.normal(size=n) for _ in range(k)]
+            assert dg._diameter(states) == pairwise_diameter(states)
+        # the farthest pair in the first and in the last row block
+        cloud = [rng.normal(size=2) for _ in range(298)]
+        far = [np.array([-40.0, 3.0]), np.array([50.0, -7.0])]
+        for states in (far + cloud, cloud + far):
+            assert dg._diameter(states) == pairwise_diameter(states)
+
+    def test_several_pairs_at_the_maximum(self):
+        # both diagonals of a square and of a translated copy tie exactly
+        square = [np.array(u) for u in
+                  ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))]
+        states = square + [u + np.array([0.0, 3.0]) for u in square]
+        assert dg._diameter(states) == pairwise_diameter(states)
+        assert dg._diameter(square) == pairwise_diameter(square) == math.sqrt(2.0)
+
+    def test_pairs_one_ulp_apart(self):
+        up = math.nextafter(1.0, 2.0)
+        down = math.nextafter(1.0, 0.0)
+        for far in (up, down, 1.0):
+            states = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
+                      np.array([0.0, far]), np.array([-far, 0.0]) * 0.5,
+                      np.array([0.5, 0.5])]
+            assert dg._diameter(states) == pairwise_diameter(states)
+        # squared distances one ulp apart whose norms round together
+        a = np.array([0.1, 0.2])
+        states = [a, a + np.array([0.3, 0.0]),
+                  a + np.array([0.0, math.nextafter(0.3, 1.0)]),
+                  a - np.array([math.nextafter(0.3, 0.0), 0.0])]
+        assert dg._diameter(states) == pairwise_diameter(states)
+
+
+class TestPositiveWindows:
+    CASES = [
+        # (g_lo, g_hi, lo, hi)
+        (1.0, 2.0, 0.0, 1.0), (-1.0, -2.0, 0.0, 1.0),
+        (0.0, 1.0, 0.2, 0.7), (1.0, 0.0, 0.2, 0.7),
+        (0.0, -1.0, 0.2, 0.7), (-1.0, 0.0, 0.2, 0.7),
+        (0.0, 0.0, 0.2, 0.7), (-0.0, 0.0, 0.2, 0.7), (0.0, -0.0, 0.2, 0.7),
+        (1.0, -3.0, 0.2, 0.7), (-3.0, 1.0, 0.2, 0.7),
+        (5e-324, -5e-324, 0.2, 0.7), (-1e-300, 1e-300, 0.2, 0.7),
+        (0.3, -0.1, 0.0, 1e-15), (-0.1, 0.3, 0.0, 1e-15),
+        (1.0, 1.0, 0.0, 1e-15), (1.0, -1.0, 1.0, 1.0 + 2e-15),
+        (math.nan, 1.0, 0.2, 0.7), (1.0, math.nan, 0.2, 0.7),
+        (math.nan, -1.0, 0.2, 0.7), (-1.0, math.nan, 0.2, 0.7),
+        (math.nan, math.nan, 0.2, 0.7),
+        (math.inf, -math.inf, 0.2, 0.7), (-math.inf, 1.0, 0.2, 0.7),
+    ]
+
+    @staticmethod
+    def same(u, v):
+        return u == v or (math.isnan(u) and math.isnan(v))
+
+    def test_elementwise_matches_scalar(self):
+        g_lo, g_hi, lo, hi = (np.array(c) for c in zip(*self.CASES))
+        w_lo, w_hi, nonempty = dg._positive_windows(g_lo, g_hi, lo, hi)
+        for n, case in enumerate(self.CASES):
+            win = dg._positive_window(*case)
+            assert bool(nonempty[n]) == (win is not None), case
+            if win is None:
+                continue
+            assert self.same(float(w_lo[n]), win[0]), case
+            assert self.same(float(w_hi[n]), win[1]), case
+            # the sweep's width test on both forms
+            assert (bool(w_hi[n] - w_lo[n] <= 1e-15)
+                    == (win[1] - win[0] <= 1e-15)), case
+
+    def test_width_exactly_threshold(self):
+        w_lo, w_hi, nonempty = dg._positive_windows(
+            np.array([1.0]), np.array([1.0]), np.array([0.0]),
+            np.array([1e-15]))
+        assert nonempty[0] and w_hi[0] - w_lo[0] == 1e-15
+        assert dg._positive_window(1.0, 1.0, 0.0, 1e-15) == (0.0, 1e-15)
+
+    def test_sweep_drops_windows_of_width_threshold(self):
+        # a single shock from x = 0: each side's window is the whole frame,
+        # [0, t_hi], so t_hi = 1e-15 meets no state and 2e-15 meets both
+        tl = quick_run("burgers", {"kind": "breakpoints", "xs": [0.0],
+                                   "values": [[1.0], [0.0]]}, 0.1, 1.0)
+        eta = dg.default_eta_bar(tl.model)
+        tris = [(-1.0, 1.0, 0.0, eta, 1e-15), (-1.0, 1.0, 0.0, eta, 2e-15)]
+        got = dg._triangle_states(tl, tris)
+        assert [len(states) for states in got] == [0, 2]
+        for (a, b, t_lo, eta, t_hi), states in zip(tris, got):
+            ref = reference_triangle_states(tl, a, b, eta, t_lo, t_hi)
+            assert len(states) == len(ref)
+            assert all(u is v for u, v in zip(states, ref))
 
 
 class TestSbvAtomReport:

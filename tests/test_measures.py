@@ -260,6 +260,37 @@ class TestWaveMeasureSlice:
             ms.total_variation_V(fld), abs=1e-12)
 
 
+class TestWaveContents:
+    def test_timeline_cache_matches_formula(self, remark_timeline):
+        tl = remark_timeline
+        for fid, rec in tl.front_records.items():
+            for i in range(1, tl.model.N + 1):
+                assert tl.wave_content(fid, i) == ms.front_wave_content(
+                    tl.model, i, rec.uL, rec.uR)
+
+    def test_one_eigensystem_per_front(self, remark_timeline, monkeypatch):
+        # the same run with an empty content cache
+        src = remark_timeline
+        tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
+                         src.front_records, src.ledger, src.C0, src.t_end)
+        calls = []
+        average_eigs = fc.average_eigs
+
+        def counted(model, uL, uR):
+            calls.append((uL, uR))
+            return average_eigs(model, uL, uR)
+
+        monkeypatch.setattr(fc, "average_eigs", counted)
+        for _ in range(2):
+            for i in (2, 1):
+                for fid in tl.front_records:
+                    tl.wave_content(fid, i)
+        jumps = sum(not np.array_equal(rec.uL, rec.uR)
+                    for rec in tl.front_records.values())
+        assert len(tl.front_records) > 20
+        assert len(calls) == jumps
+
+
 class TestLambdaComponentSlice:
     def test_classified_burgers_shock_atom(self):
         # lambda = u jumps by -1 across the 1 -> 0 shock; unit jump ratio
