@@ -12,7 +12,7 @@ from .errors import (CapExceededError, ConfigError, CurveError, DomainError,
                      UnknownModelError)
 from .flux_core import (EigenSystem, average_eigs, catalog_ids, eig_decompose,
                         gnl_audit, jacobian, make_model)
-from .riemann import (CurvePoint, Front, WaveFan, elementary_curve,
+from .riemann import (CurvePoint, Front, elementary_curve,
                       scalar_envelope_fan, solve_accurate, solve_crude,
                       solve_simplified)
 from .tracker import (FrontField, InteractionEvent, RunConfig, Timeline,
@@ -26,7 +26,7 @@ __all__ = [
     "NearDegeneracyError", "RiemannError", "SolverError", "UnknownModelError",
     "EigenSystem", "average_eigs", "catalog_ids", "eig_decompose", "gnl_audit",
     "jacobian", "make_model",
-    "CurvePoint", "Front", "WaveFan", "elementary_curve",
+    "CurvePoint", "Front", "elementary_curve",
     "scalar_envelope_fan", "solve_accurate", "solve_crude", "solve_simplified",
     "FrontField", "InteractionEvent", "RunConfig", "Timeline", "init_sample",
     "next_collision", "run", "slice_at", "step",

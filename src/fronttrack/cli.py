@@ -51,7 +51,7 @@ def parse_config(path):
         raise ConfigError("model.id", "missing model id")
     model_id = model_sec["id"]
     model_params = model_sec.get("params", {})
-    fc.make_model(model_id, model_params)  # validates id and params now
+    model = fc.make_model(model_id, model_params)  # validates id and params now
 
     initial = doc.get("initial")
     if not isinstance(initial, dict):
@@ -90,13 +90,16 @@ def parse_config(path):
     if cfg.rho_rule == "fixed" and num.get("rho") is None:
         raise ConfigError("numerics.rho", "rho_rule 'fixed' needs an explicit rho")
 
-    plan = dict(doc.get("diagnostics", {}))
+    plan = _section(doc, "diagnostics")
     plan.setdefault("checks", list(DEFAULT_CHECKS))
+    _require(isinstance(plan["checks"], list),
+             "diagnostics.checks", "must be a list of check names")
     for name in plan["checks"]:
         if name not in _KNOWN_CHECKS:
             raise ConfigError("diagnostics.checks", f"unknown check {name!r}")
-    plan.setdefault("families", list(range(1, fc.make_model(model_id, model_params).N + 1)))
-    plan["outputs"] = doc.get("outputs", {})
+    plan.setdefault("families", list(range(1, model.N + 1)))
+    plan["outputs"] = _section(doc, "outputs")
+    _check_plan(plan, model.N, cfg.t_end)
     plan["epsilon_ladder"] = _parse_ladder(plan.get("epsilon_ladder", []))
     if plan["epsilon_ladder"]:
         # ladder members take their shock thresholds from their own epsilon
@@ -105,6 +108,64 @@ def parse_config(path):
                 raise ConfigError(f"numerics.{key}",
                                   "cannot be set with diagnostics.epsilon_ladder")
     return cfg, plan
+
+
+def _section(doc, name):
+    """A copy of the optional object doc[name]."""
+    sec = doc.get(name, {})
+    _require(isinstance(sec, dict), name, "must be a JSON object")
+    return dict(sec)
+
+
+def _is_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _is_int(v, low):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _require(ok, key, message):
+    if not ok:
+        raise ConfigError(key, message)
+
+
+def _check_plan(plan, n_families, t_end):
+    """Refuse diagnostics and outputs values the checks cannot use, naming
+    the key: families in 1..N, a nonnegative integer seed, positive counts,
+    finite nonnegative constants, slice times in [0, t_end], and decay times
+    with 0 <= s < t <= t_end and 0 < tau < t."""
+    fams = plan["families"]
+    _require(isinstance(fams, list)
+             and all(_is_int(i, 1) and i <= n_families for i in fams),
+             "diagnostics.families", f"must be integers in 1..{n_families}")
+    _require(_is_int(plan.get("seed", 0), 0),
+             "diagnostics.seed", "must be a nonnegative integer")
+    for key in ("balance_regions", "tame_triangles"):
+        _require(_is_int(plan.get(key, 1), 1),
+                 f"diagnostics.{key}", "must be a positive integer")
+    for key in ("np_budget_K", "sbv_threshold"):
+        v = plan.get(key, 0.0)
+        _require(_is_number(v) and v >= 0,
+                 f"diagnostics.{key}", "must be finite and nonnegative")
+    times = plan["outputs"].get("slice_times", [])
+    _require(isinstance(times, list)
+             and all(_is_number(t) and 0 <= t <= t_end for t in times),
+             "outputs.slice_times", f"must be times in [0, {t_end:g}]")
+    # the defaults are run_checks' own
+    t = plan.get("positive_decay_t", 0.75 * t_end)
+    _require(_is_number(t) and 0 < t <= t_end,
+             "diagnostics.positive_decay_t", f"must lie in (0, {t_end:g}]")
+    s = plan.get("positive_decay_s", 0.0)
+    _require(_is_number(s) and 0 <= s < t,
+             "diagnostics.positive_decay_s", f"must lie in [0, {t:g})")
+    t = plan.get("decay_t", 0.75 * t_end)
+    _require(_is_number(t) and 0 < t <= t_end,
+             "diagnostics.decay_t", f"must lie in (0, {t_end:g}]")
+    tau = plan.get("decay_tau", 0.5 * t)
+    _require(_is_number(tau) and 0 < tau < t,
+             "diagnostics.decay_tau", f"must lie in (0, {t:g})")
 
 
 def _member_dir(eps):
@@ -145,21 +206,22 @@ def _domain_window(timeline):
 def run_checks(timeline, plan):
     """Execute the enabled checks; returns (report dict, audit_failed)."""
     checks = plan.get("checks", DEFAULT_CHECKS)
-    families = [i for i in plan.get("families", [1]) if 1 <= i <= timeline.model.N]
+    families = plan.get("families", [1])  # in 1..N, see _check_plan
     rng = np.random.default_rng(plan.get("seed", 0))
     led = timeline.ledger
-    report = {"C0": timeline.C0, "C0_calibrated": led.calibrated,
+    report = {"C0": led.C0, "C0_calibrated": led.calibrated,
               "events": len(timeline.events), "checks": {}}
     failed = False
 
     if "monotonicity" in checks:
         ups0 = led.upsilon0()
-        bad = []
-        for ev in timeline.events:
-            _, _, dups, verdict = ms.glimm_deltas(ev, timeline.C0, ups0,
-                                                  timeline.config.audit_rel_tol)
-            if not verdict["ok"]:
-                bad.append({"t": ev.t, "dUpsilon": dups, **verdict})
+        monotone, strict = led.verdicts([ev.amount_I for ev in timeline.events],
+                                        timeline.config.audit_rel_tol)
+        dups = led.dUps
+        bad = [{"t": float(led.ts[k + 1]), "dUpsilon": float(dups[k]),
+                "monotone": bool(monotone[k]), "strict": bool(strict[k]),
+                "ok": False}
+               for k in (~(monotone & strict)).nonzero()[0]]
         ok = not bad and led.calibrated
         report["checks"]["monotonicity"] = {
             "pass": ok, "violations": bad[:20], "n_violations": len(bad),
@@ -341,8 +403,6 @@ def _emit_artifacts(outdir, timeline, plan, check_report):
         entries.append(("IC", 0, t, x, w))
     curves_by_family = {}
     for i in plan.get("families", [1]):
-        if not 1 <= i <= timeline.model.N:
-            continue
         curves = timeline.curves(i)
         curves_by_family[i] = curves
         icj = ms.mu_ICJ(timeline, i, curves)
@@ -391,7 +451,7 @@ def orchestrate(cfg, plan):
                     "epsilon": eps,
                     "nonphysical_total": ms.nonphysical_total_strength(
                         timeline.slice_at(timeline.t_end)),
-                    "C0": timeline.C0,
+                    "C0": timeline.ledger.C0,
                     "exceptional_times": rep["checks"].get("sbv_atoms", {}).get(
                         "families", {}),
                     "audit_failed": audit_failed})

@@ -22,7 +22,7 @@ def fmt(x):
 
 def write_events_jsonl(path, timeline):
     lines = []
-    for ev in timeline.events:
+    for ev, dups in zip(timeline.events, timeline.ledger.dUps.tolist()):
         obj = {
             "t": ev.t, "x": ev.x, "solver": ev.solver,
             "in": [{"family": f.family, "size": f.size, "speed": f.speed}
@@ -31,7 +31,7 @@ def write_events_jsonl(path, timeline):
                     for f in ev.outgoing],
             "I": ev.amount_I, "cancellation": ev.cancellation,
             "dV": ev.dV, "dQ": ev.dQ,
-            "dUpsilon": ev.dV + timeline.C0 * ev.dQ,
+            "dUpsilon": dups,
         }
         lines.append(_json_line(obj))
     with open(path, "w") as fh:
@@ -84,10 +84,11 @@ def read_csv(path):
 
 def write_ledger_csv(path, timeline):
     led = timeline.ledger
-    rows = [(led.ts[0], led.Vs[0], led.Qs[0], led.Upsilons[0], 0.0, 0.0, 0.0)]
+    ups, dups = led.Upsilons, led.dUps
+    rows = [(led.ts[0], led.Vs[0], led.Qs[0], ups[0], 0.0, 0.0, 0.0)]
     for j in range(len(led.dVs)):
         rows.append((led.ts[j + 1], led.Vs[j + 1], led.Qs[j + 1],
-                     led.Upsilons[j + 1], led.dVs[j], led.dQs[j], led.dUps[j]))
+                     ups[j + 1], led.dVs[j], led.dQs[j], dups[j]))
     _write_csv(path, ["t", "V", "Q", "Upsilon", "dV", "dQ", "dUpsilon"], rows)
 
 

@@ -228,24 +228,11 @@ def calibrate_c0(dVs, dQs, v0, q0, rel_tol=1e-12):
     return c0, False
 
 
-def glimm_deltas(event, c0, upsilon0, rel_tol=1e-12):
-    """Per-event deltas plus the monotonicity/estimate audit verdict."""
-    dV, dQ = event.dV, event.dQ
-    dUps = dV + c0 * dQ
-    monotone = dUps <= rel_tol * max(upsilon0, 1e-30)
-    # strict clause: when Q strictly decreases at a genuine interaction, the
-    # functional must strictly decrease too (fails when C0 is forced to 0)
-    strict_ok = not (event.amount_I > 1e-12 and dQ < -1e-12 and dUps >= 0.0)
-    return dV, dQ, dUps, {
-        "monotone": bool(monotone),
-        "strict": bool(strict_ok),
-        "ok": bool(monotone and strict_ok),
-    }
-
-
 @dataclass
 class GlimmLedger:
-    """Time series of V, Q, Upsilon with per-event deltas; C0 in force."""
+    """The run's Glimm bookkeeping: V and Q at t = 0 and after each event
+    (Vs[k + 1] = Vs[k] + dVs[k]), Upsilon = V + C0*Q, and the C0 in force.
+    The only home of these values and of dUpsilon = dV + C0*dQ."""
 
     ts: np.ndarray
     Vs: np.ndarray
@@ -265,6 +252,18 @@ class GlimmLedger:
 
     def upsilon0(self):
         return float(self.Upsilons[0])
+
+    def verdicts(self, amounts, rel_tol=1e-12):
+        """Per-event audit of Upsilon as two boolean arrays (monotone,
+        strict), given each event's interaction amount I. monotone: dUpsilon
+        is at most rel_tol * Upsilon0. strict: where Q strictly decreases at
+        a genuine interaction, Upsilon strictly decreases too (fails when C0
+        is forced to 0)."""
+        dups = self.dUps
+        monotone = dups <= rel_tol * max(self.upsilon0(), 1e-30)
+        strict = ~((np.asarray(amounts, dtype=float) > 1e-12)
+                   & (self.dQs < -1e-12) & (dups >= 0.0))
+        return monotone, strict
 
 
 def record_interaction_measures(events):

@@ -6,6 +6,9 @@ curve parameter s = l_k(base) . (T_s - base).  elementary_curve additionally
 exposes the speed-rescaled parameter on genuinely nonlinear fields, where the
 characteristic speed along the rarefaction branch satisfies
 lambda_k(T_s) = lambda_k(u) + s.
+
+Every solver returns its outgoing fronts as a plain list, ordered by speed
+and chained left to right (each front's uL is its left neighbour's uR).
 """
 
 from __future__ import annotations
@@ -72,15 +75,6 @@ class CurvePoint:
     s: float
     state: np.ndarray
     sigma: float
-
-
-@dataclass
-class WaveFan:
-    """Outgoing fronts of one Riemann solve, ordered by speed."""
-
-    fronts: list
-    sizes: np.ndarray  # per-family totals s_1..s_N
-    nonphysical_strength: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +459,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
     model.require_inside(np.array([a]), "left state")
     model.require_inside(np.array([b]), "right state")
     if a == b:
-        return WaveFan([], np.zeros(1))
+        return []
     raw = []
     if abs(b - a) < 1e-12:
         raw.append((a, b, _secant(model, a, b), _classify_scalar(model, a, b, _secant(model, a, b))))
@@ -498,7 +492,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
         left_state = right_state
     if fronts:
         fronts[-1].uR = np.array([b])
-    return WaveFan(fronts, np.array([b - a]))
+    return fronts
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +545,7 @@ def solve_accurate(model, uL, uR, eps):
     model.require_inside(uR, "right state")
     dvec = uR - uL
     if float(np.linalg.norm(dvec)) < 1e-14:
-        return WaveFan([], np.zeros(model.N))
+        return []
     if float(np.linalg.norm(dvec)) > model.riemann_radius:
         raise RiemannError(
             f"|uR-uL|={np.linalg.norm(dvec):.3g} exceeds Riemann radius")
@@ -576,7 +570,7 @@ def solve_accurate(model, uL, uR, eps):
     if fronts:
         fronts[-1].uR = uR.copy()
         fronts[-1].speed = front_speed(model, fronts[-1].family, fronts[-1].uL, uR)
-    return WaveFan(fronts, sizes)
+    return fronts
 
 
 def _solve_sizes(model, uL, uR):
@@ -682,13 +676,8 @@ def solve_simplified(model, left, right):
         f2 = _system_front(model, hi_front.family, f1.uR, hi_front.size)
         fronts.append(f2)
         omega = f2.uR
-    np_front = _nonphysical_front(model, omega, uR)
-    fronts.append(np_front)
-    sizes = np.zeros(model.N)
-    for f in fronts:
-        if f.is_physical:
-            sizes[f.family - 1] += f.size
-    return WaveFan(fronts, sizes, nonphysical_strength=np_front.size)
+    fronts.append(_nonphysical_front(model, omega, uR))
+    return fronts
 
 
 def solve_crude(model, nonphys, phys):
@@ -699,7 +688,4 @@ def solve_crude(model, nonphys, phys):
     uL, uR = nonphys.uL, phys.uR
     f = _system_front(model, phys.family, uL, phys.size)
     f.kind = phys.kind
-    np_front = _nonphysical_front(model, f.uR, uR)
-    sizes = np.zeros(model.N)
-    sizes[phys.family - 1] = phys.size
-    return WaveFan([f, np_front], sizes, nonphysical_strength=np_front.size)
+    return [f, _nonphysical_front(model, f.uR, uR)]

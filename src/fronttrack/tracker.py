@@ -84,12 +84,8 @@ class InteractionEvent:
     outgoing: list  # the spliced fronts
     amount_I: float
     cancellation: float
-    V_pre: float
-    Q_pre: float
-    dV: float  # from the pairs the event touches; V_post = V_pre + dV
-    dQ: float
-    V_post: float
-    Q_post: float
+    dV: float  # from the pairs the event touches; the running V and Q
+    dQ: float  # are the ledger's
 
 
 @dataclass
@@ -136,25 +132,21 @@ class RunConfig:
         if not 0 < self.eps0 <= self.eps1:
             raise ConfigError("numerics.eps0", "need 0 < eps0 <= eps1")
 
-    def shock_thresholds(self, k=0):
-        """(eps0_k, eps1_k) refinement schedule with 2^k eps0_k <= eps1_k."""
-        return self.eps0 / 4.0 ** k, self.eps1 / 2.0 ** k
-
 
 class Timeline:
-    """Immutable record of one run: initial field, events, ledgers, and
-    front_records, which maps each front id to its Front. The initial field
-    and the events hold the same Front objects."""
+    """Immutable record of one run: initial field, events, the Glimm ledger
+    (V, Q, Upsilon and C0), and front_records, which maps each front id to
+    its Front. The initial field and the events hold the same Front
+    objects."""
 
     def __init__(self, model, config, initial_field, events, front_records,
-                 ledger, c0, t_end):
+                 ledger, t_end):
         self.model = model
         self.config = config
         self.initial_field = initial_field
         self.events = events
         self.front_records = front_records
         self.ledger = ledger
-        self.C0 = c0
         self.t_end = t_end
         self._content_cache = {}
         self._curve_cache = {}
@@ -279,8 +271,7 @@ def init_sample(model, data_spec, eps):
             continue
         # the accurate solver emits no nonphysical fronts and its chain is
         # exact, so every fan front is spliced as-is
-        fan = rm.solve_accurate(model, va, vb, eps)
-        for f in fan.fronts:
+        for f in rm.solve_accurate(model, va, vb, eps):
             f.born_x = float(x)
             f.id = next_id
             next_id += 1
@@ -336,13 +327,13 @@ def _advance(fld, t):
     fld.time = t
 
 
-def step(fld, config, next_id, event_index, col, V_pre, Q_pre):
-    """Process the live field's next collision col: dispatch a solver by
-    interaction amount, splice the outgoing fan, and return the event record.
-    The incoming fronts get their death fields; no other spliced front is
-    changed.
+def step(fld, config, next_id, event_index, col):
+    """Process the live field's next collision col in place: dispatch a
+    solver by interaction amount, splice the outgoing fronts, and return the
+    event record. The incoming fronts get their death fields; no other
+    spliced front is changed.
 
-    next_id hands out front ids; V_pre and Q_pre carry the running ledger.
+    next_id hands out front ids.
     """
     model = fld.model
     _advance(fld, col.t)
@@ -350,15 +341,15 @@ def step(fld, config, next_id, event_index, col, V_pre, Q_pre):
     f_left, f_right = fld.fronts[j], fld.fronts[j + 1]
     amount, cancellation = ms.interaction_amount(f_left, f_right)
     if not f_left.is_physical:
-        fan = rm.solve_crude(model, f_left, f_right)
+        fronts = rm.solve_crude(model, f_left, f_right)
         solver = "crude"
     elif amount > config.rho:
-        fan = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon)
+        fronts = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon)
         solver = "accurate"
     else:
-        fan = rm.solve_simplified(model, f_left, f_right)
+        fronts = rm.solve_simplified(model, f_left, f_right)
         solver = "simplified"
-    kept = _select_outgoing(model, fan, f_left, f_right)
+    kept = _select_outgoing(model, fronts, f_left, f_right)
     for f in kept:
         f.born_t = col.t
         f.born_x = col.x
@@ -377,25 +368,21 @@ def step(fld, config, next_id, event_index, col, V_pre, Q_pre):
         raise CapExceededError(
             f"front cap {config.front_cap} exceeded at t={col.t:.6g} "
             "(is rho set correctly?)")
-    event = InteractionEvent(
+    return InteractionEvent(
         index=event_index, t=col.t, x=col.x, solver=solver,
         incoming=[f_left, f_right], outgoing=kept,
-        amount_I=amount, cancellation=cancellation,
-        V_pre=V_pre, Q_pre=Q_pre, dV=dV, dQ=dQ,
-        V_post=V_pre + dV, Q_post=Q_pre + dQ)
-    return fld, event
+        amount_I=amount, cancellation=cancellation, dV=dV, dQ=dQ)
 
 
-def _select_outgoing(model, fan, f_left, f_right):
-    """Drop vanishing fronts from a fan; keep the state chain exact between
-    the incoming endpoints."""
-    kept = [f for f in fan.fronts if f.is_physical and f.strength() > STRENGTH_FLOOR]
-    np_fronts = [f for f in fan.fronts if not f.is_physical]
+def _select_outgoing(model, fronts, f_left, f_right):
+    """Drop vanishing fronts from a solver's output; keep the state chain
+    exact between the incoming endpoints."""
+    kept = [f for f in fronts if f.is_physical and f.strength() > STRENGTH_FLOOR]
+    np_fronts = [f for f in fronts if not f.is_physical]
     residual = np_fronts[-1] if np_fronts else None
-    if residual is not None and (residual.size > STRENGTH_FLOOR or not kept):
-        if residual.size > 0.0:
-            kept.append(residual)
-            residual = None
+    if (residual is not None and residual.size > 0.0
+            and (residual.size > STRENGTH_FLOOR or not kept)):
+        kept.append(residual)
     if kept and kept[-1].is_physical:
         # a dropped (or absent) residual owes its tiny jump to the last front
         if not np.array_equal(kept[-1].uR, f_right.uR):
@@ -416,7 +403,6 @@ def run(config):
     next_id = itertools.count(max((f.id for f in fld.fronts), default=-1) + 1).__next__
     v0 = ms.total_variation_V(fld)
     q0 = ms.glimm_Q(fld)
-    V, Q = v0, q0
     events = []
     while True:
         col = next_collision(fld, tie_tol=config.tie_tol_factor * max(1.0, config.t_end))
@@ -425,8 +411,7 @@ def run(config):
         if len(events) >= config.event_cap:
             raise CapExceededError(
                 f"event cap {config.event_cap} exceeded (is rho set correctly?)")
-        fld, ev = step(fld, config, next_id, len(events), col, V, Q)
-        V, Q = ev.V_post, ev.Q_post
+        ev = step(fld, config, next_id, len(events), col)
         for f in ev.outgoing:
             records[f.id] = f
         events.append(ev)
@@ -438,13 +423,13 @@ def run(config):
                                          rel_tol=config.audit_rel_tol)
     else:
         c0, calibrated = float(config.c0), True
+    # the running sums are sequential, V_k+1 = V_k + dV_k, to the last bit
     ledger = ms.GlimmLedger(
         ts=np.concatenate([[0.0], [e.t for e in events]]),
-        Vs=np.concatenate([[v0], [e.V_post for e in events]]),
-        Qs=np.concatenate([[q0], [e.Q_post for e in events]]),
+        Vs=np.cumsum([v0, *dVs]), Qs=np.cumsum([q0, *dQs]),
         dVs=dVs, dQs=dQs, C0=c0, calibrated=calibrated)
     return Timeline(model, config, initial, events, records, ledger,
-                    c0, config.t_end)
+                    config.t_end)
 
 
 def apply_event(fronts, ev):

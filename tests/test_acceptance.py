@@ -144,8 +144,8 @@ def test_running_ledger_matches_full_recompute(random_suite):
         for tl in runs:
             tol = 1e-12 * max(tl.ledger.upsilon0(), 1e-30)
             counts = collections.Counter(tl.event_times())
-            points = [(e.t, e.V_post, e.Q_post) for e in tl.events
-                      if counts[e.t] == 1]
+            points = [(e.t, tl.ledger.Vs[k + 1], tl.ledger.Qs[k + 1])
+                      for k, e in enumerate(tl.events) if counts[e.t] == 1]
             points.append((tl.t_end, tl.ledger.Vs[-1], tl.ledger.Qs[-1]))
             for t, v, q in points:
                 fld = tl.slice_at(t)

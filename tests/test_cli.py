@@ -1,12 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from fronttrack import cli
 from fronttrack import fileio as io
 from fronttrack import tracker as tk
 from fronttrack.errors import ConfigError
+
+from conftest import quick_run, random_breakpoint_scenario
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -107,11 +110,80 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config(str(path))
 
-    def test_shock_threshold_schedule(self, tmp_path):
-        cfg, _ = cli.parse_config(write_scenario(tmp_path, MINIMAL))
-        for k in range(4):
-            e0, e1 = cfg.shock_thresholds(k)
-            assert 0 < 2.0 ** k * e0 <= e1
+    @pytest.mark.parametrize("key, value", [
+        ("diagnostics", ["monotonicity"]),
+        ("diagnostics.checks", 5),
+        ("diagnostics.families", ["a"]),
+        ("diagnostics.families", [2]),  # the model is scalar
+        ("diagnostics.families", [0]),
+        ("diagnostics.seed", "x"),
+        ("diagnostics.seed", -1),
+        ("diagnostics.seed", True),
+        ("diagnostics.balance_regions", "many"),
+        ("diagnostics.tame_triangles", -3),
+        ("diagnostics.tame_triangles", 2.5),
+        ("diagnostics.np_budget_K", "big"),
+        ("diagnostics.np_budget_K", -1.0),
+        ("diagnostics.sbv_threshold", float("inf")),
+        ("outputs", "out"),
+        ("outputs.slice_times", [0.0, 6.0]),
+        ("outputs.slice_times", [-0.5]),
+        ("diagnostics.positive_decay_t", 9.0),
+        ("diagnostics.positive_decay_t", 0.0),
+        ("diagnostics.positive_decay_s", 3.75),  # not below t = 0.75 t_end
+        ("diagnostics.positive_decay_s", -0.1),
+        ("diagnostics.decay_t", 5.5),
+        ("diagnostics.decay_tau", 0.0),
+        ("diagnostics.decay_tau", 4.0)])
+    def test_malformed_plan_value_names_key(self, tmp_path, key, value,
+                                            capsys):
+        # each would crash or be ignored mid-run; check and run refuse it
+        # up front under its own key
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert err.value.key == key
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+
+class TestMonotonicityCheck:
+    def test_zero_c0_fails_strict_clause(self):
+        # dQ < 0 carries the merge's decrease; with C0 forced to 0 the
+        # functional stays flat, so the event is monotone but not strict
+        tl = quick_run("burgers", MINIMAL["initial"], epsilon=0.1, t_end=5.0,
+                       c0=0.0)
+        report, failed = cli.run_checks(tl, {"checks": ["monotonicity"]})
+        mono = report["checks"]["monotonicity"]
+        assert failed and not mono["pass"]
+        assert mono["n_violations"] == 1
+        (bad,) = mono["violations"]
+        assert bad["monotone"] and not bad["strict"] and not bad["ok"]
+        assert bad["t"] == tl.events[0].t
+
+    def test_uncalibrated_psystem_names_violations(self):
+        # four simplified 1-shock merges raise V and Q together, so no C0
+        # can absorb them and the doubling search gives up above 2**20
+        initial = random_breakpoint_scenario("p-system",
+                                             np.random.default_rng(1), 32, 0.04)
+        tl = quick_run("p-system", initial, epsilon=0.05, t_end=1.5)
+        report, failed = cli.run_checks(tl, {"checks": ["monotonicity"]})
+        mono = report["checks"]["monotonicity"]
+        assert failed and not mono["pass"]
+        assert report["C0_calibrated"] is False
+        assert report["C0"] == 2.0 ** 21
+        assert mono["n_violations"] == 4
+        assert all(not v["monotone"] and not v["ok"]
+                   for v in mono["violations"])
+        assert all(v["dUpsilon"] > 0.0 for v in mono["violations"])
 
 
 class TestOrchestrate:

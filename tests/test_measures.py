@@ -168,13 +168,12 @@ class TestInteractionAmount:
 class TestGlimmDeltas:
     def test_merge_deltas(self, burgers_merge_timeline):
         ev = burgers_merge_timeline.events[0]
-        dv, dq, dups, verdict = ms.glimm_deltas(
-            ev, burgers_merge_timeline.C0,
-            burgers_merge_timeline.ledger.upsilon0())
-        assert dv == pytest.approx(0.0, abs=1e-14)
-        assert dq == pytest.approx(-0.0625)
-        assert dq == pytest.approx(-0.5 * ev.amount_I)
-        assert verdict["ok"]
+        led = burgers_merge_timeline.ledger
+        monotone, strict = led.verdicts([ev.amount_I])
+        assert ev.dV == pytest.approx(0.0, abs=1e-14)
+        assert ev.dQ == pytest.approx(-0.0625)
+        assert ev.dQ == pytest.approx(-0.5 * ev.amount_I)
+        assert monotone[0] and strict[0]
 
     def test_head_on_cancellation(self):
         # shock -0.5 at speed 0.25 catches rarefaction front +0.3 at 0.15
@@ -199,11 +198,6 @@ class TestGlimmDeltas:
         ev = tl.events[0]
         assert ev.dV == pytest.approx(0.0, abs=1e-12)
         assert ev.dQ == pytest.approx(-ev.amount_I, abs=1e-12)
-
-    def test_strict_clause_detects_forced_zero_c0(self, burgers_merge_timeline):
-        ev = burgers_merge_timeline.events[0]
-        _, _, _, verdict = ms.glimm_deltas(ev, 0.0, 1.0)
-        assert not verdict["ok"]  # dQ < 0 carried the decrease, C0 = 0 lost it
 
 
 class TestInteractionMeasures:
@@ -272,7 +266,7 @@ class TestWaveContents:
         # the same run with an empty content cache
         src = remark_timeline
         tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
-                         src.front_records, src.ledger, src.C0, src.t_end)
+                         src.front_records, src.ledger, src.t_end)
         calls = []
         average_eigs = fc.average_eigs
 
@@ -536,3 +530,16 @@ class TestCalibration:
         assert led.calibrated
         assert np.all(np.diff(led.Upsilons) <= 1e-12 * led.upsilon0())
         assert np.allclose(led.Upsilons, led.Vs + led.C0 * led.Qs)
+
+    @pytest.mark.parametrize("fixture", [
+        "burgers_merge_timeline", "burgers_fan_timeline", "sawtooth_timeline",
+        "remark_timeline"])
+    def test_running_sums_are_sequential(self, fixture, request):
+        # V and Q after event k are the sums before it plus its own deltas,
+        # to the last bit
+        tl = request.getfixturevalue(fixture)
+        led = tl.ledger
+        assert len(led.Vs) == len(led.Qs) == len(tl.events) + 1
+        for k, ev in enumerate(tl.events):
+            assert led.Vs[k + 1] == led.Vs[k] + ev.dV
+            assert led.Qs[k + 1] == led.Qs[k] + ev.dQ

@@ -318,7 +318,8 @@ class TestFrontRecords:
         from fronttrack import cli
         tl = request.getfixturevalue(fixture)
         before = self.snapshot(tl)
-        plan = {"checks": list(cli._KNOWN_CHECKS), "families": [1, 2],
+        plan = {"checks": list(cli._KNOWN_CHECKS),
+                "families": list(range(1, tl.model.N + 1)),
                 "seed": 0, "balance_regions": 5, "tame_triangles": 10,
                 "convergence": {"scenario": "burgers_shock",
                                 "ladder": [0.1, 0.05]}}
@@ -432,7 +433,6 @@ class TestLiveColumns:
             values += [f.speed, f.size, f.born_t, f.born_x]
             values += [v for v in (f.died_t, f.died_x) if v is not None]
         for ev in tl.events:
-            values += [ev.t, ev.x, ev.amount_I, ev.cancellation, ev.V_pre,
-                       ev.Q_pre, ev.dV, ev.dQ, ev.V_post, ev.Q_post]
+            values += [ev.t, ev.x, ev.amount_I, ev.cancellation, ev.dV, ev.dQ]
         assert type(fld.xs) is list and type(tl.initial_field.xs) is list
         assert {type(v) for v in values} == {float}
