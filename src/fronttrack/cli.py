@@ -57,10 +57,10 @@ def parse_config(path):
     if not isinstance(initial, dict):
         raise ConfigError("initial", "missing initial-data section")
 
-    num = doc.get("numerics", {})
+    num = _section(doc, "numerics")
     if "epsilon" not in num:
         raise ConfigError("numerics.epsilon", "missing accuracy parameter")
-    tol = num.get("tolerances", {})
+    tol = _section(num, "tolerances", "numerics.tolerances")
     c0 = num.get("C0", "auto")
     if c0 != "auto":
         try:
@@ -73,17 +73,19 @@ def parse_config(path):
         model_id=model_id,
         model_params=model_params,
         initial=initial,
-        epsilon=float(num["epsilon"]),
-        t_end=float(num.get("t_end", 1.0)),
-        rho=None if num.get("rho") is None else float(num["rho"]),
+        epsilon=_convert(float, num, "epsilon", "numerics"),
+        t_end=_convert(float, num, "t_end", "numerics", 1.0),
+        rho=_convert(float, num, "rho", "numerics"),
         rho_rule=num.get("rho_rule", "eps3"),
-        eps0=None if num.get("eps0") is None else float(num["eps0"]),
-        eps1=None if num.get("eps1") is None else float(num["eps1"]),
+        eps0=_convert(float, num, "eps0", "numerics"),
+        eps1=_convert(float, num, "eps1", "numerics"),
         c0=c0,
-        tie_tol_factor=float(tol.get("tie_tol_factor", 1e-13)),
-        audit_rel_tol=float(tol.get("audit_rel", 1e-12)),
-        event_cap=int(num.get("event_cap", 200000)),
-        front_cap=int(num.get("front_cap", 20000)),
+        tie_tol_factor=_convert(float, tol, "tie_tol_factor",
+                                "numerics.tolerances", 1e-13),
+        audit_rel_tol=_convert(float, tol, "audit_rel", "numerics.tolerances",
+                               1e-12),
+        event_cap=_convert(int, num, "event_cap", "numerics", 200000),
+        front_cap=_convert(int, num, "front_cap", "numerics", 20000),
     )
     if cfg.rho_rule not in ("eps3", "fixed"):
         raise ConfigError("numerics.rho_rule", f"unknown rule {cfg.rho_rule!r}")
@@ -110,11 +112,26 @@ def parse_config(path):
     return cfg, plan
 
 
-def _section(doc, name):
-    """A copy of the optional object doc[name]."""
+def _section(doc, name, key=None):
+    """A copy of the optional object doc[name]; key names it in errors."""
     sec = doc.get(name, {})
-    _require(isinstance(sec, dict), name, "must be a JSON object")
+    _require(isinstance(sec, dict), key or name, "must be a JSON object")
     return dict(sec)
+
+
+def _convert(kind, sec, name, prefix, default=None):
+    """sec[name] through float or int (default when absent, None when
+    null); a value the conversion refuses is a ConfigError naming
+    prefix.name."""
+    value = sec.get(name, default)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{prefix}.{name}",
+                          f"must be {what}, got {value!r}") from None
 
 
 def _is_number(v):
@@ -126,6 +143,16 @@ def _is_int(v, low):
     return isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
+def _is_interval_unions(sets):
+    """A list of finite unions of closed intervals [[a, b], ...], a <= b."""
+    return isinstance(sets, list) and all(
+        isinstance(union, list) and all(
+            isinstance(iv, list) and len(iv) == 2
+            and all(_is_number(e) for e in iv) and iv[0] <= iv[1]
+            for iv in union)
+        for union in sets)
+
+
 def _require(ok, key, message):
     if not ok:
         raise ConfigError(key, message)
@@ -134,8 +161,10 @@ def _require(ok, key, message):
 def _check_plan(plan, n_families, t_end):
     """Refuse diagnostics and outputs values the checks cannot use, naming
     the key: families in 1..N, a nonnegative integer seed, positive counts,
-    finite nonnegative constants, slice times in [0, t_end], and decay times
-    with 0 <= s < t <= t_end and 0 < tau < t."""
+    finite nonnegative constants, slice times in [0, t_end], decay times
+    with 0 <= s < t <= t_end and 0 < tau < t, decay sets as interval
+    unions, and a convergence study with a known scenario, a ladder of
+    positive epsilons and a positive t_eval."""
     fams = plan["families"]
     _require(isinstance(fams, list)
              and all(_is_int(i, 1) and i <= n_families for i in fams),
@@ -166,6 +195,28 @@ def _check_plan(plan, n_families, t_end):
     tau = plan.get("decay_tau", 0.5 * t)
     _require(_is_number(tau) and 0 < tau < t,
              "diagnostics.decay_tau", f"must lie in (0, {t:g})")
+    for key in ("positive_decay_sets", "decay_sets"):
+        sets = plan.get(key)
+        _require(sets is None or _is_interval_unions(sets),
+                 f"diagnostics.{key}", "must be a list of interval unions "
+                 "[[a, b], ...] with finite a <= b")
+    conv = plan.get("convergence", {})
+    _require(isinstance(conv, dict),
+             "diagnostics.convergence", "must be a JSON object")
+    scenario = conv.get("scenario")
+    if scenario is not None or "convergence" in plan["checks"]:
+        _require(isinstance(scenario, str)
+                 and scenario in dg.CONVERGENCE_SCENARIOS,
+                 "diagnostics.convergence.scenario",
+                 f"must be one of {sorted(dg.CONVERGENCE_SCENARIOS)}")
+    ladder = conv.get("ladder", [0.1, 0.05])
+    _require(isinstance(ladder, list) and ladder
+             and all(_is_number(e) and e > 0 for e in ladder),
+             "diagnostics.convergence.ladder",
+             "must be a nonempty list of finite positive numbers")
+    t_eval = conv.get("t_eval", 1.0)
+    _require(_is_number(t_eval) and t_eval > 0,
+             "diagnostics.convergence.t_eval", "must be finite and positive")
 
 
 def _member_dir(eps):

@@ -103,7 +103,7 @@ def min_characteristic(timeline, i, t0, x0, t1):
     model = timeline.model
     fld = timeline.slice_at(t0)
     fronts = fld.fronts
-    pending = [ev for ev in timeline.events if t0 < ev.t <= t1]
+    pending = timeline.events_between(t0, t1)
     curve = CharCurve(family=i, nodes=[(t0, x0)])
     t, x = t0, x0
     mode, carrier = _initial_anchor(model, i, fld, x0)
@@ -141,16 +141,17 @@ def min_characteristic(timeline, i, t0, x0, t1):
             t, x = t_next, x_new
         if ev_idx < len(pending) and t == pending[ev_idx].t:
             # drain all events at this time; re-anchor when one lands on us
+            drain_start = ev_idx
             while ev_idx < len(pending) and pending[ev_idx].t == t:
                 ev = pending[ev_idx]
                 consumed = mode == "ride" and carrier.id in (
                     ev.incoming[0].id, ev.incoming[1].id)
                 at_node = consumed or (mode == "free" and abs(ev.x - x) <= 1e-12)
-                tk.apply_event(fronts, ev)
+                j = tk.apply_event(fronts, ev)
                 if at_node:
                     x = ev.x
-                    group = [f for f in fronts
-                             if f.born_x == ev.x and f.born_t == ev.t]
+                    group = _fan_group(fronts, j, ev,
+                                       pending[drain_start:ev_idx + 1])
                     left_state = group[0].uL if group else tk.field_at(
                         model, fld.left_state, fronts, t).state_at(ev.x - 1e-12)
                     kind, payload = _resolve_at_point(model, i, left_state, group)
@@ -158,6 +159,34 @@ def min_characteristic(timeline, i, t0, x0, t1):
                 ev_idx += 1
             crossed = set()
     return curve
+
+
+def _fan_group(fronts, j, ev, applied):
+    """The fronts of the field born at ev's point, in field order: the
+    same list as [f for f in fronts if f.born_x == ev.x and f.born_t ==
+    ev.t], found without a scan of the field.
+
+    applied are the events at time ev.t spliced so far, ev the last of
+    them, spliced at index j. Every front born at time ev.t is an outgoing
+    front of one of them, and it is in the field unless another consumed
+    it. Fronts born at one point sit together in the field, so they are
+    found stepping out from j on both sides.
+    """
+    born = {f.id for e in applied for f in e.outgoing
+            if f.born_x == ev.x and f.born_t == ev.t}
+    born.difference_update(f.id for e in applied for f in e.incoming)
+    hits = []
+    lo, hi = j - 1, j
+    while len(hits) < len(born) and (lo >= 0 or hi < len(fronts)):
+        if hi < len(fronts):
+            if fronts[hi].id in born:
+                hits.append(hi)
+            hi += 1
+        if lo >= 0:
+            if fronts[lo].id in born:
+                hits.append(lo)
+            lo -= 1
+    return [fronts[k] for k in sorted(hits)]
 
 
 def _initial_anchor(model, i, fld, x0):
@@ -283,6 +312,10 @@ def region_balance_check(timeline, region):
     All geometry is evaluated on front records (born position plus speed) so
     the telescoping identity W_out - W_in = sum of interior source atoms is
     exact up to roundoff whenever no event sits on the boundary.
+
+    Fronts whose path over [t0, t1] stays outside the bounding box of the
+    region's base and boundary curves are screened out in one array pass
+    over the record columns before any wave content is taken.
     """
     i = region.family
     t0, t1 = region.t0, region.t1
@@ -308,13 +341,26 @@ def region_balance_check(timeline, region):
         for curve in (region.left_curves[m], region.right_curves[m]):
             xs_c = [x for _, x in curve.nodes]
             bboxes.append((min(xs_c) - _ON_TOL, max(xs_c) + _ON_TOL))
+    box_lo = min([lo for lo, _ in bboxes]
+                 + [a - _ON_TOL for a, _ in base_sections])
+    box_hi = max([hi for _, hi in bboxes]
+                 + [b + _ON_TOL for _, b in base_sections])
 
-    for fid in sorted(timeline.front_records):
+    # the per-front tests below, on every record at once: alive at some time
+    # in [t0, t1], and the path over that time within 1e-6 of the box
+    cols = timeline.record_columns()
+    born_t, died_t = cols.born_t, cols.died_t
+    t_lo, t_hi = np.maximum(born_t, t0), np.minimum(died_t, t1)
+    xa = cols.born_x + cols.speed * (t_lo - born_t)
+    xb = cols.born_x + cols.speed * (t_hi - born_t)
+    near = ((born_t <= t1) & (died_t > t0)
+            & (np.maximum(xa, xb) + 1e-6 >= box_lo)
+            & (np.minimum(xa, xb) - 1e-6 <= box_hi))
+
+    for fid in cols.ids[near].tolist():
         rec = timeline.front_records[fid]
         born = rec.born_t
         died = rec.died_t if rec.died_t is not None else timeline.t_end
-        if born > t1 or died <= t0:
-            continue  # alive at no time in [t0, t1]: meets no edge
         w = timeline.wave_content(fid, i)
         if w == 0.0:
             continue
@@ -344,9 +390,9 @@ def region_balance_check(timeline, region):
     mu_ic_mass = 0.0
     p_sum = 0.0
     boundary_events = []
-    for ev in timeline.events:
-        if not t0 < ev.t <= t1:
-            continue
+    for ev in timeline.events_between(t0, t1):
+        if not box_lo - 1e-6 <= ev.x <= box_hi + 1e-6:
+            continue  # outside every section
         sections = region.sections(ev.t)
         if any(a - _ON_TOL <= ev.x <= b + _ON_TOL for a, b in sections):
             mu_i_mass += ev.amount_I
@@ -475,6 +521,13 @@ def _triangle_states(timeline, tris):
         return [[] for _ in tris]
     t_stop = max(tris[k][4] for k in live)
     left_state = timeline.initial_field.left_state
+    # met[k, 0]: triangle k met the region left of every front; met[k, id + 1]:
+    # it met the region right of front id (one byte per triangle and front
+    # record). A region's state is that of its left front (or left_state)
+    # for the front's whole life, so a pair met in an earlier frame adds no
+    # new state
+    met = np.zeros((len(tris), max(timeline.front_records, default=-1) + 2),
+                   dtype=bool)
 
     def visit(fronts, frame_lo, frame_hi):
         rows = []
@@ -513,8 +566,13 @@ def _triangle_states(timeline, tris):
             w_lo[:, :-1], w_hi[:, :-1] = new_lo, new_hi
             ok[:, :-1] &= nonempty
         ok &= ~(w_hi - w_lo <= 1e-15)
+        region_ids = np.zeros(m + 1, dtype=int)
+        region_ids[1:] = [f.id + 1 for f in fronts]
+        cells = np.ix_(ks, region_ids)
+        new = ok & ~met[cells]
+        met[cells] |= ok
         keys = {}
-        for r, j in zip(*ok.nonzero()):  # by triangle, then region
+        for r, j in zip(*new.nonzero()):  # by triangle, then region
             if j not in keys:
                 u = left_state if j == 0 else fronts[j - 1].uR
                 keys[j] = (tuple(u.tolist()), u)

@@ -21,36 +21,23 @@ def fmt(x):
 
 
 def write_events_jsonl(path, timeline):
+    """One JSON object per event, keys in a fixed order, numbers as fmt."""
     lines = []
     for ev, dups in zip(timeline.events, timeline.ledger.dUps.tolist()):
-        obj = {
-            "t": ev.t, "x": ev.x, "solver": ev.solver,
-            "in": [{"family": f.family, "size": f.size, "speed": f.speed}
-                   for f in ev.incoming],
-            "out": [{"family": f.family, "size": f.size, "speed": f.speed}
-                    for f in ev.outgoing],
-            "I": ev.amount_I, "cancellation": ev.cancellation,
-            "dV": ev.dV, "dQ": ev.dQ,
-            "dUpsilon": dups,
-        }
-        lines.append(_json_line(obj))
+        ins = ",".join(_front_json(f) for f in ev.incoming)
+        outs = ",".join(_front_json(f) for f in ev.outgoing)
+        lines.append(
+            f'{{"t":{fmt(ev.t)},"x":{fmt(ev.x)},"solver":{json.dumps(ev.solver)},'
+            f'"in":[{ins}],"out":[{outs}],'
+            f'"I":{fmt(ev.amount_I)},"cancellation":{fmt(ev.cancellation)},'
+            f'"dV":{fmt(ev.dV)},"dQ":{fmt(ev.dQ)},"dUpsilon":{fmt(dups)}}}\n')
     with open(path, "w") as fh:
         fh.write("".join(lines))
 
 
-def _json_value(v):
-    if isinstance(v, float):
-        return fmt(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_json_value(x)}"
-                              for k, x in v.items()) + "}"
-    return json.dumps(v)
-
-
-def _json_line(obj):
-    return _json_value(obj) + "\n"
+def _front_json(f):
+    return (f'{{"family":{fmt(f.family)},"size":{fmt(f.size)},'
+            f'"speed":{fmt(f.speed)}}}')
 
 
 def read_events_jsonl(path):

@@ -32,6 +32,9 @@ GENERAL = "general"  # scalar-only: f'' changes sign; served by the envelope sol
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_GL_X + 1.0)
 GL8_WEIGHTS = 0.5 * _GL_W
+_GL8_THETA = GL8_NODES[:, None]
+_GL8_COTHETA = 1.0 - _GL8_THETA
+_GL8_W = GL8_WEIGHTS[:, None, None]
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -72,8 +75,14 @@ class FluxModel:
     def f(self, u):
         raise NotImplementedError
 
-    def jacobian_matrix(self, u):
+    def jacobian_matrices(self, us):
+        """Df at each row of the (n, N) state array us, as a new (n, N, N)
+        array."""
         raise NotImplementedError
+
+    def jacobian_matrix(self, u):
+        """Df(u): the one-state case of jacobian_matrices."""
+        return self.jacobian_matrices(np.asarray(u, dtype=float)[None, :])[0]
 
     def grad_lambda(self, u):
         """Rows are the gradients of lambda_i at u."""
@@ -143,8 +152,10 @@ class ScalarModel(FluxModel):
     def f(self, u):
         return np.array([self.f_scalar(float(u[0]))])
 
-    def jacobian_matrix(self, u):
-        return np.array([[self.fprime(float(u[0]))]])
+    def jacobian_matrices(self, us):
+        out = np.empty((len(us), 1, 1))
+        out[:, 0, 0] = self.fprime(us[:, 0])
+        return out
 
     def grad_lambda(self, u):
         return np.array([[self.fsecond(float(u[0]))]])
@@ -269,8 +280,11 @@ class Remark2x2(FluxModel):
     def f(self, u):
         return np.array([0.0, (1.0 + u[0] + u[1]) * u[1]])
 
-    def jacobian_matrix(self, u):
-        return np.array([[0.0, 0.0], [u[1], 1.0 + u[0] + 2.0 * u[1]]])
+    def jacobian_matrices(self, us):
+        out = np.zeros((len(us), 2, 2))
+        out[:, 1, 0] = us[:, 1]
+        out[:, 1, 1] = 1.0 + us[:, 0] + 2.0 * us[:, 1]
+        return out
 
     def grad_lambda(self, u):
         return np.array([[0.0, 0.0], [1.0, 2.0]])
@@ -356,8 +370,13 @@ class PSystem(FluxModel):
     def f(self, u):
         return np.array([-u[1], self.pressure(u[0])])
 
-    def jacobian_matrix(self, u):
-        return np.array([[0.0, -1.0], [-self.sound(u[0]) ** 2, 0.0]])
+    def jacobian_matrices(self, us):
+        out = np.zeros((len(us), 2, 2))
+        out[:, 0, 1] = -1.0
+        # scalar pow per state: numpy's array power differs from it in the
+        # last bit on some states
+        out[:, 1, 0] = [-self.sound(v) ** 2 for v in us[:, 0].tolist()]
+        return out
 
     def grad_lambda(self, u):
         cp = self.dsound(u[0])
@@ -446,8 +465,8 @@ class Linear(FluxModel):
     def f(self, u):
         return self.M @ u
 
-    def jacobian_matrix(self, u):
-        return self.M.copy()
+    def jacobian_matrices(self, us):
+        return np.repeat(self.M[None], len(us), axis=0)
 
     def grad_lambda(self, u):
         return np.zeros((self.N, self.N))
@@ -495,10 +514,14 @@ def eig_decompose(model, u):
 
 
 def average_matrix(model, uL, uR):
-    """Gauss-Legendre order-8 average of Df along the segment [uL, uR]."""
+    """Gauss-Legendre order-8 average of Df along the segment [uL, uR].
+
+    The nodes go through one jacobian_matrices call; the weighted matrices
+    are summed in node order, as a node-by-node loop would."""
+    wjac = _GL8_W * model.jacobian_matrices(_GL8_THETA * uL + _GL8_COTHETA * uR)
     amat = np.zeros((model.N, model.N))
-    for theta, w in zip(GL8_NODES, GL8_WEIGHTS):
-        amat += w * model.jacobian_matrix(theta * uL + (1.0 - theta) * uR)
+    for term in wjac:
+        amat += term
     return amat
 
 

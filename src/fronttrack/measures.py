@@ -279,19 +279,21 @@ def record_interaction_measures(events):
 # ---------------------------------------------------------------------------
 
 
-def front_wave_contents(model, uL, uR):
+def front_wave_contents(model, uL, uR, eigs=None):
     """(l_tilde_1 . (uR - uL), ..., l_tilde_N . (uR - uL)) with the front's
-    own averaged eigensystem, computed once for every family."""
+    own averaged eigensystem eigs (a Front's stored one), computed here when
+    not given; once for every family."""
     if np.array_equal(uL, uR):
         return (0.0,) * model.N
-    sys = fc.average_eigs(model, uL, uR)
+    if eigs is None:
+        eigs = fc.average_eigs(model, uL, uR)
     jump = uR - uL
-    return tuple(float(row @ jump) for row in sys.left)
+    return tuple(float(row @ jump) for row in eigs.left)
 
 
-def front_wave_content(model, i, uL, uR):
+def front_wave_content(model, i, uL, uR, eigs=None):
     """l_tilde_i . (uR - uL) with the front's own averaged eigensystem."""
-    return front_wave_contents(model, uL, uR)[i - 1]
+    return front_wave_contents(model, uL, uR, eigs)[i - 1]
 
 
 def wave_measure_slice(field, i):
@@ -302,7 +304,8 @@ def wave_measure_slice(field, i):
     """
     atoms = []
     for f, x in zip(field.fronts, field.xs):
-        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR)))
+        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR,
+                                            f.eigs)))
     return AtomicMeasure1D.from_atoms(atoms)
 
 
@@ -323,14 +326,16 @@ def lambda_component_slice(field, i, curves):
         if f.id in on_curves:
             lam_r = float(model.point_eig(f.uR).lambdas[i - 1])
             lam_l = float(model.point_eig(f.uL).lambdas[i - 1])
-            contents = [abs(w) for w in front_wave_contents(model, f.uL, f.uR)]
+            contents = [abs(w) for w in
+                        front_wave_contents(model, f.uL, f.uR, f.eigs)]
             denom = sum(contents)
             if denom > 0.0:
                 atoms.append((x, (lam_r - lam_l) * contents[i - 1] / denom))
                 continue
             # no jump weight at this point: contribute through the
             # continuous branch instead
-        sys = fc.average_eigs(model, f.uL, f.uR)
+        sys = f.eigs if f.eigs is not None else fc.average_eigs(
+            model, f.uL, f.uR)
         w = float(sys.left[i - 1] @ (f.uR - f.uL))
         atoms.append((x, float(sys.gnl_rates[i - 1]) * w))
     return AtomicMeasure1D.from_atoms(atoms)
@@ -441,7 +446,7 @@ def split_jump_cont(field, i, curves):
     jump, cont = [], []
     for f, x in zip(field.fronts, field.xs):
         (jump if f.id in ids else cont).append(
-            (x, front_wave_content(field.model, i, f.uL, f.uR)))
+            (x, front_wave_content(field.model, i, f.uL, f.uR, f.eigs)))
     # from_atoms sorts stably, so each part keeps v_i's order of its atoms
     return AtomicMeasure1D.from_atoms(jump), AtomicMeasure1D.from_atoms(cont)
 

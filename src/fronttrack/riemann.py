@@ -14,7 +14,7 @@ and chained left to right (each front's uL is its left neighbour's uR).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class Front:
     record: it moves on the straight line through (born_t, born_x) with its
     speed, and its fields do not change except for the death ones. Fronts
     compare by identity, so a front list is searched for the record itself.
+
+    eigs is the averaged eigensystem of (uL, uR) that a system front's speed
+    came from (fc.average_eigs); None for scalar and nonphysical fronts.
     """
 
     family: int
@@ -54,6 +57,7 @@ class Front:
     died_t: float | None = None
     died_x: float | None = None
     death_event: int | None = None
+    eigs: fc.EigenSystem | None = field(default=None, repr=False)
 
     @property
     def is_physical(self):
@@ -501,23 +505,26 @@ def scalar_envelope_fan(model, uL, uR, eps):
 
 
 def front_speed(model, k, uL, uR):
-    """Averaged-matrix speed lambda_tilde_k of the jump; secant for scalar."""
+    """(speed, eigs) of a family-k jump: the averaged-matrix speed
+    lambda_tilde_k with the averaged eigensystem it came from; the secant
+    and None for scalar models."""
     if model.N == 1:
-        return _secant(model, float(uL[0]), float(uR[0]))
-    return float(fc.average_eigs(model, uL, uR).lambdas[k - 1])
+        return _secant(model, float(uL[0]), float(uR[0])), None
+    eigs = fc.average_eigs(model, uL, uR)
+    return float(eigs.lambdas[k - 1]), eigs
 
 
 def _system_front(model, k, uL, s):
     """Single physical front of family k with unit size s starting at uL."""
     state, sigma = _curve_state(model, k, uL, s, "unit")
     kind_tag = model.field_kind[k - 1]
+    speed, eigs = front_speed(model, k, uL, state)
     if model.N == 1:
-        speed = _secant(model, float(uL[0]), float(state[0]))
         kind = _classify_scalar(model, float(uL[0]), float(state[0]), speed)
     else:
-        speed = front_speed(model, k, uL, state)
         kind = "contact" if kind_tag == LD else ("shock" if s < 0 else "rarefaction")
-    return Front(family=k, speed=speed, uL=uL, uR=state, size=s, kind=kind)
+    return Front(family=k, speed=speed, uL=uL, uR=state, size=s, kind=kind,
+                 eigs=eigs)
 
 
 def _nonphysical_front(model, uL, uR):
@@ -568,8 +575,9 @@ def solve_accurate(model, uL, uR, eps):
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(uR)))):
         raise RiemannError(f"accurate solver closure defect {defect:.3e}")
     if fronts:
-        fronts[-1].uR = uR.copy()
-        fronts[-1].speed = front_speed(model, fronts[-1].family, fronts[-1].uL, uR)
+        last = fronts[-1]
+        last.uR = uR.copy()
+        last.speed, last.eigs = front_speed(model, last.family, last.uL, uR)
     return fronts
 
 
@@ -644,8 +652,9 @@ def _emit_fan(model, k, omega0, sk, eps, fronts):
         else:
             nxt, _ = _curve_state(model, k, omega0, dlam * m / n, "lambda")
         piece_size = float(model.point_eig(prev).left[k - 1] @ (nxt - prev))
-        fronts.append(Front(family=k, speed=front_speed(model, k, prev, nxt),
-                            uL=prev, uR=nxt, size=piece_size, kind="rarefaction"))
+        speed, eigs = front_speed(model, k, prev, nxt)
+        fronts.append(Front(family=k, speed=speed, uL=prev, uR=nxt,
+                            size=piece_size, kind="rarefaction", eigs=eigs))
         prev = nxt
     return end
 

@@ -9,9 +9,11 @@ successive binary events without perturbing any stored speed.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import CapExceededError, ConfigError, InitialDataError, SolverError
 
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 CHAIN_ATOL = 1e-9  # FrontField.validate: largest gap allowed in the state chain
+CHECKPOINTS = 64  # most front-order checkpoints a Timeline keeps after t = 0
 
 
 @dataclass
@@ -133,6 +136,17 @@ class RunConfig:
             raise ConfigError("numerics.eps0", "need 0 < eps0 <= eps1")
 
 
+class RecordColumns(NamedTuple):
+    """The front records as arrays, in increasing id order: born_t, died_t
+    (t_end for fronts alive at the end), born_x and speed."""
+
+    ids: np.ndarray
+    born_t: np.ndarray
+    died_t: np.ndarray
+    born_x: np.ndarray
+    speed: np.ndarray
+
+
 class Timeline:
     """Immutable record of one run: initial field, events, the Glimm ledger
     (V, Q, Upsilon and C0), and front_records, which maps each front id to
@@ -150,15 +164,20 @@ class Timeline:
         self.t_end = t_end
         self._content_cache = {}
         self._curve_cache = {}
+        self._event_ts = None
+        self._record_cols = None
+        self._orders = [tuple(initial_field.fronts)]
+        self._order_step = max(32, math.ceil(len(events) / CHECKPOINTS))
 
     def wave_content(self, front_id, i):
         """The front's i-wave content; every family's content comes from one
-        averaged eigensystem, cached per front."""
+        averaged eigensystem, the front's own when it keeps one, cached per
+        front."""
         contents = self._content_cache.get(front_id)
         if contents is None:
             rec = self.front_records[front_id]
             contents = self._content_cache[front_id] = ms.front_wave_contents(
-                self.model, rec.uL, rec.uR)
+                self.model, rec.uL, rec.uR, rec.eigs)
         return contents[i - 1]
 
     def curves(self, i):
@@ -170,6 +189,53 @@ class Timeline:
 
     def event_times(self):
         return [e.t for e in self.events]
+
+    def events_upto(self, t):
+        """How many events have times <= t. Event times never decrease, so
+        they are counted by bisection."""
+        if self._event_ts is None:
+            self._event_ts = self.event_times()
+        return bisect.bisect_right(self._event_ts, t)
+
+    def events_between(self, t0, t1):
+        """The events with t0 < t <= t1, in order."""
+        return self.events[self.events_upto(t0):self.events_upto(t1)]
+
+    def front_order(self, n):
+        """The front order after the first n events, as a new list.
+
+        Checkpoints of the order are kept every _order_step events (at least
+        32, and few enough for at most CHECKPOINTS after t = 0), built on
+        first use; the order is a copy of the last checkpoint at or before
+        n with the events after it spliced in.
+        """
+        step = self._order_step
+        orders = self._orders
+        while len(orders) <= n // step:
+            fronts = list(orders[-1])
+            done = (len(orders) - 1) * step
+            for ev in self.events[done:done + step]:
+                apply_event(fronts, ev)
+            orders.append(tuple(fronts))
+        start = (n // step) * step
+        fronts = list(orders[n // step])
+        for ev in self.events[start:n]:
+            apply_event(fronts, ev)
+        return fronts
+
+    def record_columns(self):
+        """The front records' RecordColumns (cached)."""
+        if self._record_cols is None:
+            recs = [self.front_records[fid] for fid in sorted(self.front_records)]
+            n = len(recs)
+            self._record_cols = RecordColumns(
+                np.fromiter((f.id for f in recs), int, n),
+                np.fromiter((f.born_t for f in recs), float, n),
+                np.fromiter((self.t_end if f.died_t is None else f.died_t
+                             for f in recs), float, n),
+                np.fromiter((f.born_x for f in recs), float, n),
+                np.fromiter((f.speed for f in recs), float, n))
+        return self._record_cols
 
     def slice_at(self, t):
         return slice_at(self, t)
@@ -386,9 +452,9 @@ def _select_outgoing(model, fronts, f_left, f_right):
     if kept and kept[-1].is_physical:
         # a dropped (or absent) residual owes its tiny jump to the last front
         if not np.array_equal(kept[-1].uR, f_right.uR):
-            kept[-1] = replace(kept[-1], uR=f_right.uR)
-            kept[-1].speed = rm.front_speed(model, kept[-1].family,
-                                            kept[-1].uL, kept[-1].uR)
+            last = kept[-1] = replace(kept[-1], uR=f_right.uR)
+            last.speed, last.eigs = rm.front_speed(model, last.family,
+                                                   last.uL, last.uR)
     return kept
 
 
@@ -433,12 +499,14 @@ def run(config):
 
 
 def apply_event(fronts, ev):
-    """Splice an event's outgoing fronts in place of its incoming pair."""
+    """Splice an event's outgoing fronts in place of its incoming pair;
+    returns the index of the splice."""
     try:
         j = fronts.index(ev.incoming[0])
     except ValueError:
         raise SolverError("timeline replay lost an incoming front")
     fronts[j:j + 2] = ev.outgoing
+    return j
 
 
 def slice_at(timeline, t):
@@ -450,11 +518,7 @@ def slice_at(timeline, t):
     """
     if t < 0.0 or t > timeline.t_end:
         raise SolverError(f"slice time {t} outside [0, {timeline.t_end}]")
-    fronts = list(timeline.initial_field.fronts)
-    for ev in timeline.events:
-        if ev.t > t:
-            break
-        apply_event(fronts, ev)
+    fronts = timeline.front_order(timeline.events_upto(t))
     return field_at(timeline.model, timeline.initial_field.left_state, fronts, t)
 
 

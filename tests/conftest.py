@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,24 @@ def remark_timeline():
     rng = np.random.default_rng(7)
     initial = random_breakpoint_scenario("remark-2x2", rng, n_jumps=5)
     return quick_run("remark-2x2", initial, epsilon=0.05, t_end=1.5)
+
+
+def same_eigs(a, b):
+    """Two EigenSystems equal to the bit."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.lambdas, b.lambdas), (a.right, b.right),
+                            (a.left, b.left), (a.gnl_rates, b.gnl_rates)))
+
+
+def assert_keeps_own_eigs(model, fronts):
+    """Each physical front of a system keeps average_eigs of its own states,
+    the eigensystem its speed came from; other fronts keep none."""
+    for f in fronts:
+        if model.N == 1 or not f.is_physical:
+            assert f.eigs is None
+            continue
+        assert same_eigs(f.eigs, fc.average_eigs(model, f.uL, f.uR))
+        assert f.speed == float(f.eigs.lambdas[f.family - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +339,207 @@ def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
         return None
     (tc, _), xc, g = best
     return tc, xc, g
+
+
+# ---------------------------------------------------------------------------
+# Reference audit path: the averaged matrix summed node by node with each
+# model's point Jacobian, the minimal characteristic with its scans over all
+# events and the whole field, and the region balance walking every record
+# and every event. flux_core and diagnostics stack the nodes, bisect and
+# screen instead; tests compare the two bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_jacobian_matrix(model, u):
+    if isinstance(model, fc.PSystem):
+        return np.array([[0.0, -1.0], [-model.sound(u[0]) ** 2, 0.0]])
+    if isinstance(model, fc.Remark2x2):
+        return np.array([[0.0, 0.0], [u[1], 1.0 + u[0] + 2.0 * u[1]]])
+    if isinstance(model, fc.Linear):
+        return model.M.copy()
+    return np.array([[model.fprime(float(u[0]))]])
+
+
+def reference_average_matrix(model, uL, uR):
+    amat = np.zeros((model.N, model.N))
+    for theta, w in zip(fc.GL8_NODES, fc.GL8_WEIGHTS):
+        amat += w * reference_jacobian_matrix(
+            model, theta * uL + (1.0 - theta) * uR)
+    return amat
+
+
+def reference_min_characteristic(timeline, i, t0, x0, t1):
+    from fronttrack import diagnostics as dg
+
+    model = timeline.model
+    fld = timeline.slice_at(t0)
+    fronts = fld.fronts
+    pending = [ev for ev in timeline.events if t0 < ev.t <= t1]
+    curve = dg.CharCurve(family=i, nodes=[(t0, x0)])
+    t, x = t0, x0
+    mode, carrier = dg._initial_anchor(model, i, fld, x0)
+
+    def push(t_new, x_new, slope, rode_id):
+        curve.nodes.append((t_new, x_new))
+        curve.slopes.append(slope)
+        curve.rode.append(rode_id)
+
+    ev_idx = 0
+    crossed = set()
+    while t < t1:
+        t_next = pending[ev_idx].t if ev_idx < len(pending) else t1
+        t_next = min(t_next, t1)
+        if mode == "ride":
+            assert carrier in fronts
+            x_new = carrier.position(t_next)
+            push(t_next, x_new, carrier.speed, carrier.id)
+            t, x = t_next, x_new
+        else:
+            slope = carrier
+            hit = reference_next_crossing(fronts, t, x, slope, t_next, crossed)
+            if hit is not None:
+                tc, xc, g = hit
+                push(tc, xc, slope, None)
+                t, x = tc, xc
+                crossed.add(g.id)
+                mode, carrier = dg._resolve_at_point(model, i, g.uL, [g])
+                continue
+            x_new = x + slope * (t_next - t)
+            push(t_next, x_new, slope, None)
+            t, x = t_next, x_new
+        if ev_idx < len(pending) and t == pending[ev_idx].t:
+            while ev_idx < len(pending) and pending[ev_idx].t == t:
+                ev = pending[ev_idx]
+                consumed = mode == "ride" and carrier.id in (
+                    ev.incoming[0].id, ev.incoming[1].id)
+                at_node = consumed or (mode == "free" and abs(ev.x - x) <= 1e-12)
+                tk.apply_event(fronts, ev)
+                if at_node:
+                    x = ev.x
+                    group = [f for f in fronts
+                             if f.born_x == ev.x and f.born_t == ev.t]
+                    left_state = group[0].uL if group else tk.field_at(
+                        model, fld.left_state, fronts, t).state_at(ev.x - 1e-12)
+                    mode, carrier = dg._resolve_at_point(model, i, left_state,
+                                                         group)
+                ev_idx += 1
+            crossed = set()
+    return curve
+
+
+def reference_region_balance_check(timeline, region):
+    from fronttrack import diagnostics as dg
+
+    i = region.family
+    t0, t1 = region.t0, region.t1
+    in_pos = in_neg = out_pos = out_neg = 0.0
+
+    def add(w, entering):
+        nonlocal in_pos, in_neg, out_pos, out_neg
+        if entering:
+            if w > 0:
+                in_pos += w
+            else:
+                in_neg += -w
+        else:
+            if w > 0:
+                out_pos += w
+            else:
+                out_neg += -w
+
+    top_sections = region.sections(t1)
+    bboxes = []
+    for lc, rc in zip(region.left_curves, region.right_curves):
+        for curve in (lc, rc):
+            xs_c = [x for _, x in curve.nodes]
+            bboxes.append((min(xs_c) - dg._ON_TOL, max(xs_c) + dg._ON_TOL))
+    for fid in sorted(timeline.front_records):
+        rec = timeline.front_records[fid]
+        born = rec.born_t
+        died = rec.died_t if rec.died_t is not None else timeline.t_end
+        if born > t1 or died <= t0:
+            continue
+        w = timeline.wave_content(fid, i)
+        if w == 0.0:
+            continue
+        if born <= t0 < died and dg._region_membership(rec, t0,
+                                                       region.intervals):
+            add(w, True)
+        alive_top = born <= t1 and (rec.died_t is None or rec.died_t > t1)
+        if alive_top and dg._region_membership(rec, t1, top_sections):
+            add(w, False)
+        lo, hi = max(born, t0), min(died, t1)
+        if hi - lo <= 0:
+            continue
+        xa, xb = rec.position(lo), rec.position(hi)
+        rec_lo, rec_hi = min(xa, xb) - 1e-6, max(xa, xb) + 1e-6
+        curves = [c for pair in zip(region.left_curves, region.right_curves)
+                  for c in pair]
+        for curve, (blo, bhi), inward_sign in zip(curves, bboxes,
+                                                  [1.0, -1.0] * len(bboxes)):
+            if rec_hi < blo or rec_lo > bhi:
+                continue
+            for entered in dg._boundary_transitions(rec, lo, hi, curve,
+                                                    inward_sign):
+                add(w, entered)
+    mu_i_mass = mu_ic_mass = p_sum = 0.0
+    boundary_events = []
+    for ev in timeline.events:
+        if not t0 < ev.t <= t1:
+            continue
+        sections = region.sections(ev.t)
+        if any(a - dg._ON_TOL <= ev.x <= b + dg._ON_TOL for a, b in sections):
+            mu_i_mass += ev.amount_I
+            mu_ic_mass += ev.amount_I + ev.cancellation
+            w_out = sum(timeline.wave_content(f.id, i) for f in ev.outgoing)
+            w_in = sum(timeline.wave_content(f.id, i) for f in ev.incoming)
+            p_sum += w_out - w_in
+            for a, b in sections:
+                if abs(ev.x - a) <= 1e-8 or abs(ev.x - b) <= 1e-8:
+                    boundary_events.append((ev.t, ev.x))
+                    break
+    w_in_signed = in_pos - in_neg
+    w_out_signed = out_pos - out_neg
+    diff_signed = abs(w_out_signed - w_in_signed)
+    diff_split = max(abs(out_pos - in_pos), abs(out_neg - in_neg))
+    atol = dg._BALANCE_ATOL
+    return {
+        "W_in": w_in_signed, "W_out": w_out_signed,
+        "W_in_pos": in_pos, "W_in_neg": in_neg,
+        "W_out_pos": out_pos, "W_out_neg": out_neg,
+        "mu_I": mu_i_mass, "mu_IC": mu_ic_mass,
+        "flux_residual": (w_out_signed - w_in_signed) - p_sum,
+        "boundary_events": boundary_events,
+        "ratio_signed": diff_signed / mu_i_mass if mu_i_mass > 0 else
+        (0.0 if diff_signed <= atol else math.inf),
+        "ratio_split": diff_split / mu_ic_mass if mu_ic_mass > 0 else
+        (0.0 if diff_split <= atol else math.inf),
+    }
+
+
+def reference_events_jsonl(timeline):
+    """events.jsonl through a recursive encoder of the event dicts; fileio
+    writes each line from one template instead."""
+    from fronttrack import fileio
+
+    def value(v):
+        if isinstance(v, float):
+            return fileio.fmt(v)
+        if isinstance(v, (list, tuple)):
+            return "[" + ",".join(value(x) for x in v) + "]"
+        if isinstance(v, dict):
+            return "{" + ",".join(f"{json.dumps(k)}:{value(x)}"
+                                  for k, x in v.items()) + "}"
+        return json.dumps(v)
+
+    lines = []
+    for ev, dups in zip(timeline.events, timeline.ledger.dUps.tolist()):
+        lines.append(value({
+            "t": ev.t, "x": ev.x, "solver": ev.solver,
+            "in": [{"family": f.family, "size": f.size, "speed": f.speed}
+                   for f in ev.incoming],
+            "out": [{"family": f.family, "size": f.size, "speed": f.speed}
+                    for f in ev.outgoing],
+            "I": ev.amount_I, "cancellation": ev.cancellation,
+            "dV": ev.dV, "dQ": ev.dQ, "dUpsilon": dups}) + "\n")
+    return "".join(lines)

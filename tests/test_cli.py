@@ -1,15 +1,20 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fronttrack import cli
 from fronttrack import fileio as io
+from fronttrack import flux_core as fc
 from fronttrack import tracker as tk
 from fronttrack.errors import ConfigError
 
-from conftest import quick_run, random_breakpoint_scenario
+from conftest import (quick_run, random_breakpoint_scenario,
+                      reference_events_jsonl)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -153,6 +158,98 @@ class TestParseConfig:
         assert cli.main(["check", path]) == cli.EXIT_CONFIG
         assert cli.main(["run", path]) == cli.EXIT_CONFIG
         assert f"config error: {key}: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("numerics", 5),
+        ("numerics", ["epsilon"]),
+        ("numerics.tolerances", "tight"),
+        ("numerics.epsilon", "abc"),
+        ("numerics.t_end", [2.0]),
+        ("numerics.rho", "small"),
+        ("numerics.eps0", {}),
+        ("numerics.event_cap", "x"),
+        ("numerics.front_cap", float("inf")),
+        ("numerics.tolerances.tie_tol_factor", "x"),
+        ("numerics.tolerances.audit_rel", [1e-12])])
+    def test_unconvertible_numerics_names_key(self, tmp_path, key, value,
+                                              capsys):
+        # float() or int() refuses each value; check and run name the key
+        # instead of failing with a traceback
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert err.value.key == key
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("key, value", [
+        ("diagnostics.convergence", "cubic_riemann"),
+        ("diagnostics.convergence.scenario", "kdv_soliton"),
+        ("diagnostics.convergence.scenario", ["burgers_shock"]),
+        ("diagnostics.convergence.ladder", "x"),
+        ("diagnostics.convergence.ladder", []),
+        ("diagnostics.convergence.ladder", [0.1, -0.05]),
+        ("diagnostics.convergence.ladder", [0.1, "fine"]),
+        ("diagnostics.convergence.t_eval", "late"),
+        ("diagnostics.convergence.t_eval", -1.0),
+        ("diagnostics.positive_decay_sets", [[1, 2]]),
+        ("diagnostics.positive_decay_sets", [[[0.0, 1.0, 2.0]]]),
+        ("diagnostics.positive_decay_sets", "all"),
+        ("diagnostics.decay_sets", [[[1.0, 0.0]]]),
+        ("diagnostics.decay_sets", [[["a", "b"]]]),
+        ("diagnostics.decay_sets", [[[0.0, float("inf")]]])])
+    def test_malformed_study_value_names_key(self, tmp_path, key, value,
+                                             capsys):
+        # each would pass check and then stop run mid-checks with a
+        # traceback; both refuse it up front under its own key
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        doc["diagnostics"] = {"checks": ["monotonicity", "positive_decay",
+                                         "decay", "convergence"],
+                              "convergence": {"scenario": "burgers_shock",
+                                              "ladder": [0.2, 0.1]}}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(path)
+        assert err.value.key == key
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+    def test_convergence_check_needs_scenario(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["diagnostics"] = {"checks": ["convergence"]}
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(write_scenario(tmp_path, doc))
+        assert err.value.key == "diagnostics.convergence.scenario"
+
+    def test_well_formed_study_values_accepted(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["numerics"].update({"event_cap": 500, "tolerances": {}})
+        doc["diagnostics"] = {
+            "checks": ["convergence"],
+            "convergence": {"scenario": "burgers_shock", "ladder": [0.2],
+                            "t_eval": 0.5},
+            "positive_decay_sets": [[[-1.0, 0.0], [0.5, 0.5]], []],
+            "decay_sets": []}
+        cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
+        assert cfg.event_cap == 500
+        assert plan["positive_decay_sets"][0] == [[-1.0, 0.0], [0.5, 0.5]]
 
 
 class TestMonotonicityCheck:
@@ -367,6 +464,34 @@ class TestDeterminismAndRoundTrip:
             blobs.append({f: (tmp_path / f"det_{run_id}" / f).read_bytes()
                           for f in files})
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline",
+                                         "burgers_merge_timeline"])
+    def test_event_lines_match_generic_encoder(self, fixture, request,
+                                               tmp_path):
+        tl = request.getfixturevalue(fixture)
+        path = tmp_path / "events.jsonl"
+        io.write_events_jsonl(path, tl)
+        assert path.read_text() == reference_events_jsonl(tl)
+        assert len(io.read_events_jsonl(path)) == len(tl.events) > 0
+
+    def test_audit_scenario_eigensystem_budget(self, tmp_path, monkeypatch):
+        # system fronts keep the eigensystem their speed came from: the
+        # shipped audit scenario has 706 distinct state pairs, and taking
+        # each physical front's eigensystem twice costs 1305 calls
+        doc = json.loads((SCENARIOS / "remark_audit.json").read_text())
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        path = write_scenario(tmp_path, doc)
+        calls = []
+        average_eigs = fc.average_eigs
+
+        def counted(model, uL, uR):
+            calls.append(1)
+            return average_eigs(model, uL, uR)
+
+        monkeypatch.setattr(fc, "average_eigs", counted)
+        assert cli.main(["run", path]) == cli.EXIT_OK
+        assert 700 <= len(calls) <= 800
 
     def test_readers_roundtrip(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fronttrack import cli
 from fronttrack import diagnostics as dg
 from fronttrack import measures as ms
 
 from conftest import (quick_run, random_breakpoint_scenario,
-                      reference_next_crossing, replay_frames,
+                      reference_min_characteristic, reference_next_crossing,
+                      reference_region_balance_check, replay_frames,
                       replay_slice_at)
 
 
@@ -323,6 +325,27 @@ class TestTameMatchesReference:
             assert len(states) == len(ref) > 2
             assert all(u is v for u, v in zip(states, ref))
 
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_states_match_reference_on_random_triangles(self, fixture,
+                                                        request):
+        # one sweep skips the (triangle, region) pairs met in earlier
+        # frames; every triangle still lists the replay's states in order
+        tl = request.getfixturevalue(fixture)
+        eta = dg.default_eta_bar(tl.model)
+        rng = np.random.default_rng(37)
+        tris = []
+        for _ in range(30):
+            a = float(rng.uniform(-2.0, 1.0))
+            b = a + float(rng.uniform(0.5, 3.0))
+            t_hi = min((b - a) / (2.0 * eta), tl.t_end)
+            tris.append((a, b, float(rng.uniform(0.0, 0.5)) * t_hi, eta, t_hi))
+        got = dg._triangle_states(tl, tris)
+        assert sum(len(states) > 2 for states in got) >= 10
+        for (a, b, t_lo, eta, t_hi), states in zip(tris, got):
+            ref = reference_triangle_states(tl, a, b, eta, t_lo, t_hi)
+            assert len(states) == len(ref)
+            assert all(u is v for u, v in zip(states, ref))
+
     def test_signed_zero_states_count_once(self):
         # the left state is -0.0 and the right state 0.0: one state, as
         # np.array_equal counts them, and the first one met is kept
@@ -404,6 +427,97 @@ class TestNextCrossingMatchesFullScan:
             assert got[0] == ref[0] and got[1] == ref[1]
             assert got[2] is ref[2]
         assert len(pairs) >= 40 and hits >= 5
+
+
+@pytest.fixture(scope="module")
+def tie_timeline():
+    """Shocks 0|1 and 2|3 meet at (1.5, 0.375) in two tied events, and
+    their outgoing shocks merge there in a third."""
+    return quick_run("burgers", {"kind": "breakpoints",
+                                 "xs": [-1.5, -0.75, 0.0, 0.75],
+                                 "values": [[1.5], [1.0], [0.5], [0.0], [-0.5]]},
+                     epsilon=0.1, t_end=3.0)
+
+
+def same_curve(got, ref):
+    return (got.nodes == ref.nodes and got.slopes == ref.slopes
+            and got.rode == ref.rode)
+
+
+REGION_FIXTURES = ["remark_timeline", "sawtooth_timeline",
+                   "burgers_merge_timeline", "tie_timeline"]
+
+
+class TestRegionAuditMatchesReference:
+    """min_characteristic bisects for its events and finds fan groups
+    locally, and region_balance_check screens records and events; curves
+    and reports equal the full scans' with ==."""
+
+    @pytest.mark.parametrize("fixture", REGION_FIXTURES)
+    def test_characteristics_match_reference(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        starts = TestNextCrossingMatchesFullScan.starts(tl, 23)
+        starts.append((1, 0.5, 0.3))  # rides into the tie point
+        for i, t0, x0 in starts:
+            got = dg.min_characteristic(tl, i, t0, x0, tl.t_end)
+            ref = reference_min_characteristic(tl, i, t0, x0, tl.t_end)
+            assert same_curve(got, ref)
+
+    def test_fan_group_spans_tied_events(self, tie_timeline, monkeypatch):
+        tl = tie_timeline
+        assert len({(e.t, e.x) for e in tl.events}) < len(tl.events)
+        groups = []
+        local = dg._fan_group
+
+        def record(fronts, j, ev, applied):
+            group = local(fronts, j, ev, applied)
+            scan = [f for f in fronts if f.born_x == ev.x and f.born_t == ev.t]
+            assert len(group) == len(scan)
+            assert all(g is f for g, f in zip(group, scan))
+            groups.append(group)
+            return group
+
+        monkeypatch.setattr(dg, "_fan_group", record)
+        curve = dg.min_characteristic(tl, 1, 0.5, 0.3, tl.t_end)
+        assert (1.5, 0.375) in curve.nodes
+        assert any(len({f.birth_event for f in g}) >= 2 for g in groups)
+
+    @pytest.mark.parametrize("fixture", REGION_FIXTURES)
+    def test_region_reports_match_reference(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(61)
+        lo, hi = cli._domain_window(tl)
+        built = 0
+        for k in range(45):
+            i = 1 + k % tl.model.N
+            t0 = float(rng.uniform(0.0, 0.7)) * tl.t_end
+            tau = float(rng.uniform(0.2, 0.3)) * tl.t_end
+            a = float(rng.uniform(lo, hi - 0.5))
+            w = float(rng.uniform(0.3, 0.6)) * (hi - a)
+            if k % 3 == 1:
+                # an edge on a front: a boundary that rides it, or events
+                # and a stationary contact on the boundary
+                fld = tl.slice_at(t0)
+                if fld.fronts:
+                    x = fld.xs[int(rng.integers(len(fld.xs)))]
+                    a, w = (x, w) if k % 2 else (x - w, w)
+            intervals = [(a, a + w)]
+            if k % 5 == 4:  # two intervals with a gap
+                intervals = [(a, a + 0.4 * w), (a + 0.6 * w, a + w)]
+            try:
+                region = dg.make_region(tl, i, t0, tau, intervals)
+            except dg.SolverError:
+                continue
+            for curve, (x0, _) in zip(region.left_curves, region.intervals):
+                assert same_curve(curve, reference_min_characteristic(
+                    tl, i, region.t0, x0, region.t1))
+            for curve, (_, x0) in zip(region.right_curves, region.intervals):
+                assert same_curve(curve, reference_min_characteristic(
+                    tl, i, region.t0, x0, region.t1))
+            assert dg.region_balance_check(tl, region) == \
+                reference_region_balance_check(tl, region)
+            built += 1
+        assert built >= 30
 
 
 def pairwise_diameter(states):

@@ -5,7 +5,8 @@ from fronttrack import flux_core as fc
 from fronttrack.errors import (ConfigError, DomainError, ModelAuditError,
                                NearDegeneracyError, UnknownModelError)
 
-from conftest import MODEL_IDS, random_state
+from conftest import (MODEL_IDS, random_state, reference_average_matrix,
+                      reference_jacobian_matrix)
 
 
 def dense_average_matrix(model, uL, uR, n=20000):
@@ -144,6 +145,58 @@ class TestAverageEigs:
         lip = np.max(np.abs(pert.lambdas - base.lambdas)) / delta
         assert lip < 1e3
         assert np.max(np.abs(pert.right - base.right)) / delta < 1e3
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+CATALOG = [("burgers", {}), ("cubic", {}), ("remark-2x2", {}), ("p-system", {}),
+           ("linear", {"matrix": [[0.0, 1.0, 0.5], [1.0, 0.3, 0.0],
+                                  [0.5, 0.0, -0.7]]})]
+
+
+class TestStackedQuadrature:
+    """average_matrix evaluates its 8 nodes in one jacobian_matrices call;
+    it must equal the node-by-node sum of point Jacobians to the bit."""
+
+    @pytest.mark.parametrize("mid,params", CATALOG)
+    def test_matches_per_node_reference(self, mid, params):
+        model = fc.make_model(mid, params)
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            uL, uR = random_state(model, rng, 0.0), random_state(model, rng, 0.0)
+            assert same_bits(fc.average_matrix(model, uL, uR),
+                             reference_average_matrix(model, uL, uR))
+            assert same_bits(model.jacobian_matrix(uL),
+                             reference_jacobian_matrix(model, uL))
+
+    def test_psystem_pairs_that_defeat_array_power(self):
+        # on these seeded pairs numpy's array power gives other last bits
+        # than the scalar pow at some node; the quadrature must not notice
+        model = fc.make_model("p-system")
+        rng = np.random.default_rng(2024)
+        trapped = 0
+        for _ in range(2000):
+            uL, uR = random_state(model, rng, 0.0), random_state(model, rng, 0.0)
+            vs = fc.GL8_NODES * uL[0] + (1.0 - fc.GL8_NODES) * uR[0]
+            array_pow = -(model._ccoef * vs ** (-model._m)) ** 2
+            scalar_pow = np.array([-model.sound(v) ** 2 for v in vs.tolist()])
+            trapped += not same_bits(array_pow, scalar_pow)
+            assert same_bits(fc.average_matrix(model, uL, uR),
+                             reference_average_matrix(model, uL, uR))
+        assert trapped >= 100
+
+    @pytest.mark.parametrize("mid,params", CATALOG)
+    def test_jacobian_matrices_fresh_arrays(self, mid, params):
+        model = fc.make_model(mid, params)
+        us = np.array([random_state(model, np.random.default_rng(3))] * 2)
+        before = us.copy()
+        jacs = model.jacobian_matrices(us)
+        jacs += 1.0
+        assert same_bits(us, before)
+        assert same_bits(model.jacobian_matrix(us[0]),
+                         reference_jacobian_matrix(model, us[0]))
 
 
 class TestGnlAudit:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import (quick_run, reference_source_measure_mu_jump,
+from conftest import (assert_keeps_own_eigs, quick_run,
+                      reference_source_measure_mu_jump,
                       reference_splice_deltas, reference_split_jump_cont)
 
 
@@ -279,11 +282,40 @@ class TestWaveContents:
             for i in (2, 1):
                 for fid in tl.front_records:
                     tl.wave_content(fid, i)
-        jumps = sum(not np.array_equal(rec.uL, rec.uR)
-                    for rec in tl.front_records.values())
-        assert len(tl.front_records) > 20
-        assert len(calls) == jumps
+        # fronts that keep their eigensystem need no call
+        unkept = sum(rec.eigs is None and not np.array_equal(rec.uL, rec.uR)
+                     for rec in tl.front_records.values())
+        kept = sum(rec.eigs is not None for rec in tl.front_records.values())
+        assert len(tl.front_records) > 20 and kept > 20 and unkept > 5
+        assert len(calls) == unkept
 
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_records_keep_own_eigensystem(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        assert_keeps_own_eigs(tl.model, tl.front_records.values())
+
+    def test_slice_measures_match_fresh_eigensystems(self, remark_timeline):
+        # the slice measures read each front's stored eigensystem; the same
+        # fronts without one take it from average_eigs
+        tl = remark_timeline
+        curves = tl.curves(2)
+        for t in (0.3, 0.8, 1.4):
+            fld = tl.slice_at(t)
+            bare = tk.FrontField(
+                model=fld.model, time=t, left_state=fld.left_state,
+                fronts=[dataclasses.replace(f, eigs=None) for f in fld.fronts],
+                xs=fld.xs)
+            assert any(f.eigs is not None for f in fld.fronts)
+            for i in (1, 2):
+                pairs = [(ms.wave_measure_slice(fld, i),
+                          ms.wave_measure_slice(bare, i)),
+                         (ms.lambda_component_slice(fld, i, curves),
+                          ms.lambda_component_slice(bare, i, curves)),
+                         *zip(ms.split_jump_cont(fld, i, curves),
+                              ms.split_jump_cont(bare, i, curves))]
+                for got, ref in pairs:
+                    assert got.xs.tobytes() == ref.xs.tobytes()
+                    assert got.ws.tobytes() == ref.ws.tobytes()
 
 class TestLambdaComponentSlice:
     def test_classified_burgers_shock_atom(self):

@@ -5,7 +5,7 @@ from fronttrack import flux_core as fc
 from fronttrack import riemann as rm
 from fronttrack.errors import CurveError, DomainError, RiemannError
 
-from conftest import random_state
+from conftest import assert_keeps_own_eigs, random_state
 
 
 def rk4_integral_curve(model, k, u0, s, rescale, n=4000):
@@ -341,3 +341,43 @@ class TestSolveCrude:
         out_phys = [f for f in fan if f.is_physical][0]
         assert out_phys.family == 1
         assert out_phys.speed == 0.0  # lambda_1 vanishes identically
+
+
+class TestStoredEigensystem:
+    """A system front keeps the averaged eigensystem of its own (uL, uR),
+    the one its speed came from."""
+
+    @pytest.mark.parametrize("mid,params", [
+        ("remark-2x2", {}), ("p-system", {}),
+        ("linear", {"matrix": [[0.0, 1.0], [1.0, 0.0]]}), ("burgers", {})])
+    def test_accurate_fronts_closing_front_included(self, mid, params):
+        model = fc.make_model(mid, params)
+        rng = np.random.default_rng(8)
+        solved = 0
+        for _ in range(60):
+            uL = random_state(model, rng)
+            width = model.domain[:, 1] - model.domain[:, 0]
+            uR = uL + 0.08 * width * (2.0 * rng.random(model.N) - 1.0)
+            if not model.contains(uR):
+                continue
+            fronts = rm.solve_accurate(model, uL, uR, 0.02)
+            # the closing front's right state is replaced by uR itself
+            assert fronts[-1].uR.tobytes() == uR.tobytes()
+            assert_keeps_own_eigs(model, fronts)
+            solved += 1
+        assert solved >= 30
+
+    @pytest.mark.parametrize("mid", ["remark-2x2", "p-system"])
+    def test_simplified_and_crude_fronts(self, mid):
+        model = fc.make_model(mid)
+        u = random_state(model, np.random.default_rng(4))
+        a = _front(model, 1, u, -0.03)
+        b = _front(model, 2, a.uR, 0.02)
+        c = _front(model, 1, a.uR, -0.02)
+        for fronts in (rm.solve_simplified(model, a, b),
+                       rm.solve_simplified(model, a, c)):
+            assert any(not f.is_physical for f in fronts)
+            assert_keeps_own_eigs(model, fronts)
+        nonphys = rm.solve_simplified(model, a, b)[-1]
+        assert_keeps_own_eigs(model, rm.solve_crude(
+            model, nonphys, _front(model, 2, nonphys.uR, 0.01)))

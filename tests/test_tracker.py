@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from fronttrack import measures as ms
 from fronttrack import tracker as tk
 from fronttrack.errors import InitialDataError, SolverError
 
-from conftest import (quick_run, random_breakpoint_scenario,
+from conftest import (assert_keeps_own_eigs, quick_run,
+                      random_breakpoint_scenario,
                       reference_events, reference_next_collision,
                       replay_slice_at)
 
@@ -279,6 +281,36 @@ class TestSliceAt:
             assert len(got.xs) == len(got.fronts)
             got.validate()
 
+    @pytest.mark.parametrize("checkpoints", [tk.CHECKPOINTS, 3])
+    def test_checkpointed_order_matches_splice_from_zero(self, checkpoints,
+                                                         monkeypatch):
+        # 228 events with runs of equal times: past several checkpoints,
+        # which are 32 events apart, or ceil(228 / 3) with 3 kept
+        initial = {"kind": "profile", "name": "sawtooth", "samples": 160,
+                   "params": {"teeth": 6, "amplitude": 0.3}}
+        src = quick_run("burgers", initial, epsilon=0.02, t_end=2.0)
+        monkeypatch.setattr(tk, "CHECKPOINTS", checkpoints)
+        tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
+                         src.front_records, src.ledger, src.t_end)
+        assert len(tl.events) > 4 * 32
+        assert len(set(tl.event_times())) < len(tl.events)
+        ts = sorted(set(tl.event_times()))
+        times = [0.0, *ts, tl.t_end]
+        times += [0.5 * (t0 + t1) for t0, t1 in zip([0.0, *ts], ts)]
+        for t in reversed(times):  # later checkpoints built first
+            fronts = list(tl.initial_field.fronts)
+            for ev in tl.events:
+                if ev.t > t:
+                    break
+                tk.apply_event(fronts, ev)
+            got = tl.slice_at(t).fronts
+            assert len(got) == len(fronts)
+            assert all(f is g for f, g in zip(got, fronts))
+        for n in range(len(tl.events) + 1):
+            order = tl.front_order(n)
+            assert order == tl.front_order(n) and order is not tl.front_order(n)
+        assert len(tl._orders) <= max(checkpoints, 4) + 1
+
     def test_out_of_range_rejected(self, burgers_merge_timeline):
         with pytest.raises(SolverError):
             burgers_merge_timeline.slice_at(-0.1)
@@ -436,3 +468,25 @@ class TestLiveColumns:
             values += [ev.t, ev.x, ev.amount_I, ev.cancellation, ev.dV, ev.dQ]
         assert type(fld.xs) is list and type(tl.initial_field.xs) is list
         assert {type(v) for v in values} == {float}
+
+
+class TestSelectOutgoing:
+    @pytest.mark.parametrize("mid", ["remark-2x2", "p-system"])
+    def test_last_front_rederives_speed_and_eigensystem(self, mid):
+        # a residual below the strength floor is dropped and its jump goes
+        # to the last physical front, whose speed and eigensystem follow
+        model = fc.make_model(mid)
+        u = 0.5 * (model.domain[:, 0] + model.domain[:, 1])
+        f_left = tk.rm._system_front(model, 1, u, -0.02)
+        f_right = tk.rm._system_front(model, 2, f_left.uR, 0.015)
+        fronts = tk.rm.solve_simplified(model, f_left, f_right)
+        phys = [f for f in fronts if f.is_physical]
+        target = phys[-1].uR + np.array([5e-15, 5e-15])
+        f_right = dataclasses.replace(f_right, uR=target)
+        fronts[-1] = tk.rm._nonphysical_front(model, phys[-1].uR, target)
+        assert 0.0 < fronts[-1].size <= tk.STRENGTH_FLOOR
+        kept = tk._select_outgoing(model, fronts, f_left, f_right)
+        assert all(f.is_physical for f in kept)
+        assert kept[-1].uR is target and kept[-1] is not phys[-1]
+        assert_keeps_own_eigs(model, kept)
+        assert kept[-1].speed != phys[-1].speed
