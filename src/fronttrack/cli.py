@@ -34,8 +34,18 @@ _KNOWN_CHECKS = ("monotonicity", "interaction_estimates", "conservation",
 DEFAULT_CHECKS = ("monotonicity", "interaction_estimates", "conservation")
 
 
+# numerics and numerics.tolerances keys by RunConfig field, which holds every
+# default and check; _NUMBERS and _TOLERANCES are converted to floats here
+_NUMBERS = {"epsilon": "epsilon", "t_end": "t_end", "rho": "rho",
+            "eps0": "eps0", "eps1": "eps1"}
+_AS_GIVEN = {"C0": "c0", "rho_rule": "rho_rule", "event_cap": "event_cap",
+             "front_cap": "front_cap"}
+_TOLERANCES = {"tie_tol_factor": "tie_tol_factor", "audit_rel": "audit_rel_tol"}
+
+
 def parse_config(path):
-    """Validated (RunConfig, diagnostics plan) from a scenario file."""
+    """Validated (RunConfig, completed diagnostics plan) from a scenario
+    file. A null value means the key is absent."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -58,80 +68,42 @@ def parse_config(path):
         raise ConfigError("initial", "missing initial-data section")
 
     num = _section(doc, "numerics")
-    if "epsilon" not in num:
-        raise ConfigError("numerics.epsilon", "missing accuracy parameter")
     tol = _section(num, "tolerances", "numerics.tolerances")
-    c0 = num.get("C0", "auto")
-    if c0 != "auto":
-        try:
-            c0 = float(c0)
-        except (TypeError, ValueError):
-            raise ConfigError("numerics.C0", "must be 'auto' or a number")
-        if c0 < 0:
-            raise ConfigError("numerics.C0", "must be nonnegative")
-    cfg = tk.RunConfig(
-        model_id=model_id,
-        model_params=model_params,
-        initial=initial,
-        epsilon=_convert(float, num, "epsilon", "numerics"),
-        t_end=_convert(float, num, "t_end", "numerics", 1.0),
-        rho=_convert(float, num, "rho", "numerics"),
-        rho_rule=num.get("rho_rule", "eps3"),
-        eps0=_convert(float, num, "eps0", "numerics"),
-        eps1=_convert(float, num, "eps1", "numerics"),
-        c0=c0,
-        tie_tol_factor=_convert(float, tol, "tie_tol_factor",
-                                "numerics.tolerances", 1e-13),
-        audit_rel_tol=_convert(float, tol, "audit_rel", "numerics.tolerances",
-                               1e-12),
-        event_cap=_convert(int, num, "event_cap", "numerics", 200000),
-        front_cap=_convert(int, num, "front_cap", "numerics", 20000),
-    )
-    if cfg.rho_rule not in ("eps3", "fixed"):
-        raise ConfigError("numerics.rho_rule", f"unknown rule {cfg.rho_rule!r}")
-    if cfg.rho_rule == "fixed" and num.get("rho") is None:
-        raise ConfigError("numerics.rho", "rho_rule 'fixed' needs an explicit rho")
+    settings = {field: _number(num[name], f"numerics.{name}")
+                for name, field in _NUMBERS.items() if num.get(name) is not None}
+    settings |= {field: num[name]
+                 for name, field in _AS_GIVEN.items() if num.get(name) is not None}
+    settings |= {field: _number(tol[name], f"numerics.tolerances.{name}")
+                 for name, field in _TOLERANCES.items() if tol.get(name) is not None}
+    if "epsilon" not in settings:
+        raise ConfigError("numerics.epsilon", "missing accuracy parameter")
+    cfg = tk.RunConfig(model_id=model_id, model_params=model_params,
+                       initial=initial, **settings)
 
     plan = _section(doc, "diagnostics")
-    plan.setdefault("checks", list(DEFAULT_CHECKS))
-    _require(isinstance(plan["checks"], list),
-             "diagnostics.checks", "must be a list of check names")
-    for name in plan["checks"]:
-        if name not in _KNOWN_CHECKS:
-            raise ConfigError("diagnostics.checks", f"unknown check {name!r}")
-    plan.setdefault("families", list(range(1, model.N + 1)))
-    plan["outputs"] = _section(doc, "outputs")
+    plan["outputs"] = doc.get("outputs")
     _check_plan(plan, model.N, cfg.t_end)
-    plan["epsilon_ladder"] = _parse_ladder(plan.get("epsilon_ladder", []))
-    if plan["epsilon_ladder"]:
+    for key in ("eps0", "eps1"):
         # ladder members take their shock thresholds from their own epsilon
-        for key in ("eps0", "eps1"):
-            if num.get(key) is not None:
-                raise ConfigError(f"numerics.{key}",
-                                  "cannot be set with diagnostics.epsilon_ladder")
+        _require(not (plan["epsilon_ladder"] and key in settings),
+                 f"numerics.{key}", "cannot be set with diagnostics.epsilon_ladder")
     return cfg, plan
 
 
 def _section(doc, name, key=None):
     """A copy of the optional object doc[name]; key names it in errors."""
-    sec = doc.get(name, {})
-    _require(isinstance(sec, dict), key or name, "must be a JSON object")
-    return dict(sec)
+    sec = doc.get(name)
+    _require(sec is None or isinstance(sec, dict), key or name,
+             "must be a JSON object")
+    return dict(sec or {})
 
 
-def _convert(kind, sec, name, prefix, default=None):
-    """sec[name] through float or int (default when absent, None when
-    null); a value the conversion refuses is a ConfigError naming
-    prefix.name."""
-    value = sec.get(name, default)
-    if value is None:
-        return None
+def _number(value, key):
+    """float(value); a value float refuses is a ConfigError naming key."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{prefix}.{name}",
-                          f"must be {what}, got {value!r}") from None
+        raise ConfigError(key, f"must be a number, got {value!r}") from None
 
 
 def _is_number(v):
@@ -158,86 +130,98 @@ def _require(ok, key, message):
         raise ConfigError(key, message)
 
 
+def _default(sec, name, value):
+    """sec[name], first set to value when absent or null."""
+    if sec.get(name) is None:
+        sec[name] = value
+    return sec[name]
+
+
 def _check_plan(plan, n_families, t_end):
-    """Refuse diagnostics and outputs values the checks cannot use, naming
-    the key: families in 1..N, a nonnegative integer seed, positive counts,
-    finite nonnegative constants, slice times in [0, t_end], decay times
-    with 0 <= s < t <= t_end and 0 < tau < t, decay sets as interval
-    unions, and a convergence study with a known scenario, a ladder of
-    positive epsilons and a positive t_eval."""
-    fams = plan["families"]
+    """Complete a diagnostics plan in place: set each absent or null
+    diagnostics and outputs value to its default, and refuse a value the
+    checks cannot use, naming the key. Values the checks take as floats are
+    stored as floats; None decay sets are drawn by run_checks."""
+    checks = _default(plan, "checks", list(DEFAULT_CHECKS))
+    _require(isinstance(checks, list),
+             "diagnostics.checks", "must be a list of check names")
+    for name in checks:
+        _require(name in _KNOWN_CHECKS,
+                 "diagnostics.checks", f"unknown check {name!r}")
+    fams = _default(plan, "families", list(range(1, n_families + 1)))
     _require(isinstance(fams, list)
              and all(_is_int(i, 1) and i <= n_families for i in fams),
              "diagnostics.families", f"must be integers in 1..{n_families}")
-    _require(_is_int(plan.get("seed", 0), 0),
+    _require(_is_int(_default(plan, "seed", 0), 0),
              "diagnostics.seed", "must be a nonnegative integer")
     for key in ("balance_regions", "tame_triangles"):
-        _require(_is_int(plan.get(key, 1), 1),
+        _require(_is_int(_default(plan, key, 20), 1),
                  f"diagnostics.{key}", "must be a positive integer")
-    for key in ("np_budget_K", "sbv_threshold"):
-        v = plan.get(key, 0.0)
-        _require(_is_number(v) and v >= 0,
-                 f"diagnostics.{key}", "must be finite and nonnegative")
-    times = plan["outputs"].get("slice_times", [])
+    # without np_budget_K the nonphysical budget check only reports
+    for key, value in (("np_budget_K", None), ("sbv_threshold", 1e-8)):
+        v = _default(plan, key, value)
+        if v is not None:
+            _require(_is_number(v) and v >= 0,
+                     f"diagnostics.{key}", "must be finite and nonnegative")
+            plan[key] = float(v)
+    outputs = plan["outputs"] = _section(plan, "outputs")
+    times = _default(outputs, "slice_times", [0.0, 0.5 * t_end, t_end])
     _require(isinstance(times, list)
              and all(_is_number(t) and 0 <= t <= t_end for t in times),
              "outputs.slice_times", f"must be times in [0, {t_end:g}]")
-    # the defaults are run_checks' own
-    t = plan.get("positive_decay_t", 0.75 * t_end)
+    outdir = _default(outputs, "dir", "out")
+    _require(isinstance(outdir, str) and outdir,
+             "outputs.dir", "must be a nonempty string")
+    t = _default(plan, "positive_decay_t", 0.75 * t_end)
     _require(_is_number(t) and 0 < t <= t_end,
              "diagnostics.positive_decay_t", f"must lie in (0, {t_end:g}]")
-    s = plan.get("positive_decay_s", 0.0)
+    s = _default(plan, "positive_decay_s", 0.0)
     _require(_is_number(s) and 0 <= s < t,
              "diagnostics.positive_decay_s", f"must lie in [0, {t:g})")
-    t = plan.get("decay_t", 0.75 * t_end)
+    t = _default(plan, "decay_t", 0.75 * t_end)
     _require(_is_number(t) and 0 < t <= t_end,
              "diagnostics.decay_t", f"must lie in (0, {t_end:g}]")
-    tau = plan.get("decay_tau", 0.5 * t)
+    tau = _default(plan, "decay_tau", 0.5 * t)
     _require(_is_number(tau) and 0 < tau < t,
              "diagnostics.decay_tau", f"must lie in (0, {t:g})")
     for key in ("positive_decay_sets", "decay_sets"):
-        sets = plan.get(key)
+        sets = _default(plan, key, None)
         _require(sets is None or _is_interval_unions(sets),
                  f"diagnostics.{key}", "must be a list of interval unions "
                  "[[a, b], ...] with finite a <= b")
-    conv = plan.get("convergence", {})
-    _require(isinstance(conv, dict),
-             "diagnostics.convergence", "must be a JSON object")
+    conv = plan["convergence"] = _section(plan, "convergence",
+                                          "diagnostics.convergence")
     scenario = conv.get("scenario")
-    if scenario is not None or "convergence" in plan["checks"]:
+    if scenario is not None or "convergence" in checks:
         _require(isinstance(scenario, str)
                  and scenario in dg.CONVERGENCE_SCENARIOS,
                  "diagnostics.convergence.scenario",
                  f"must be one of {sorted(dg.CONVERGENCE_SCENARIOS)}")
-    ladder = conv.get("ladder", [0.1, 0.05])
+    ladder = _default(conv, "ladder", [0.1, 0.05])
     _require(isinstance(ladder, list) and ladder
              and all(_is_number(e) and e > 0 for e in ladder),
              "diagnostics.convergence.ladder",
              "must be a nonempty list of finite positive numbers")
-    t_eval = conv.get("t_eval", 1.0)
+    conv["ladder"] = [float(e) for e in ladder]
+    t_eval = _default(conv, "t_eval", 1.0)
     _require(_is_number(t_eval) and t_eval > 0,
              "diagnostics.convergence.t_eval", "must be finite and positive")
+    conv["t_eval"] = float(t_eval)
+    ladder = _default(plan, "epsilon_ladder", [])
+    _require(isinstance(ladder, list)
+             and all(_is_number(e) and e > 0 for e in ladder),
+             "diagnostics.epsilon_ladder",
+             "must be a list of finite positive numbers")
+    ladder = plan["epsilon_ladder"] = [float(e) for e in ladder]
+    _require(len({_member_dir(e) for e in ladder}) == len(ladder),
+             "diagnostics.epsilon_ladder",
+             "members must differ in their first 6 digits "
+             "(each writes to eps_<epsilon:g>)")
 
 
 def _member_dir(eps):
     """Artifact subdirectory of the epsilon-ladder member eps."""
     return f"eps_{eps:g}"
-
-
-def _parse_ladder(raw):
-    """diagnostics.epsilon_ladder as floats, each finite and positive and
-    each with its own artifact directory."""
-    key = "diagnostics.epsilon_ladder"
-    try:
-        ladder = [float(e) for e in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(key, "must be a list of numbers")
-    if not all(math.isfinite(e) and e > 0 for e in ladder):
-        raise ConfigError(key, "members must be finite and positive")
-    if len({_member_dir(e) for e in ladder}) < len(ladder):
-        raise ConfigError(key, "members must differ in their first 6 digits "
-                               "(each writes to eps_<epsilon:g>)")
-    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +240,9 @@ def _domain_window(timeline):
 
 def run_checks(timeline, plan):
     """Execute the enabled checks; returns (report dict, audit_failed)."""
-    checks = plan.get("checks", DEFAULT_CHECKS)
-    families = plan.get("families", [1])  # in 1..N, see _check_plan
-    rng = np.random.default_rng(plan.get("seed", 0))
+    checks = plan["checks"]
+    families = plan["families"]
+    rng = np.random.default_rng(plan["seed"])
     led = timeline.ledger
     report = {"C0": led.C0, "C0_calibrated": led.calibrated,
               "events": len(timeline.events), "checks": {}}
@@ -313,20 +297,19 @@ def run_checks(timeline, plan):
     if "nonphysical_budget" in checks:
         fld = timeline.slice_at(timeline.t_end)
         total = ms.nonphysical_total_strength(fld)
-        k_budget = plan.get("np_budget_K")
-        ok = True if k_budget is None else total <= float(k_budget) * timeline.config.epsilon
+        k_budget = plan["np_budget_K"]
+        ok = True if k_budget is None else total <= k_budget * timeline.config.epsilon
         report["checks"]["nonphysical_budget"] = {
             "pass": bool(ok), "total_strength": total,
             "strength_over_epsilon": total / timeline.config.epsilon}
         failed |= not ok
 
     if "balance" in checks:
-        n_regions = int(plan.get("balance_regions", 20))
         out = {"regions": [], "C_required_signed": 0.0, "C_required_split": 0.0}
         ok = True
         lo, hi = _domain_window(timeline)
         for i in families:
-            for _ in range(n_regions):
+            for _ in range(plan["balance_regions"]):
                 t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
                 tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
                 a = float(rng.uniform(lo, hi - 0.5))
@@ -351,12 +334,11 @@ def run_checks(timeline, plan):
         failed |= not ok
 
     if "positive_decay" in checks:
-        t = plan.get("positive_decay_t", 0.75 * timeline.t_end)
-        s = plan.get("positive_decay_s", 0.0)
-        sets = plan.get("positive_decay_sets") or _default_sets(timeline, rng)
+        sets = plan["positive_decay_sets"] or _default_sets(timeline, rng)
         out = {"families": {}}
         for i in families:
-            rep = dg.positive_decay_check(timeline, i, s, t, sets)
+            rep = dg.positive_decay_check(timeline, i, plan["positive_decay_s"],
+                                          plan["positive_decay_t"], sets)
             out["families"][i] = {"C_required": rep["C_required"],
                                   "q_drop": rep["q_drop"]}
         out["pass"] = all(math.isfinite(v["C_required"])
@@ -365,12 +347,11 @@ def run_checks(timeline, plan):
         failed |= not out["pass"]
 
     if "decay" in checks:
-        t = plan.get("decay_t", 0.75 * timeline.t_end)
-        tau = plan.get("decay_tau", 0.5 * t)
-        sets = plan.get("decay_sets") or _default_sets(timeline, rng)
+        sets = plan["decay_sets"] or _default_sets(timeline, rng)
         out = {"families": {}}
         for i in families:
-            rep = dg.decay_estimate_check(timeline, i, t, tau, sets)
+            rep = dg.decay_estimate_check(timeline, i, plan["decay_t"],
+                                          plan["decay_tau"], sets)
             out["families"][i] = {"C_required": rep["C_required"],
                                   "icj_window_mass": rep["icj_window_mass"]}
         out["pass"] = all(math.isfinite(v["C_required"])
@@ -379,10 +360,9 @@ def run_checks(timeline, plan):
         failed |= not out["pass"]
 
     if "tame_oscillation" in checks:
-        n_tri = int(plan.get("tame_triangles", 20))
         lo, hi = _domain_window(timeline)
         tris = []
-        for _ in range(n_tri):
+        for _ in range(plan["tame_triangles"]):
             a = float(rng.uniform(lo, hi - 0.1))
             b = float(rng.uniform(a + 0.1, hi))
             tau = float(rng.uniform(0.0, 0.8)) * timeline.t_end
@@ -395,10 +375,9 @@ def run_checks(timeline, plan):
         failed |= not ok
 
     if "sbv_atoms" in checks:
-        thresh = float(plan.get("sbv_threshold", 1e-8))
         out = {"families": {}}
         for i in families:
-            rep = dg.sbv_atom_report(timeline, i, thresh)
+            rep = dg.sbv_atom_report(timeline, i, plan["sbv_threshold"])
             out["families"][i] = {
                 "exceptional_times": rep["exceptional_times"],
                 "icj_total_mass": rep["icj_total_mass"]}
@@ -406,14 +385,9 @@ def run_checks(timeline, plan):
         report["checks"]["sbv_atoms"] = out
 
     if "convergence" in checks:
-        params = plan.get("convergence", {})
-        scenario = params.get("scenario")
-        if scenario is None:
-            raise ConfigError("diagnostics.convergence.scenario",
-                              "convergence check needs a scenario id")
-        rep = dg.convergence_study(
-            scenario, [float(e) for e in params.get("ladder", [0.1, 0.05])],
-            t_eval=float(params.get("t_eval", 1.0)))
+        conv = plan["convergence"]
+        rep = dg.convergence_study(conv["scenario"], conv["ladder"],
+                                   t_eval=conv["t_eval"])
         ok = all(math.isfinite(r["l1_error"]) for r in rep["rows"])
         rep["pass"] = bool(ok)
         report["checks"]["convergence"] = rep
@@ -442,9 +416,8 @@ def _default_sets(timeline, rng):
 def _emit_artifacts(outdir, timeline, plan, check_report):
     io.ensure_dir(outdir)
     io.write_events_jsonl(os.path.join(outdir, "events.jsonl"), timeline)
-    times = plan.get("outputs", {}).get(
-        "slice_times", [0.0, 0.5 * timeline.t_end, timeline.t_end])
-    io.write_slices_csv(os.path.join(outdir, "slices.csv"), timeline, times)
+    io.write_slices_csv(os.path.join(outdir, "slices.csv"), timeline,
+                        plan["outputs"]["slice_times"])
     io.write_ledger_csv(os.path.join(outdir, "ledger.csv"), timeline)
     entries = []
     mu_i_meas, mu_ic = ms.record_interaction_measures(timeline.events)
@@ -453,7 +426,7 @@ def _emit_artifacts(outdir, timeline, plan, check_report):
     for t, x, w in zip(mu_ic.ts, mu_ic.xs, mu_ic.ws):
         entries.append(("IC", 0, t, x, w))
     curves_by_family = {}
-    for i in plan.get("families", [1]):
+    for i in plan["families"]:
         curves = timeline.curves(i)
         curves_by_family[i] = curves
         icj = ms.mu_ICJ(timeline, i, curves)
@@ -473,8 +446,8 @@ def _emit_artifacts(outdir, timeline, plan, check_report):
 
 def orchestrate(cfg, plan):
     """Run the scenario (or its epsilon ladder) and write all artifacts."""
-    outdir = plan.get("outputs", {}).get("dir", "out")
-    ladder = plan.get("epsilon_ladder") or []
+    outdir = plan["outputs"]["dir"]
+    ladder = plan["epsilon_ladder"]
     manifest = {"complete": False, "error": None, "members": []}
     io.ensure_dir(outdir)
     exit_code = EXIT_OK
@@ -553,7 +526,11 @@ def main(argv=None):
 
     try:
         cfg, plan = parse_config(args.scenario)
-    except ConfigError as exc:
+        if args.command == "check":
+            # run loads it in orchestrate, whose manifest records a refusal
+            tk.initial_data(fc.make_model(cfg.model_id, cfg.model_params),
+                            cfg.initial)
+    except (ConfigError, InitialDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

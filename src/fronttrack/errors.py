@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all solver layers.
 
 Exit-code mapping used by the CLI: ConfigError and InitialDataError -> 3,
-AuditFailure is collected (never raised mid-run) -> 2, everything else
-derived from SolverError -> 4.
+everything derived from SolverError -> 4. A failed audit is reported in the
+checks' verdicts, never raised, and exits 2.
 """
 
 

@@ -574,7 +574,8 @@ def solve_accurate(model, uL, uR, eps):
     defect = float(np.max(np.abs(omega - uR))) if fronts else float(np.max(np.abs(dvec)))
     if defect > 1e-9 * max(1.0, float(np.max(np.abs(uR)))):
         raise RiemannError(f"accurate solver closure defect {defect:.3e}")
-    if fronts:
+    if fronts and fronts[-1].uR.tobytes() != uR.tobytes():
+        # a chain end equal to uR bit for bit has its speed and eigs already
         last = fronts[-1]
         last.uR = uR.copy()
         last.speed, last.eigs = front_speed(model, last.family, last.uL, uR)

@@ -20,7 +20,8 @@ import numpy as np
 from . import flux_core as fc
 from . import measures as ms
 from . import riemann as rm
-from .errors import CapExceededError, ConfigError, InitialDataError, SolverError
+from .errors import (CapExceededError, ConfigError, DomainError,
+                     InitialDataError, SolverError)
 
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 CHAIN_ATOL = 1e-9  # FrontField.validate: largest gap allowed in the state chain
@@ -93,12 +94,13 @@ class InteractionEvent:
 
 @dataclass
 class RunConfig:
-    """Validated run parameters; see cli.parse_config for file ingestion."""
+    """Run parameters with their one set of defaults and checks, which a
+    scenario's numerics (cli.parse_config) and library callers share."""
 
     model_id: str
     initial: dict
     epsilon: float
-    t_end: float
+    t_end: float = 1.0
     model_params: dict = field(default_factory=dict)
     rho: float | None = None  # default epsilon**3
     rho_rule: str = "eps3"
@@ -111,6 +113,11 @@ class RunConfig:
     audit_rel_tol: float = 1e-12
 
     def __post_init__(self):
+        if self.c0 != "auto" and (isinstance(self.c0, bool)
+                                  or not isinstance(self.c0, (int, float))
+                                  or self.c0 < 0):
+            raise ConfigError("numerics.C0", "must be 'auto' or a nonnegative "
+                                             f"number, got {self.c0!r}")
         for key, value in (("numerics.epsilon", self.epsilon),
                            ("numerics.t_end", self.t_end),
                            ("numerics.rho", self.rho),
@@ -122,10 +129,18 @@ class RunConfig:
                            ("numerics.tolerances.audit_rel", self.audit_rel_tol)):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(key, f"must be finite, got {value}")
+        for key, value in (("numerics.event_cap", self.event_cap),
+                           ("numerics.front_cap", self.front_cap)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(key, f"must be a positive integer, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigError("numerics.epsilon", "must be positive")
         if self.t_end <= 0:
             raise ConfigError("numerics.t_end", "must be positive")
+        if self.rho_rule not in ("eps3", "fixed"):
+            raise ConfigError("numerics.rho_rule", f"unknown rule {self.rho_rule!r}")
+        if self.rho_rule == "fixed" and self.rho is None:
+            raise ConfigError("numerics.rho", "rho_rule 'fixed' needs an explicit rho")
         if self.rho is None:
             self.rho = self.epsilon ** 3
         if self.eps0 is None:
@@ -282,54 +297,60 @@ def _profile_sawtooth(params):
 PROFILES = {"ramp": _profile_ramp, "sawtooth": _profile_sawtooth}
 
 
-def _breakpoints_from_spec(model, data_spec):
+def initial_data(model, data_spec):
+    """(xs, values) of a scenario's initial section: exact breakpoints, or a
+    named scalar profile sampled at cell midpoints. Refuses malformed data or
+    states outside the model's domain (ConfigError), and a total variation
+    over the model's small-BV budget (InitialDataError)."""
     kind = data_spec.get("kind", "breakpoints")
     if kind == "breakpoints":
-        xs = [float(x) for x in data_spec["xs"]]
-        values = [fc.as_state(v, model.N) for v in data_spec["values"]]
+        try:
+            xs = [float(x) for x in data_spec["xs"]]
+            values = [fc.as_state(v, model.N) for v in data_spec["values"]]
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
+            raise ConfigError("initial", "breakpoints need xs, a list of numbers, "
+                              f"and values, a list of states ({exc!r})") from None
         if len(values) != len(xs) + 1:
             raise ConfigError("initial.values", "need len(values) == len(xs) + 1")
         if any(xs[j] >= xs[j + 1] for j in range(len(xs) - 1)):
             raise ConfigError("initial.xs", "breakpoints must be ascending")
-        return xs, values
-    if kind == "profile":
+    elif kind == "profile":
         if model.N != 1:
             raise ConfigError("initial.profile", "named profiles are scalar-only")
         name = data_spec.get("name")
         if name not in PROFILES:
             raise ConfigError("initial.profile", f"unknown profile {name!r}")
-        samples = int(data_spec.get("samples", 40))
+        try:
+            samples = int(data_spec.get("samples", 40))
+            val, (x0, x1), (u_left, u_right) = PROFILES[name](
+                data_spec.get("params", {}))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError("initial", "profile samples and params must be "
+                              f"numbers ({exc!r})") from None
         if samples < 1:
             raise ConfigError("initial.samples", "need samples >= 1")
-        val, (x0, x1), (u_left, u_right) = PROFILES[name](data_spec.get("params", {}))
         edges = np.linspace(x0, x1, samples + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         xs = list(edges)
-        v_mid = val(mids)
-        values = [np.array([u_left])]
-        values += [np.array([v]) for v in v_mid]
-        values.append(np.array([u_right]))
-        return xs, values
-    raise ConfigError("initial.kind", f"unknown initial data kind {kind!r}")
-
-
-def initial_total_variation(values):
-    return float(sum(np.linalg.norm(values[j + 1] - values[j])
-                     for j in range(len(values) - 1)))
+        values = [np.array([u]) for u in (u_left, *val(mids), u_right)]
+    else:
+        raise ConfigError("initial.kind", f"unknown initial data kind {kind!r}")
+    for v in values:
+        if not model.contains(v):
+            raise ConfigError("initial.values",
+                              f"state {v} outside the {model.id} domain box")
+    tv = float(sum(np.linalg.norm(b - a) for a, b in zip(values, values[1:])))
+    if tv > model.tv_budget:
+        raise InitialDataError(
+            f"initial.values: total variation {tv:.4g} exceeds {model.id} "
+            f"budget {model.tv_budget:.4g}")
+    return xs, values
 
 
 def init_sample(model, data_spec, eps):
-    """Piecewise-constant initial field; every jump expanded by the accurate
-    solver at t = 0. Refuses data whose total variation exceeds the model's
-    small-BV budget."""
-    xs, values = _breakpoints_from_spec(model, data_spec)
-    for v in values:
-        model.require_inside(v, "initial state")
-    tv = initial_total_variation(values)
-    if tv > model.tv_budget:
-        raise InitialDataError(
-            f"initial total variation {tv:.4g} exceeds {model.id} budget "
-            f"{model.tv_budget:.4g}")
+    """Piecewise-constant initial field from initial_data; every jump
+    expanded by the accurate solver at t = 0."""
+    xs, values = initial_data(model, data_spec)
     fronts = []
     next_id = 0
     for x, (va, vb) in zip(xs, zip(values[:-1], values[1:])):

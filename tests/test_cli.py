@@ -252,13 +252,96 @@ class TestParseConfig:
         assert plan["positive_decay_sets"][0] == [[-1.0, 0.0], [0.5, 0.5]]
 
 
+class TestNullNumerics:
+    @pytest.mark.parametrize("key, field", [
+        ("numerics.t_end", "t_end"),
+        ("numerics.event_cap", "event_cap"),
+        ("numerics.front_cap", "front_cap"),
+        ("numerics.tolerances.tie_tol_factor", "tie_tol_factor"),
+        ("numerics.tolerances.audit_rel", "audit_rel_tol")])
+    def test_null_means_absent(self, tmp_path, key, field):
+        # a null value takes RunConfig's default; check and run both pass
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = None
+        path = write_scenario(tmp_path, doc)
+        cfg, _ = cli.parse_config(path)
+        default = tk.RunConfig.__dataclass_fields__[field].default
+        assert getattr(cfg, field) == default
+        assert cli.main(["check", path]) == cli.EXIT_OK
+        assert cli.main(["run", path]) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {"complete": True, "error": None, "members": []}
+
+
+class TestCheckAgreesWithRun:
+    """check refuses every scenario that run refuses, with the same error;
+    a refusal of the initial data comes from inside orchestrate, so run
+    also records it in manifest.json."""
+
+    @pytest.mark.parametrize("key, section, value, in_manifest", [
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": [0.0, -1.0],
+          "values": [[1.0], [0.5], [0.0]]}, True),
+        ("initial.profile", "initial", {"kind": "profile", "name": "zigzag"},
+         True),
+        # outside burgers' domain box [-2, 2]
+        ("initial.values", "initial",
+         {"kind": "breakpoints", "xs": [0.0], "values": [[1.0], [5.0]]}, True),
+        # total variation 12 over burgers' budget 8
+        ("initial.values", "initial",
+         {"kind": "breakpoints", "xs": [-1.0, 0.0, 1.0],
+          "values": [[-2.0], [2.0], [-2.0], [2.0]]}, True),
+        ("initial", "initial",
+         {"kind": "breakpoints", "xs": [0.0], "values": [[1.0, 2.0], [0.0]]},
+         True),
+        ("initial", "initial", {"kind": "profile", "name": "ramp",
+                                "samples": "many"}, True),
+        ("numerics.epsilon", "numerics.epsilon", None, False),
+        ("numerics.event_cap", "numerics.event_cap", -3, False),
+        ("numerics.event_cap", "numerics.event_cap", 1.5, False),
+        ("numerics.event_cap", "numerics.event_cap", True, False),
+        ("numerics.front_cap", "numerics.front_cap", -3, False),
+        ("numerics.front_cap", "numerics.front_cap", 1.5, False),
+        ("numerics.front_cap", "numerics.front_cap", True, False),
+        ("outputs.dir", "outputs.dir", 5, False),
+        ("outputs.dir", "outputs.dir", "", False)])
+    def test_refusal(self, tmp_path, key, section, value, in_manifest,
+                     capsys):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        *parents, leaf = section.split(".")
+        sec = doc
+        for name in parents:
+            sec = sec.setdefault(name, {})
+        sec[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        manifest = tmp_path / "out" / "manifest.json"
+        if in_manifest:
+            error = json.loads(manifest.read_text())["error"]
+            assert f"config error: {error}\n" == err
+        else:
+            assert capsys.readouterr().err == err
+            assert not manifest.exists()
+
+
 class TestMonotonicityCheck:
     def test_zero_c0_fails_strict_clause(self):
         # dQ < 0 carries the merge's decrease; with C0 forced to 0 the
         # functional stays flat, so the event is monotone but not strict
         tl = quick_run("burgers", MINIMAL["initial"], epsilon=0.1, t_end=5.0,
                        c0=0.0)
-        report, failed = cli.run_checks(tl, {"checks": ["monotonicity"]})
+        plan = {"checks": ["monotonicity"]}
+        cli._check_plan(plan, tl.model.N, tl.t_end)
+        report, failed = cli.run_checks(tl, plan)
         mono = report["checks"]["monotonicity"]
         assert failed and not mono["pass"]
         assert mono["n_violations"] == 1
@@ -272,7 +355,9 @@ class TestMonotonicityCheck:
         initial = random_breakpoint_scenario("p-system",
                                              np.random.default_rng(1), 32, 0.04)
         tl = quick_run("p-system", initial, epsilon=0.05, t_end=1.5)
-        report, failed = cli.run_checks(tl, {"checks": ["monotonicity"]})
+        plan = {"checks": ["monotonicity"]}
+        cli._check_plan(plan, tl.model.N, tl.t_end)
+        report, failed = cli.run_checks(tl, plan)
         mono = report["checks"]["monotonicity"]
         assert failed and not mono["pass"]
         assert report["C0_calibrated"] is False

@@ -5,7 +5,7 @@ from fronttrack import flux_core as fc
 from fronttrack import riemann as rm
 from fronttrack.errors import CurveError, DomainError, RiemannError
 
-from conftest import assert_keeps_own_eigs, random_state
+from conftest import assert_keeps_own_eigs, random_state, same_eigs
 
 
 def rk4_integral_curve(model, k, u0, s, rescale, n=4000):
@@ -366,6 +366,30 @@ class TestStoredEigensystem:
             assert_keeps_own_eigs(model, fronts)
             solved += 1
         assert solved >= 30
+
+    @pytest.mark.parametrize("mid,uL,uR,speeds", [
+        # the contact and shock chain ends on uR bit for bit
+        ("remark-2x2", [0.0, 0.0], [0.05, -0.05], 2),
+        # the chain ends within roundoff of uR: the closing front is redone
+        ("p-system", [1.0, 0.0], [1.0, -0.1], 3)])
+    def test_closing_front_speed_taken_once(self, mid, uL, uR, speeds,
+                                            monkeypatch):
+        model = fc.make_model(mid)
+        uL, uR = np.array(uL), np.array(uR)
+        calls = []
+        front_speed = rm.front_speed
+
+        def counted(*args):
+            calls.append(args)
+            return front_speed(*args)
+
+        monkeypatch.setattr(rm, "front_speed", counted)
+        fronts = rm.solve_accurate(model, uL, uR, 0.05)
+        assert len(fronts) == 2 and len(calls) == speeds
+        last = fronts[-1]
+        assert last.uR.tobytes() == uR.tobytes()
+        speed, eigs = front_speed(model, last.family, last.uL, uR)
+        assert last.speed == speed and same_eigs(last.eigs, eigs)
 
     @pytest.mark.parametrize("mid", ["remark-2x2", "p-system"])
     def test_simplified_and_crude_fronts(self, mid):

@@ -1,10 +1,12 @@
 """The benchmark's traced pass wraps fronttrack functions by their names in
 perfbench/tracing.py SPANS; each must stay a module-level callable. The
-shipped audit scenario is the benchmark's audit input."""
+shipped audit scenario is the benchmark's audit input, and README's library
+example runs as written."""
 
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +45,15 @@ def test_shipped_audit_scenario_is_the_benchmark_input(tmp_path):
     assert shipped.pop("outputs") == {"dir": "out/remark_audit"}
     bench.pop("outputs")
     assert shipped == bench
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0],
+                         re.S)
+    namespace = {}
+    exec(compile(code, "README.md (Library use)", "exec"), namespace)
+    led = namespace["led"]
+    assert namespace["timeline"].events and namespace["fronts"]
+    assert (namespace["upsilon"] == led.Upsilons).all()

@@ -355,6 +355,7 @@ class TestFrontRecords:
                 "seed": 0, "balance_regions": 5, "tame_triangles": 10,
                 "convergence": {"scenario": "burgers_shock",
                                 "ladder": [0.1, 0.05]}}
+        cli._check_plan(plan, tl.model.N, tl.t_end)
         report, _ = cli.run_checks(tl, plan)
         assert set(report["checks"]) == set(cli._KNOWN_CHECKS)
         cli._emit_artifacts(str(tmp_path / "out"), tl, plan, report)
