@@ -357,24 +357,21 @@ def region_balance_check(timeline, region):
             & (np.maximum(xa, xb) + 1e-6 >= box_lo)
             & (np.minimum(xa, xb) - 1e-6 <= box_hi))
 
-    for fid in cols.ids[near].tolist():
-        rec = timeline.front_records[fid]
-        born = rec.born_t
-        died = rec.died_t if rec.died_t is not None else timeline.t_end
+    fids = near.nonzero()[0]
+    for fid, born, died, lo, hi, x_a, x_b in zip(
+            fids.tolist(), *(c[fids].tolist()
+                             for c in (born_t, died_t, t_lo, t_hi, xa, xb))):
         w = timeline.wave_content(fid, i)
         if w == 0.0:
             continue
-        if born <= t0 and died > t0 and _region_membership(rec, t0, base_sections):
+        rec = timeline.front_records[fid]
+        if born <= t0 and _region_membership(rec, t0, base_sections):
             add(w, True)  # bottom edge
-        alive_top = born <= t1 and (rec.died_t is None or rec.died_t > t1)
-        if alive_top and _region_membership(rec, t1, top_sections):
+        if died > t1 and _region_membership(rec, t1, top_sections):
             add(w, False)  # top edge
-        lo = max(born, t0)
-        hi = min(died, t1)
         if hi - lo <= 0:
             continue
-        xa, xb = rec.position(lo), rec.position(hi)
-        rec_lo, rec_hi = min(xa, xb) - 1e-6, max(xa, xb) + 1e-6
+        rec_lo, rec_hi = min(x_a, x_b) - 1e-6, max(x_a, x_b) + 1e-6
         for m in range(len(region.intervals)):
             for b_idx, (curve, inward_sign) in enumerate(
                     ((region.left_curves[m], 1.0),
@@ -521,15 +518,16 @@ def _triangle_states(timeline, tris):
         return [[] for _ in tris]
     t_stop = max(tris[k][4] for k in live)
     left_state = timeline.initial_field.left_state
+    records = timeline.front_records
+    cols = timeline.record_columns()
     # met[k, 0]: triangle k met the region left of every front; met[k, id + 1]:
     # it met the region right of front id (one byte per triangle and front
     # record). A region's state is that of its left front (or left_state)
     # for the front's whole life, so a pair met in an earlier frame adds no
     # new state
-    met = np.zeros((len(tris), max(timeline.front_records, default=-1) + 2),
-                   dtype=bool)
+    met = np.zeros((len(tris), len(records) + 1), dtype=bool)
 
-    def visit(fronts, frame_lo, frame_hi):
+    def visit(order, frame_lo, frame_hi):
         rows = []
         for k in live:
             a, b, t_lo, eta, t_hi = tris[k]
@@ -541,7 +539,8 @@ def _triangle_states(timeline, tris):
             return
         ks, a, b, eta, lo, hi = zip(*rows)
         a, b, eta, lo, hi = (np.array(c)[:, None] for c in (a, b, eta, lo, hi))
-        m = len(fronts)
+        idx = np.array(order, dtype=int)
+        m = len(idx)
         # region j lives between front j-1 and front j (x_{-1} = -inf,
         # x_m = +inf); it meets the shrinking triangle iff its left edge
         # stays under b - eta t and its right edge above a + eta t on a
@@ -550,9 +549,7 @@ def _triangle_states(timeline, tris):
         w_hi = np.repeat(hi, m + 1, axis=1)
         ok = np.ones(w_lo.shape, dtype=bool)
         if m:
-            xj = np.fromiter((f.born_x for f in fronts), float, m)
-            sj = np.fromiter((f.speed for f in fronts), float, m)
-            tj = np.fromiter((f.born_t for f in fronts), float, m)
+            xj, sj, tj = cols.born_x[idx], cols.speed[idx], cols.born_t[idx]
             # left edges: front j-1 under b - eta t, regions 1..m
             gl = (b - eta * lo) - (xj + sj * (lo - tj))
             gh = (b - eta * hi) - (xj + sj * (hi - tj))
@@ -566,28 +563,28 @@ def _triangle_states(timeline, tris):
             w_lo[:, :-1], w_hi[:, :-1] = new_lo, new_hi
             ok[:, :-1] &= nonempty
         ok &= ~(w_hi - w_lo <= 1e-15)
-        region_ids = np.zeros(m + 1, dtype=int)
-        region_ids[1:] = [f.id + 1 for f in fronts]
+        region_ids = np.concatenate(([0], idx + 1))
         cells = np.ix_(ks, region_ids)
         new = ok & ~met[cells]
         met[cells] |= ok
         keys = {}
         for r, j in zip(*new.nonzero()):  # by triangle, then region
             if j not in keys:
-                u = left_state if j == 0 else fronts[j - 1].uR
+                u = left_state if j == 0 else records[order[j - 1]].uR
                 keys[j] = (tuple(u.tolist()), u)
             seen[ks[r]].setdefault(*keys[j])
 
-    fronts = list(timeline.initial_field.fronts)
+    order = [f.id for f in timeline.initial_field.fronts]
     frame_lo = 0.0
     for ev in timeline.events:
         if ev.t > t_stop:
             break
         if ev.t > frame_lo:
-            visit(fronts, frame_lo, ev.t)
+            visit(order, frame_lo, ev.t)
             frame_lo = ev.t
-        tk.apply_event(fronts, ev)
-    visit(fronts, frame_lo, t_stop)
+        j = order.index(ev.incoming[0].id)
+        order[j:j + 2] = [f.id for f in ev.outgoing]
+    visit(order, frame_lo, t_stop)
     return [list(states.values()) for states in seen]
 
 

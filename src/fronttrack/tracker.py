@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -129,10 +130,8 @@ class RunConfig:
                            ("numerics.tolerances.audit_rel", self.audit_rel_tol)):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(key, f"must be finite, got {value}")
-        for key, value in (("numerics.event_cap", self.event_cap),
-                           ("numerics.front_cap", self.front_cap)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(key, f"must be a positive integer, got {value!r}")
+        _positive_int("numerics.event_cap", self.event_cap)
+        _positive_int("numerics.front_cap", self.front_cap)
         if self.epsilon <= 0:
             raise ConfigError("numerics.epsilon", "must be positive")
         if self.t_end <= 0:
@@ -152,10 +151,10 @@ class RunConfig:
 
 
 class RecordColumns(NamedTuple):
-    """The front records as arrays, in increasing id order: born_t, died_t
-    (t_end for fronts alive at the end), born_x and speed."""
+    """The front records as arrays indexed by front id: born_t, died_t
+    (+inf for fronts alive at the end, so a survivor stays distinct from a
+    front that dies at t_end), born_x and speed."""
 
-    ids: np.ndarray
     born_t: np.ndarray
     died_t: np.ndarray
     born_x: np.ndarray
@@ -239,17 +238,17 @@ class Timeline:
         return fronts
 
     def record_columns(self):
-        """The front records' RecordColumns (cached)."""
+        """The front records' RecordColumns (cached), built in one pass.
+        The run hands out ids 0..n-1 with no gaps, so row k is front k."""
         if self._record_cols is None:
-            recs = [self.front_records[fid] for fid in sorted(self.front_records)]
-            n = len(recs)
-            self._record_cols = RecordColumns(
-                np.fromiter((f.id for f in recs), int, n),
-                np.fromiter((f.born_t for f in recs), float, n),
-                np.fromiter((self.t_end if f.died_t is None else f.died_t
-                             for f in recs), float, n),
-                np.fromiter((f.born_x for f in recs), float, n),
-                np.fromiter((f.speed for f in recs), float, n))
+            recs = self.front_records
+            if recs.keys() != set(range(len(recs))):
+                raise SolverError("front ids are not 0..n-1")
+            table = np.array([(f.born_t, math.inf if f.died_t is None else f.died_t,
+                               f.born_x, f.speed)
+                              for f in map(recs.get, range(len(recs)))],
+                             dtype=float).reshape(-1, 4)
+            self._record_cols = RecordColumns(*table.T.copy())
         return self._record_cols
 
     def slice_at(self, t):
@@ -261,11 +260,36 @@ class Timeline:
 # ---------------------------------------------------------------------------
 
 
+def _finite(key, value):
+    """A real number that is finite, as a float; bools and strings are
+    refused, not coerced."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(key, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(key, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(key, f"must be a positive integer, got {value!r}")
+    return value
+
+
+def _state(model, v):
+    """A state given as a number or a list of numbers."""
+    comps = v if isinstance(v, (list, tuple, np.ndarray)) else [v]
+    return fc.as_state([_finite("initial.values", c) for c in comps], model.N)
+
+
+def _param(params, name, default):
+    return _finite(f"initial.params.{name}", params.get(name, default))
+
+
 def _profile_ramp(params):
-    x0 = float(params.get("x0", -1.0))
-    x1 = float(params.get("x1", 1.0))
-    u_left = float(params.get("u_left", 1.0))
-    u_right = float(params.get("u_right", -1.0))
+    x0 = _param(params, "x0", -1.0)
+    x1 = _param(params, "x1", 1.0)
+    u_left = _param(params, "u_left", 1.0)
+    u_right = _param(params, "u_right", -1.0)
     if x1 <= x0:
         raise ConfigError("initial.params", "ramp needs x0 < x1")
 
@@ -277,12 +301,12 @@ def _profile_ramp(params):
 
 
 def _profile_sawtooth(params):
-    x0 = float(params.get("x0", -1.0))
-    x1 = float(params.get("x1", 1.0))
-    teeth = int(params.get("teeth", 3))
-    amp = float(params.get("amplitude", 0.5))
-    if x1 <= x0 or teeth < 1:
-        raise ConfigError("initial.params", "sawtooth needs x0 < x1, teeth >= 1")
+    x0 = _param(params, "x0", -1.0)
+    x1 = _param(params, "x1", 1.0)
+    teeth = _positive_int("initial.params.teeth", params.get("teeth", 3))
+    amp = _param(params, "amplitude", 0.5)
+    if x1 <= x0:
+        raise ConfigError("initial.params", "sawtooth needs x0 < x1")
     verts_x = np.linspace(x0, x1, 2 * teeth + 1)
     verts_v = np.zeros(2 * teeth + 1)
     for j in range(1, 2 * teeth):
@@ -304,12 +328,18 @@ def initial_data(model, data_spec):
     over the model's small-BV budget (InitialDataError)."""
     kind = data_spec.get("kind", "breakpoints")
     if kind == "breakpoints":
+        xs, values = data_spec.get("xs"), data_spec.get("values")
+        if not isinstance(xs, list):
+            raise ConfigError("initial.xs", f"must be a list of numbers, got {xs!r}")
+        if not isinstance(values, list):
+            raise ConfigError("initial.values",
+                              f"must be a list of states, got {values!r}")
+        xs = [_finite("initial.xs", x) for x in xs]
         try:
-            xs = [float(x) for x in data_spec["xs"]]
-            values = [fc.as_state(v, model.N) for v in data_spec["values"]]
-        except (KeyError, TypeError, ValueError, DomainError) as exc:
-            raise ConfigError("initial", "breakpoints need xs, a list of numbers, "
-                              f"and values, a list of states ({exc!r})") from None
+            values = [_state(model, v) for v in values]
+        except DomainError as exc:
+            raise ConfigError("initial", f"breakpoint states need {model.N} "
+                              f"components ({exc})") from None
         if len(values) != len(xs) + 1:
             raise ConfigError("initial.values", "need len(values) == len(xs) + 1")
         if any(xs[j] >= xs[j + 1] for j in range(len(xs) - 1)):
@@ -320,15 +350,11 @@ def initial_data(model, data_spec):
         name = data_spec.get("name")
         if name not in PROFILES:
             raise ConfigError("initial.profile", f"unknown profile {name!r}")
-        try:
-            samples = int(data_spec.get("samples", 40))
-            val, (x0, x1), (u_left, u_right) = PROFILES[name](
-                data_spec.get("params", {}))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError("initial", "profile samples and params must be "
-                              f"numbers ({exc!r})") from None
-        if samples < 1:
-            raise ConfigError("initial.samples", "need samples >= 1")
+        samples = _positive_int("initial.samples", data_spec.get("samples", 40))
+        params = data_spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("initial.params", "must be an object")
+        val, (x0, x1), (u_left, u_right) = PROFILES[name](params)
         edges = np.linspace(x0, x1, samples + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         xs = list(edges)

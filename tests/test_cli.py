@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -299,8 +300,8 @@ class TestCheckAgreesWithRun:
         ("initial", "initial",
          {"kind": "breakpoints", "xs": [0.0], "values": [[1.0, 2.0], [0.0]]},
          True),
-        ("initial", "initial", {"kind": "profile", "name": "ramp",
-                                "samples": "many"}, True),
+        ("initial.samples", "initial", {"kind": "profile", "name": "ramp",
+                                        "samples": "many"}, True),
         ("numerics.epsilon", "numerics.epsilon", None, False),
         ("numerics.event_cap", "numerics.event_cap", -3, False),
         ("numerics.event_cap", "numerics.event_cap", 1.5, False),
@@ -309,7 +310,31 @@ class TestCheckAgreesWithRun:
         ("numerics.front_cap", "numerics.front_cap", 1.5, False),
         ("numerics.front_cap", "numerics.front_cap", True, False),
         ("outputs.dir", "outputs.dir", 5, False),
-        ("outputs.dir", "outputs.dir", "", False)])
+        ("outputs.dir", "outputs.dir", "", False),
+        # initial data is checked, never coerced with int() or float()
+        ("initial.samples", "initial", {"kind": "profile", "name": "ramp",
+                                        "samples": 1.5}, True),
+        ("initial.samples", "initial", {"kind": "profile", "name": "ramp",
+                                        "samples": True}, True),
+        ("initial.params.teeth", "initial",
+         {"kind": "profile", "name": "sawtooth", "params": {"teeth": 2.7}},
+         True),
+        ("initial.params.x0", "initial",
+         {"kind": "profile", "name": "ramp", "params": {"x0": -math.inf}},
+         True),
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": "01", "values": [[1.0], [0.5], [0.0]]},
+         True),
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": [True], "values": [[1.0], [0.0]]}, True),
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": [math.nan, 0.0],
+          "values": [[1.0], [0.5], [0.0]]}, True),
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": [math.inf], "values": [[1.0], [0.0]]},
+         True),
+        ("initial.values", "initial",
+         {"kind": "breakpoints", "xs": [0.0], "values": ["1", [0.0]]}, True)])
     def test_refusal(self, tmp_path, key, section, value, in_manifest,
                      capsys):
         doc = json.loads(json.dumps(MINIMAL))

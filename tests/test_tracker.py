@@ -361,6 +361,39 @@ class TestFrontRecords:
         cli._emit_artifacts(str(tmp_path / "out"), tl, plan, report)
         assert self.snapshot(tl) == before
 
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_record_columns_are_the_records_by_id(self, fixture, request):
+        tl = request.getfixturevalue(fixture)
+        cols = tl.record_columns()
+        assert cols._fields == ("born_t", "died_t", "born_x", "speed")
+        n = len(tl.front_records)
+        recs = [tl.front_records[fid] for fid in range(n)]  # ids 0..n-1
+        survivors = [f for f in recs if f.died_t is None]
+        assert survivors and len(survivors) < n
+        fields = {"born_t": [f.born_t for f in recs],
+                  "died_t": [math.inf if f.died_t is None else f.died_t
+                             for f in recs],
+                  "born_x": [f.born_x for f in recs],
+                  "speed": [f.speed for f in recs]}
+        for name, values in fields.items():
+            col = getattr(cols, name)
+            assert col.dtype == np.float64 and col.shape == (n,)
+            assert col.tobytes() == np.array(values, dtype=float).tobytes()
+        # a survivor never reads as a front that dies at t_end
+        assert ((cols.died_t == math.inf).nonzero()[0].tolist()
+                == [f.id for f in survivors])
+        assert np.all(cols.died_t[[f.id for f in recs if f.died_t is not None]]
+                      <= tl.t_end)
+
+    def test_record_columns_refuse_gapped_ids(self, sawtooth_timeline):
+        src = sawtooth_timeline
+        recs = dict(src.front_records)
+        del recs[len(recs) // 2]
+        tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
+                         recs, src.ledger, src.t_end)
+        with pytest.raises(SolverError, match="front ids"):
+            tl.record_columns()
+
 
 def _collision_field(xs, speeds, ids=None, time=0.0):
     m = fc.make_model("burgers")
