@@ -507,10 +507,11 @@ def _triangle_states(timeline, tris):
     """Distinct states met by each triangle (a, b, tau, eta, t_hi) between
     tau and t_hi, in first-met order.
 
-    One sweep over the events serves every triangle: between two event times
-    the front order is fixed and each front moves on its closed form, so each
-    frame is one array pass over triangles x regions. States are keyed on
-    their float tuples, which compare like np.array_equal (0.0 == -0.0).
+    One sweep over the event times serves every triangle: between two event
+    times the front order is fixed (order_at the frame's start) and each
+    front moves on its closed form, so each frame is one array pass over
+    triangles x regions. States are keyed on their float tuples, which
+    compare like np.array_equal (0.0 == -0.0).
     """
     seen = [{} for _ in tris]
     live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
@@ -527,7 +528,7 @@ def _triangle_states(timeline, tris):
     # new state
     met = np.zeros((len(tris), len(records) + 1), dtype=bool)
 
-    def visit(order, frame_lo, frame_hi):
+    def visit(frame_lo, frame_hi):
         rows = []
         for k in live:
             a, b, t_lo, eta, t_hi = tris[k]
@@ -539,7 +540,7 @@ def _triangle_states(timeline, tris):
             return
         ks, a, b, eta, lo, hi = zip(*rows)
         a, b, eta, lo, hi = (np.array(c)[:, None] for c in (a, b, eta, lo, hi))
-        idx = np.array(order, dtype=int)
+        idx = timeline.order_at(frame_lo)
         m = len(idx)
         # region j lives between front j-1 and front j (x_{-1} = -inf,
         # x_m = +inf); it meets the shrinking triangle iff its left edge
@@ -570,21 +571,13 @@ def _triangle_states(timeline, tris):
         keys = {}
         for r, j in zip(*new.nonzero()):  # by triangle, then region
             if j not in keys:
-                u = left_state if j == 0 else records[order[j - 1]].uR
+                u = left_state if j == 0 else records[int(idx[j - 1])].uR
                 keys[j] = (tuple(u.tolist()), u)
             seen[ks[r]].setdefault(*keys[j])
 
-    order = [f.id for f in timeline.initial_field.fronts]
-    frame_lo = 0.0
-    for ev in timeline.events:
-        if ev.t > t_stop:
-            break
-        if ev.t > frame_lo:
-            visit(order, frame_lo, ev.t)
-            frame_lo = ev.t
-        j = order.index(ev.incoming[0].id)
-        order[j:j + 2] = [f.id for f in ev.outgoing]
-    visit(order, frame_lo, t_stop)
+    ts = sorted({t for t in timeline.event_times() if 0.0 < t <= t_stop})
+    for frame_lo, frame_hi in zip([0.0, *ts], [*ts, t_stop]):
+        visit(frame_lo, frame_hi)
     return [list(states.values()) for states in seen]
 
 

@@ -26,7 +26,6 @@ from .errors import (CapExceededError, ConfigError, DomainError,
 
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 CHAIN_ATOL = 1e-9  # FrontField.validate: largest gap allowed in the state chain
-CHECKPOINTS = 64  # most front-order checkpoints a Timeline keeps after t = 0
 
 
 @dataclass
@@ -151,14 +150,15 @@ class RunConfig:
 
 
 class RecordColumns(NamedTuple):
-    """The front records as arrays indexed by front id: born_t, died_t
-    (+inf for fronts alive at the end, so a survivor stays distinct from a
-    front that dies at t_end), born_x and speed."""
+    """The front records as arrays indexed by front id: born_t, died_t (+inf
+    for survivors, distinct from a front that dies at t_end), born_x, speed,
+    and rank, the front's place in one left-to-right order of all fronts."""
 
     born_t: np.ndarray
     died_t: np.ndarray
     born_x: np.ndarray
     speed: np.ndarray
+    rank: np.ndarray
 
 
 class Timeline:
@@ -180,8 +180,6 @@ class Timeline:
         self._curve_cache = {}
         self._event_ts = None
         self._record_cols = None
-        self._orders = [tuple(initial_field.fronts)]
-        self._order_step = max(32, math.ceil(len(events) / CHECKPOINTS))
 
     def wave_content(self, front_id, i):
         """The front's i-wave content; every family's content comes from one
@@ -215,41 +213,43 @@ class Timeline:
         """The events with t0 < t <= t1, in order."""
         return self.events[self.events_upto(t0):self.events_upto(t1)]
 
-    def front_order(self, n):
-        """The front order after the first n events, as a new list.
-
-        Checkpoints of the order are kept every _order_step events (at least
-        32, and few enough for at most CHECKPOINTS after t = 0), built on
-        first use; the order is a copy of the last checkpoint at or before
-        n with the events after it spliced in.
-        """
-        step = self._order_step
-        orders = self._orders
-        while len(orders) <= n // step:
-            fronts = list(orders[-1])
-            done = (len(orders) - 1) * step
-            for ev in self.events[done:done + step]:
-                apply_event(fronts, ev)
-            orders.append(tuple(fronts))
-        start = (n // step) * step
-        fronts = list(orders[n // step])
-        for ev in self.events[start:n]:
-            apply_event(fronts, ev)
-        return fronts
-
     def record_columns(self):
-        """The front records' RecordColumns (cached), built in one pass.
-        The run hands out ids 0..n-1 with no gaps, so row k is front k."""
+        """The front records' RecordColumns (cached). Ids run 0..n-1 with no
+        gaps, so row k is front k. rank numbers one list of every front: the
+        initial order, each event's outgoing fronts put right after its left
+        incoming front (fronts never cross, so that order never changes)."""
         if self._record_cols is None:
             recs = self.front_records
-            if recs.keys() != set(range(len(recs))):
+            n = len(recs)
+            if recs.keys() != set(range(n)):
                 raise SolverError("front ids are not 0..n-1")
             table = np.array([(f.born_t, math.inf if f.died_t is None else f.died_t,
                                f.born_x, f.speed)
-                              for f in map(recs.get, range(len(recs)))],
+                              for f in map(recs.get, range(n))],
                              dtype=float).reshape(-1, 4)
-            self._record_cols = RecordColumns(*table.T.copy())
+            nxt = [-1] * (n + 1)  # a linked list with its head at nxt[n]
+            chains = [(n, self.initial_field.fronts)]
+            chains += [(e.incoming[0].id, e.outgoing) for e in self.events]
+            for after, fronts in chains:
+                for f in fronts:
+                    nxt[f.id], nxt[after] = nxt[after], f.id
+                    after = f.id
+            order = [nxt[n]]
+            while order[-1] >= 0 and len(order) <= n:
+                order.append(nxt[order[-1]])
+            rank = np.full(n, -1, dtype=np.int64)
+            rank[order[:-1]] = np.arange(len(order) - 1)
+            if (rank < 0).any():
+                raise SolverError("front order misses a front record")
+            self._record_cols = RecordColumns(*table.T.copy(), rank)
         return self._record_cols
+
+    def order_at(self, t):
+        """Ids of the fronts alive at t (born_t <= t < died_t) by rank, which
+        is their field order; an event time gives the right limit."""
+        cols = self.record_columns()
+        ids = ((cols.born_t <= t) & (t < cols.died_t)).nonzero()[0]
+        return ids[np.argsort(cols.rank[ids])]
 
     def slice_at(self, t):
         return slice_at(self, t)
@@ -285,13 +285,24 @@ def _param(params, name, default):
     return _finite(f"initial.params.{name}", params.get(name, default))
 
 
-def _profile_ramp(params):
+def _profile_bounds(name, params):
+    """A profile's x0 < x1, each at most half the largest float in size, so
+    no width or midpoint of two sample points overflows."""
     x0 = _param(params, "x0", -1.0)
     x1 = _param(params, "x1", 1.0)
+    if not x0 < x1 or max(-x0, x1) > 0.5 * np.finfo(float).max:
+        raise ConfigError("initial.params", f"{name} needs x0 < x1, each at "
+                          "most half the largest float in size")
+    return x0, x1
+
+
+def _profile_ramp(params):
+    x0, x1 = _profile_bounds("ramp", params)
     u_left = _param(params, "u_left", 1.0)
     u_right = _param(params, "u_right", -1.0)
-    if x1 <= x0:
-        raise ConfigError("initial.params", "ramp needs x0 < x1")
+    if not math.isfinite((u_right - u_left) * (x1 - x0)):
+        raise ConfigError("initial.params",
+                          "ramp needs (u_right - u_left) * (x1 - x0) finite")
 
     def val(x):
         inner = u_left + (u_right - u_left) * (x - x0) / (x1 - x0)
@@ -301,12 +312,9 @@ def _profile_ramp(params):
 
 
 def _profile_sawtooth(params):
-    x0 = _param(params, "x0", -1.0)
-    x1 = _param(params, "x1", 1.0)
+    x0, x1 = _profile_bounds("sawtooth", params)
     teeth = _positive_int("initial.params.teeth", params.get("teeth", 3))
     amp = _param(params, "amplitude", 0.5)
-    if x1 <= x0:
-        raise ConfigError("initial.params", "sawtooth needs x0 < x1")
     verts_x = np.linspace(x0, x1, 2 * teeth + 1)
     verts_v = np.zeros(2 * teeth + 1)
     for j in range(1, 2 * teeth):
@@ -551,21 +559,18 @@ def apply_event(fronts, ev):
     try:
         j = fronts.index(ev.incoming[0])
     except ValueError:
-        raise SolverError("timeline replay lost an incoming front")
+        raise SolverError("event splice lost an incoming front")
     fronts[j:j + 2] = ev.outgoing
     return j
 
 
 def slice_at(timeline, t):
     """Reconstructed field at time t; event times resolve to the right limit.
-
-    The front order comes from splicing the events up to t, never from
-    sorting positions (fronts about to meet agree only to roundoff). Each
-    position is its front's closed form born_x + speed*(t - born_t).
-    """
+    The front order is timeline.order_at(t), never a sort by position (fronts
+    about to meet agree only to roundoff); positions are in closed form."""
     if t < 0.0 or t > timeline.t_end:
         raise SolverError(f"slice time {t} outside [0, {timeline.t_end}]")
-    fronts = timeline.front_order(timeline.events_upto(t))
+    fronts = list(map(timeline.front_records.get, timeline.order_at(t).tolist()))
     return field_at(timeline.model, timeline.initial_field.left_state, fronts, t)
 
 

@@ -334,7 +334,22 @@ class TestCheckAgreesWithRun:
          {"kind": "breakpoints", "xs": [math.inf], "values": [[1.0], [0.0]]},
          True),
         ("initial.values", "initial",
-         {"kind": "breakpoints", "xs": [0.0], "values": ["1", [0.0]]}, True)])
+         {"kind": "breakpoints", "xs": [0.0], "values": ["1", [0.0]]}, True),
+        # finite bounds whose width x1 - x0 overflows
+        ("initial.params", "initial",
+         {"kind": "profile", "name": "ramp",
+          "params": {"x0": -1e308, "x1": 1e308}}, True),
+        ("initial.params", "initial",
+         {"kind": "profile", "name": "sawtooth",
+          "params": {"x0": -1e308, "x1": 1e308}}, True),
+        # a finite width, but a midpoint sum that overflows
+        ("initial.params", "initial",
+         {"kind": "profile", "name": "sawtooth",
+          "params": {"x0": -1.7e308, "x1": 0.0}}, True),
+        # a finite width, but a ramp slope product that overflows
+        ("initial.params", "initial",
+         {"kind": "profile", "name": "ramp",
+          "params": {"x0": -8e307, "x1": 8e307}}, True)])
     def test_refusal(self, tmp_path, key, section, value, in_manifest,
                      capsys):
         doc = json.loads(json.dumps(MINIMAL))

@@ -281,23 +281,24 @@ class TestSliceAt:
             assert len(got.xs) == len(got.fronts)
             got.validate()
 
-    @pytest.mark.parametrize("checkpoints", [tk.CHECKPOINTS, 3])
-    def test_checkpointed_order_matches_splice_from_zero(self, checkpoints,
-                                                         monkeypatch):
-        # 228 events with runs of equal times: past several checkpoints,
-        # which are 32 events apart, or ceil(228 / 3) with 3 kept
-        initial = {"kind": "profile", "name": "sawtooth", "samples": 160,
-                   "params": {"teeth": 6, "amplitude": 0.3}}
-        src = quick_run("burgers", initial, epsilon=0.02, t_end=2.0)
-        monkeypatch.setattr(tk, "CHECKPOINTS", checkpoints)
-        tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
-                         src.front_records, src.ledger, src.t_end)
-        assert len(tl.events) > 4 * 32
-        assert len(set(tl.event_times())) < len(tl.events)
+    @pytest.mark.parametrize("source", ["sawtooth-24", "sawtooth-40",
+                                        "sawtooth-160", "remark_timeline"])
+    def test_rank_order_matches_splice_from_zero(self, source, request):
+        # the sawtooth runs resolve fronts meeting at one point as runs of
+        # equal event times, where a sort by position and speed is ambiguous
+        if source.startswith("sawtooth"):
+            initial = {"kind": "profile", "name": "sawtooth",
+                       "samples": int(source.split("-")[1]),
+                       "params": {"teeth": 6, "amplitude": 0.3}}
+            tl = quick_run("burgers", initial, epsilon=0.02, t_end=2.0)
+            assert len(set(tl.event_times())) < len(tl.events)
+        else:
+            tl = request.getfixturevalue(source)
         ts = sorted(set(tl.event_times()))
+        assert ts
         times = [0.0, *ts, tl.t_end]
         times += [0.5 * (t0 + t1) for t0, t1 in zip([0.0, *ts], ts)]
-        for t in reversed(times):  # later checkpoints built first
+        for t in times:
             fronts = list(tl.initial_field.fronts)
             for ev in tl.events:
                 if ev.t > t:
@@ -306,10 +307,6 @@ class TestSliceAt:
             got = tl.slice_at(t).fronts
             assert len(got) == len(fronts)
             assert all(f is g for f, g in zip(got, fronts))
-        for n in range(len(tl.events) + 1):
-            order = tl.front_order(n)
-            assert order == tl.front_order(n) and order is not tl.front_order(n)
-        assert len(tl._orders) <= max(checkpoints, 4) + 1
 
     def test_out_of_range_rejected(self, burgers_merge_timeline):
         with pytest.raises(SolverError):
@@ -365,7 +362,7 @@ class TestFrontRecords:
     def test_record_columns_are_the_records_by_id(self, fixture, request):
         tl = request.getfixturevalue(fixture)
         cols = tl.record_columns()
-        assert cols._fields == ("born_t", "died_t", "born_x", "speed")
+        assert cols._fields == ("born_t", "died_t", "born_x", "speed", "rank")
         n = len(tl.front_records)
         recs = [tl.front_records[fid] for fid in range(n)]  # ids 0..n-1
         survivors = [f for f in recs if f.died_t is None]
@@ -384,6 +381,8 @@ class TestFrontRecords:
                 == [f.id for f in survivors])
         assert np.all(cols.died_t[[f.id for f in recs if f.died_t is not None]]
                       <= tl.t_end)
+        assert cols.rank.dtype == np.int64 and cols.rank.shape == (n,)
+        assert sorted(cols.rank.tolist()) == list(range(n))
 
     def test_record_columns_refuse_gapped_ids(self, sawtooth_timeline):
         src = sawtooth_timeline
@@ -392,6 +391,16 @@ class TestFrontRecords:
         tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
                          recs, src.ledger, src.t_end)
         with pytest.raises(SolverError, match="front ids"):
+            tl.record_columns()
+
+    def test_record_columns_refuse_a_front_off_the_order(self, sawtooth_timeline):
+        # without its event, the last event's outgoing fronts have no place
+        src = sawtooth_timeline
+        assert src.events[-1].outgoing
+        tl = tk.Timeline(src.model, src.config, src.initial_field,
+                         src.events[:-1], src.front_records, src.ledger,
+                         src.t_end)
+        with pytest.raises(SolverError, match="front order"):
             tl.record_columns()
 
 
