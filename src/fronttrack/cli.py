@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,14 +37,18 @@ DEFAULT_CHECKS = ("monotonicity", "interaction_estimates", "conservation")
 # default and check; _NUMBERS and _TOLERANCES are converted to floats here
 _NUMBERS = {"epsilon": "epsilon", "t_end": "t_end", "rho": "rho",
             "eps0": "eps0", "eps1": "eps1"}
-_AS_GIVEN = {"C0": "c0", "rho_rule": "rho_rule", "event_cap": "event_cap",
-             "front_cap": "front_cap"}
+_AS_GIVEN = {"C0": "c0", "event_cap": "event_cap", "front_cap": "front_cap"}
 _TOLERANCES = {"tie_tol_factor": "tie_tol_factor", "audit_rel": "audit_rel_tol"}
+_DIAGNOSTICS = ("checks", "families", "seed", "balance_regions", "tame_triangles",
+                "np_budget_K", "sbv_threshold", "positive_decay_t",
+                "positive_decay_s", "decay_t", "decay_tau", "positive_decay_sets",
+                "decay_sets", "convergence", "epsilon_ladder")
 
 
 def parse_config(path):
     """Validated (RunConfig, completed diagnostics plan) from a scenario
-    file. A null value means the key is absent."""
+    file. A null value means the key is absent. plan["members"] are the
+    epsilon_ladder members' RunConfigs: the given numerics, their epsilon."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -55,10 +58,13 @@ def parse_config(path):
         raise ConfigError("file", f"malformed JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("file", "scenario must be a JSON object")
+    tk.refuse_unknown_keys("", doc, ("model", "initial", "numerics", "outputs",
+                                     "diagnostics"))
 
     model_sec = doc.get("model")
     if not isinstance(model_sec, dict) or "id" not in model_sec:
         raise ConfigError("model.id", "missing model id")
+    tk.refuse_unknown_keys("model", model_sec, ("id", "params"))
     model_id = model_sec["id"]
     model_params = model_sec.get("params", {})
     model = fc.make_model(model_id, model_params)  # validates id and params now
@@ -67,34 +73,35 @@ def parse_config(path):
     if not isinstance(initial, dict):
         raise ConfigError("initial", "missing initial-data section")
 
-    num = _section(doc, "numerics")
-    tol = _section(num, "tolerances", "numerics.tolerances")
-    settings = {field: _number(num[name], f"numerics.{name}")
-                for name, field in _NUMBERS.items() if num.get(name) is not None}
+    num = _section(doc, "numerics", (*_NUMBERS, *_AS_GIVEN, "tolerances"))
+    tol = _section(num, "tolerances", _TOLERANCES, "numerics.tolerances")
+    settings = {"model_id": model_id, "model_params": model_params,
+                "initial": initial}
+    settings |= {field: _number(num[name], f"numerics.{name}")
+                 for name, field in _NUMBERS.items() if num.get(name) is not None}
     settings |= {field: num[name]
                  for name, field in _AS_GIVEN.items() if num.get(name) is not None}
     settings |= {field: _number(tol[name], f"numerics.tolerances.{name}")
                  for name, field in _TOLERANCES.items() if tol.get(name) is not None}
     if "epsilon" not in settings:
         raise ConfigError("numerics.epsilon", "missing accuracy parameter")
-    cfg = tk.RunConfig(model_id=model_id, model_params=model_params,
-                       initial=initial, **settings)
+    cfg = tk.RunConfig(**settings)
 
-    plan = _section(doc, "diagnostics")
+    plan = _section(doc, "diagnostics", _DIAGNOSTICS)
     plan["outputs"] = doc.get("outputs")
     _check_plan(plan, model.N, cfg.t_end)
-    for key in ("eps0", "eps1"):
-        # ladder members take their shock thresholds from their own epsilon
-        _require(not (plan["epsilon_ladder"] and key in settings),
-                 f"numerics.{key}", "cannot be set with diagnostics.epsilon_ladder")
+    plan["members"] = [tk.RunConfig(**(settings | {"epsilon": eps}))
+                       for eps in plan["epsilon_ladder"]]
     return cfg, plan
 
 
-def _section(doc, name, key=None):
-    """A copy of the optional object doc[name]; key names it in errors."""
+def _section(doc, name, keys, key=None):
+    """A copy of the optional object doc[name], whose keys must be in keys;
+    key names it in errors."""
     sec = doc.get(name)
     _require(sec is None or isinstance(sec, dict), key or name,
              "must be a JSON object")
+    tk.refuse_unknown_keys(key or name, sec or {}, keys)
     return dict(sec or {})
 
 
@@ -164,7 +171,7 @@ def _check_plan(plan, n_families, t_end):
             _require(_is_number(v) and v >= 0,
                      f"diagnostics.{key}", "must be finite and nonnegative")
             plan[key] = float(v)
-    outputs = plan["outputs"] = _section(plan, "outputs")
+    outputs = plan["outputs"] = _section(plan, "outputs", ("dir", "slice_times"))
     times = _default(outputs, "slice_times", [0.0, 0.5 * t_end, t_end])
     _require(isinstance(times, list)
              and all(_is_number(t) and 0 <= t <= t_end for t in times),
@@ -190,6 +197,7 @@ def _check_plan(plan, n_families, t_end):
                  f"diagnostics.{key}", "must be a list of interval unions "
                  "[[a, b], ...] with finite a <= b")
     conv = plan["convergence"] = _section(plan, "convergence",
+                                          ("scenario", "ladder", "t_eval"),
                                           "diagnostics.convergence")
     scenario = conv.get("scenario")
     if scenario is not None or "convergence" in checks:
@@ -447,23 +455,15 @@ def _emit_artifacts(outdir, timeline, plan, check_report):
 def orchestrate(cfg, plan):
     """Run the scenario (or its epsilon ladder) and write all artifacts."""
     outdir = plan["outputs"]["dir"]
-    ladder = plan["epsilon_ladder"]
+    ladder = plan["members"]
     manifest = {"complete": False, "error": None, "members": []}
     io.ensure_dir(outdir)
     exit_code = EXIT_OK
     try:
         summaries = []
-        for eps in ladder or [None]:
-            member_cfg, sub = cfg, outdir
-            if ladder:
-                # a fixed rho holds for every member; under eps3, rho and the
-                # shock thresholds default from the member's epsilon
-                # (parse_config refuses explicit thresholds with a ladder)
-                member_cfg = replace(
-                    cfg, epsilon=eps,
-                    rho=cfg.rho if cfg.rho_rule == "fixed" else None,
-                    eps0=None, eps1=None)
-                sub = os.path.join(outdir, _member_dir(eps))
+        for member_cfg in ladder or [cfg]:
+            eps = member_cfg.epsilon
+            sub = os.path.join(outdir, _member_dir(eps)) if ladder else outdir
             timeline = tk.run(member_cfg)
             rep, audit_failed = run_checks(timeline, plan)
             _emit_artifacts(sub, timeline, plan, rep)

@@ -147,10 +147,10 @@ def min_characteristic(timeline, i, t0, x0, t1):
                 consumed = mode == "ride" and carrier.id in (
                     ev.incoming[0].id, ev.incoming[1].id)
                 at_node = consumed or (mode == "free" and abs(ev.x - x) <= 1e-12)
-                j = tk.apply_event(fronts, ev)
+                tk.apply_event(fronts, ev)
                 if at_node:
                     x = ev.x
-                    group = _fan_group(fronts, j, ev,
+                    group = _fan_group(timeline, ev,
                                        pending[drain_start:ev_idx + 1])
                     left_state = group[0].uL if group else tk.field_at(
                         model, fld.left_state, fronts, t).state_at(ev.x - 1e-12)
@@ -161,32 +161,18 @@ def min_characteristic(timeline, i, t0, x0, t1):
     return curve
 
 
-def _fan_group(fronts, j, ev, applied):
-    """The fronts of the field born at ev's point, in field order: the
-    same list as [f for f in fronts if f.born_x == ev.x and f.born_t ==
-    ev.t], found without a scan of the field.
-
-    applied are the events at time ev.t spliced so far, ev the last of
-    them, spliced at index j. Every front born at time ev.t is an outgoing
-    front of one of them, and it is in the field unless another consumed
-    it. Fronts born at one point sit together in the field, so they are
-    found stepping out from j on both sides.
-    """
-    born = {f.id for e in applied for f in e.outgoing
+def _fan_group(timeline, ev, applied):
+    """The fronts of the field born at ev's point, in field order, found
+    without a scan of the field: the outgoing fronts there of applied (the
+    events at time ev.t spliced so far, ev the last), less those another
+    consumed, by rank, which is field order for fronts alive together."""
+    born = {f.id: f for e in applied for f in e.outgoing
             if f.born_x == ev.x and f.born_t == ev.t}
-    born.difference_update(f.id for e in applied for f in e.incoming)
-    hits = []
-    lo, hi = j - 1, j
-    while len(hits) < len(born) and (lo >= 0 or hi < len(fronts)):
-        if hi < len(fronts):
-            if fronts[hi].id in born:
-                hits.append(hi)
-            hi += 1
-        if lo >= 0:
-            if fronts[lo].id in born:
-                hits.append(lo)
-            lo -= 1
-    return [fronts[k] for k in sorted(hits)]
+    for e in applied:
+        for f in e.incoming:
+            born.pop(f.id, None)
+    rank = timeline.record_columns().rank
+    return sorted(born.values(), key=lambda f: rank[f.id])
 
 
 def _initial_anchor(model, i, fld, x0):

@@ -24,6 +24,7 @@ from . import riemann as rm
 from .errors import (CapExceededError, ConfigError, DomainError,
                      InitialDataError, SolverError)
 
+_X_BOUND = 0.5 * np.finfo(float).max  # so no gap of two positions overflows
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
 CHAIN_ATOL = 1e-9  # FrontField.validate: largest gap allowed in the state chain
 
@@ -103,7 +104,6 @@ class RunConfig:
     t_end: float = 1.0
     model_params: dict = field(default_factory=dict)
     rho: float | None = None  # default epsilon**3
-    rho_rule: str = "eps3"
     eps0: float | None = None
     eps1: float | None = None
     c0: object = "auto"
@@ -135,10 +135,6 @@ class RunConfig:
             raise ConfigError("numerics.epsilon", "must be positive")
         if self.t_end <= 0:
             raise ConfigError("numerics.t_end", "must be positive")
-        if self.rho_rule not in ("eps3", "fixed"):
-            raise ConfigError("numerics.rho_rule", f"unknown rule {self.rho_rule!r}")
-        if self.rho_rule == "fixed" and self.rho is None:
-            raise ConfigError("numerics.rho", "rho_rule 'fixed' needs an explicit rho")
         if self.rho is None:
             self.rho = self.epsilon ** 3
         if self.eps0 is None:
@@ -146,7 +142,8 @@ class RunConfig:
         if self.eps1 is None:
             self.eps1 = min(4.0 * self.epsilon, 8.0 * self.eps0)
         if not 0 < self.eps0 <= self.eps1:
-            raise ConfigError("numerics.eps0", "need 0 < eps0 <= eps1")
+            raise ConfigError("numerics.eps0", "need 0 < eps0 <= eps1 (at "
+                              f"epsilon {self.epsilon:g}, eps1 {self.eps1:g})")
 
 
 class RecordColumns(NamedTuple):
@@ -260,6 +257,13 @@ class Timeline:
 # ---------------------------------------------------------------------------
 
 
+def refuse_unknown_keys(where, sec, keys):
+    """Refuse the first key of section where ("" at the top) not in keys."""
+    unknown = [name for name in sec if name not in keys]
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}".lstrip("."), "unknown key")
+
+
 def _finite(key, value):
     """A real number that is finite, as a float; bools and strings are
     refused, not coerced."""
@@ -290,13 +294,14 @@ def _profile_bounds(name, params):
     no width or midpoint of two sample points overflows."""
     x0 = _param(params, "x0", -1.0)
     x1 = _param(params, "x1", 1.0)
-    if not x0 < x1 or max(-x0, x1) > 0.5 * np.finfo(float).max:
+    if not x0 < x1 or max(-x0, x1) > _X_BOUND:
         raise ConfigError("initial.params", f"{name} needs x0 < x1, each at "
                           "most half the largest float in size")
     return x0, x1
 
 
 def _profile_ramp(params):
+    refuse_unknown_keys("initial.params", params, ("x0", "x1", "u_left", "u_right"))
     x0, x1 = _profile_bounds("ramp", params)
     u_left = _param(params, "u_left", 1.0)
     u_right = _param(params, "u_right", -1.0)
@@ -312,6 +317,7 @@ def _profile_ramp(params):
 
 
 def _profile_sawtooth(params):
+    refuse_unknown_keys("initial.params", params, ("x0", "x1", "teeth", "amplitude"))
     x0, x1 = _profile_bounds("sawtooth", params)
     teeth = _positive_int("initial.params.teeth", params.get("teeth", 3))
     amp = _param(params, "amplitude", 0.5)
@@ -336,6 +342,7 @@ def initial_data(model, data_spec):
     over the model's small-BV budget (InitialDataError)."""
     kind = data_spec.get("kind", "breakpoints")
     if kind == "breakpoints":
+        refuse_unknown_keys("initial", data_spec, ("kind", "xs", "values"))
         xs, values = data_spec.get("xs"), data_spec.get("values")
         if not isinstance(xs, list):
             raise ConfigError("initial.xs", f"must be a list of numbers, got {xs!r}")
@@ -343,6 +350,9 @@ def initial_data(model, data_spec):
             raise ConfigError("initial.values",
                               f"must be a list of states, got {values!r}")
         xs = [_finite("initial.xs", x) for x in xs]
+        if any(abs(x) > _X_BOUND for x in xs):
+            raise ConfigError("initial.xs", "breakpoints must each be at most "
+                              "half the largest float in size")
         try:
             values = [_state(model, v) for v in values]
         except DomainError as exc:
@@ -355,6 +365,7 @@ def initial_data(model, data_spec):
     elif kind == "profile":
         if model.N != 1:
             raise ConfigError("initial.profile", "named profiles are scalar-only")
+        refuse_unknown_keys("initial", data_spec, ("kind", "name", "samples", "params"))
         name = data_spec.get("name")
         if name not in PROFILES:
             raise ConfigError("initial.profile", f"unknown profile {name!r}")
@@ -416,7 +427,7 @@ def _make_live(fld):
 def next_collision(fld, tie_tol=0.0):
     """Earliest adjacent-pair collision of a live field; near-simultaneous
     times (within tie_tol) are resolved by smallest collision position, then
-    left front id.
+    left front id. A pair whose collision time overflows never collides.
 
     Every pair is computed at once, each with the same float operations as
     a pair-by-pair loop, so the winner is the same to the last bit."""
@@ -427,16 +438,21 @@ def next_collision(fld, tie_tol=0.0):
     js = (ds > 0.0).nonzero()[0]
     if not len(js):
         return None
-    dt = (xs[js + 1] - xs[js]) / ds[js]
-    dt[dt < 0.0] = 0.0
-    ts = fld.time + dt
-    xc = xs[js] + sp[js] * dt
-    group = ts <= ts.min() + tie_tol
-    # pairs of the group meeting at its smallest x; more than one is rare
-    tied = (group & (xc == xc[group].min())).nonzero()[0].tolist()
-    g = min(tied, key=lambda g: fronts[js[g]].id)
-    j = int(js[g])
-    return Collision(t=float(ts[g]), x=float(xc[g]), index=j,
+    with np.errstate(over="ignore"):
+        dt = (xs[1:] - xs[:-1])[js] / ds[js]
+        dt[dt < 0.0] = 0.0
+        ts = fld.time + dt
+        t_min = ts[ts.argmin()]
+        if t_min == math.inf:
+            return None
+        # positions only for the tie group; its pairs at the smallest x go by id
+        group = (ts <= t_min + tie_tol).nonzero()[0]
+        jg = js[group]
+        xc = xs[jg] + sp[jg] * dt[group]
+    k = min((xc == xc[xc.argmin()]).nonzero()[0].tolist(),
+            key=lambda k: fronts[jg[k]].id)
+    j = int(jg[k])
+    return Collision(t=float(ts[group[k]]), x=float(xc[k]), index=j,
                      left_id=fronts[j].id, right_id=fronts[j + 1].id)
 
 
@@ -554,14 +570,12 @@ def run(config):
 
 
 def apply_event(fronts, ev):
-    """Splice an event's outgoing fronts in place of its incoming pair;
-    returns the index of the splice."""
+    """Splice an event's outgoing fronts in place of its incoming pair."""
     try:
         j = fronts.index(ev.incoming[0])
     except ValueError:
         raise SolverError("event splice lost an incoming front")
     fronts[j:j + 2] = ev.outgoing
-    return j
 
 
 def slice_at(timeline, t):

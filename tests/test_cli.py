@@ -48,22 +48,41 @@ class TestParseConfig:
             cli.parse_config(write_scenario(tmp_path, doc))
         assert "eps0" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["eps0", "eps1"])
-    def test_threshold_with_ladder_names_key(self, tmp_path, key, capsys):
-        # ladder members derive eps0/eps1 from their own epsilon, so an
-        # explicit threshold would be silently dropped
+    def test_ladder_member_configs(self, tmp_path):
+        # a given value holds on every member; an absent one takes the
+        # member's own default
         doc = json.loads(json.dumps(MINIMAL))
-        doc["numerics"][key] = 0.2
+        doc["numerics"]["eps1"] = 0.2
         doc["diagnostics"] = {"epsilon_ladder": [0.1, 0.05]}
+        cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
+        assert (cfg.epsilon, cfg.eps0, cfg.eps1) == (0.1, 0.1, 0.2)
+        assert [(c.epsilon, c.eps0, c.eps1, c.t_end)
+                for c in plan["members"]] == [(0.1, 0.1, 0.2, 5.0),
+                                              (0.05, 0.05, 0.2, 5.0)]
+        assert [c.rho for c in plan["members"]] == pytest.approx(
+            [0.1 ** 3, 0.05 ** 3])
+        del doc["diagnostics"]
+        _, plan = cli.parse_config(write_scenario(tmp_path, doc, "single.json"))
+        assert plan["members"] == []
+
+    def test_inconsistent_member_names_key(self, tmp_path, capsys):
+        # the member at 0.00625 defaults eps1 = min(4 epsilon, 8 eps0) =
+        # 0.025, below the given eps0
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["numerics"]["eps0"] = 0.05
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        doc["diagnostics"] = {"epsilon_ladder": [0.1, 0.00625]}
         path = write_scenario(tmp_path, doc)
         with pytest.raises(ConfigError) as err:
             cli.parse_config(path)
-        assert err.value.key == f"numerics.{key}"
+        assert err.value.key == "numerics.eps0"
+        assert "at epsilon 0.00625" in str(err.value)
         assert cli.main(["check", path]) == cli.EXIT_CONFIG
-        assert f"numerics.{key}" in capsys.readouterr().err
-        del doc["diagnostics"]
-        cfg, _ = cli.parse_config(write_scenario(tmp_path, doc, "single.json"))
-        assert getattr(cfg, key) == 0.2
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("config error: numerics.eps0: need 0 < eps0 <= eps1 "
+                         "(at epsilon 0.00625, eps1 0.025)\n") == 2
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("ladder", [
         [0.1, -0.05], [0.1, 0.0], [0.1, float("nan")], [float("inf")],
@@ -349,7 +368,28 @@ class TestCheckAgreesWithRun:
         # a finite width, but a ramp slope product that overflows
         ("initial.params", "initial",
          {"kind": "profile", "name": "ramp",
-          "params": {"x0": -8e307, "x1": 8e307}}, True)])
+          "params": {"x0": -8e307, "x1": 8e307}}, True),
+        # breakpoints whose gap overflows
+        ("initial.xs", "initial",
+         {"kind": "breakpoints", "xs": [-1.5e308, 1.5e308],
+          "values": [[0.5], [-0.5], [-1.0]]}, True),
+        # a key no section knows, ignored or overwritten before
+        ("output", "output", {"dir": "elsewhere"}, False),
+        ("model.parms", "model.parms", {}, False),
+        ("initial.samples", "initial.samples", 40, True),
+        ("initial.params.amplitud", "initial",
+         {"kind": "profile", "name": "sawtooth", "params": {"amplitud": 0.1}},
+         True),
+        ("numerics.epsilom", "numerics.epsilom", 0.05, False),
+        # the deleted ladder knob, which would now quietly change meaning
+        ("numerics.rho_rule", "numerics.rho_rule", "fixed", False),
+        ("numerics.tolerances.audit_relative",
+         "numerics.tolerances.audit_relative", 1e-9, False),
+        ("diagnostics.chekcs", "diagnostics.chekcs", ["balance"], False),
+        ("diagnostics.outputs", "diagnostics.outputs", {"dir": "x"}, False),
+        ("outputs.slice_time", "outputs.slice_time", [1.0], False),
+        ("diagnostics.convergence.t_evil",
+         "diagnostics.convergence.t_evil", 0.5, False)])
     def test_refusal(self, tmp_path, key, section, value, in_manifest,
                      capsys):
         doc = json.loads(json.dumps(MINIMAL))
@@ -371,6 +411,26 @@ class TestCheckAgreesWithRun:
         else:
             assert capsys.readouterr().err == err
             assert not manifest.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("initial", [
+        # the one approaching pair's collision time overflows
+        {"kind": "breakpoints", "xs": [-8e307, 8e307],
+         "values": [[0.5], [-0.5], [-1.0]]},
+        # collision times that overflow or fall after t_end
+        {"kind": "profile", "name": "sawtooth",
+         "params": {"x0": -4e307, "x1": 4e307}}])
+    def test_far_apart_fronts_run(self, tmp_path, initial):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["initial"] = initial
+        # the audits are not the subject here (conservation's m1 - m0
+        # cancels at this scale)
+        doc["diagnostics"] = {"checks": []}
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["check", path]) == cli.EXIT_OK
+        assert cli.main(["run", path]) == cli.EXIT_OK
+        assert io.read_events_jsonl(tmp_path / "out" / "events.jsonl") == []
 
 
 class TestMonotonicityCheck:
@@ -556,21 +616,43 @@ class TestOrchestrate:
                   for eps in (0.1, 0.05)]
         return configs, events
 
-    def test_ladder_keeps_fixed_rho(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("numerics, expected, solver", [
         # rho = 0.2 >= I = 0.125 sends the merge to the simplified solver
-        configs, events = self._ladder_members(
-            tmp_path, monkeypatch, {"rho": 0.2, "rho_rule": "fixed"})
-        assert [(c.epsilon, c.rho, c.rho_rule) for c in configs] == [
-            (0.1, 0.2, "fixed"), (0.05, 0.2, "fixed")]
-        assert [ev[0]["solver"] for ev in events] == ["simplified"] * 2
+        ({"rho": 0.2}, [(0.1, 0.2, 0.1, 0.4), (0.05, 0.2, 0.05, 0.2)],
+         "simplified"),
+        ({"eps0": 0.05, "eps1": 0.3},
+         [(0.1, 1e-3, 0.05, 0.3), (0.05, 1.25e-4, 0.05, 0.3)], "accurate"),
+        ({}, [(0.1, 1e-3, 0.1, 0.4), (0.05, 1.25e-4, 0.05, 0.2)],
+         "accurate")], ids=["rho", "thresholds", "absent"])
+    def test_given_value_holds_on_every_member(self, tmp_path, monkeypatch,
+                                               numerics, expected, solver):
+        configs, events = self._ladder_members(tmp_path, monkeypatch,
+                                               numerics)
+        got = [(c.epsilon, c.rho, c.eps0, c.eps1) for c in configs]
+        assert [g[0] for g in got] == [e[0] for e in expected]
+        assert np.allclose([g[1:] for g in got], [e[1:] for e in expected],
+                           rtol=1e-12, atol=0)
+        assert [ev[0]["solver"] for ev in events] == [solver] * 2
 
-    def test_ladder_scales_eps3_rho_per_member(self, tmp_path, monkeypatch):
-        configs, events = self._ladder_members(
-            tmp_path, monkeypatch, {"rho": 0.2})
-        assert [(c.epsilon, c.rho_rule) for c in configs] == [
-            (0.1, "eps3"), (0.05, "eps3")]
-        assert [c.rho for c in configs] == pytest.approx([0.1 ** 3, 0.05 ** 3])
-        assert [ev[0]["solver"] for ev in events] == ["accurate"] * 2
+    def test_fixed_threshold_ladder(self, tmp_path, monkeypatch):
+        # the shipped remark ladder with eps0 and eps1 held at every member
+        doc = json.loads((SCENARIOS / "remark_ladder_fixed.json").read_text())
+        assert (doc["numerics"]["eps0"], doc["numerics"]["eps1"]) == (0.05, 0.2)
+        doc["outputs"]["dir"] = str(tmp_path / "ladder")
+        timelines = []
+        run = tk.run
+
+        def recording_run(cfg):
+            timelines.append(run(cfg))
+            return timelines[-1]
+
+        monkeypatch.setattr(tk, "run", recording_run)
+        cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
+        assert cli.orchestrate(cfg, plan) == cli.EXIT_OK
+        ladder = doc["diagnostics"]["epsilon_ladder"]
+        assert [tl.config.epsilon for tl in timelines] == ladder
+        assert all((tl.config.eps0, tl.config.eps1) == (0.05, 0.2)
+                   for tl in timelines)
 
 
 class TestDeterminismAndRoundTrip:

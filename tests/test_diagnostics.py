@@ -6,6 +6,7 @@ import pytest
 from fronttrack import cli
 from fronttrack import diagnostics as dg
 from fronttrack import measures as ms
+from fronttrack import tracker as tk
 
 from conftest import (quick_run, random_breakpoint_scenario,
                       reference_min_characteristic, reference_next_crossing,
@@ -469,8 +470,12 @@ class TestRegionAuditMatchesReference:
         groups = []
         local = dg._fan_group
 
-        def record(fronts, j, ev, applied):
-            group = local(fronts, j, ev, applied)
+        def record(timeline, ev, applied):
+            group = local(timeline, ev, applied)
+            # the field after ev, replayed from t = 0
+            fronts = list(timeline.initial_field.fronts)
+            for e in timeline.events[:ev.index + 1]:
+                tk.apply_event(fronts, e)
             scan = [f for f in fronts if f.born_x == ev.x and f.born_t == ev.t]
             assert len(group) == len(scan)
             assert all(g is f for g, f in zip(group, scan))
