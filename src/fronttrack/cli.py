@@ -488,6 +488,8 @@ def orchestrate(cfg, plan):
         exit_code = EXIT_CONFIG
     except FrontTrackError as exc:
         manifest["error"] = str(exc)
+        if exc.event is not None:
+            manifest["failed_event"] = exc.event
         exit_code = EXIT_RUNTIME
     finally:
         io.write_diagnostics_json(os.path.join(outdir, "manifest.json"), manifest)

@@ -419,7 +419,7 @@ def positive_decay_check(timeline, i, s, t, sets):
     if not 0 <= s < t <= timeline.t_end:
         raise SolverError("need 0 <= s < t <= t_end")
     fld_t = timeline.slice_at(t)
-    vi = ms.wave_measure_slice(fld_t, i)
+    vi = ms.wave_measure_slice(fld_t, i, timeline.wave_content)
     q_s = ms.glimm_Q(timeline.slice_at(s))
     q_t = ms.glimm_Q(fld_t)
     rows = []
@@ -441,7 +441,7 @@ def decay_estimate_check(timeline, i, t, tau, sets):
         raise SolverError("need 0 < tau < t <= t_end")
     curves = timeline.curves(i)
     fld = timeline.slice_at(t)
-    _, v_cont = ms.split_jump_cont(fld, i, curves)
+    _, v_cont = ms.split_jump_cont(fld, i, curves, timeline.wave_content)
     icj = ms.mu_ICJ(timeline, i, curves)
     window = icj.mass_in_time_window(t - tau, t + tau)
     rows = []

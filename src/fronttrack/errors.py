@@ -7,7 +7,10 @@ checks' verdicts, never raised, and exits 2.
 
 
 class FrontTrackError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. event is None, or the failing
+    event's index, t, x, incoming ids and solver (set by tracker.run)."""
+
+    event = None
 
 
 class ConfigError(FrontTrackError):

@@ -13,7 +13,6 @@ riemann module notes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,56 +142,43 @@ def glimm_Q(field):
     return q1 + q2
 
 
-class QColumns(NamedTuple):
-    """glimm_Q's per-front data as arrays: |size|, family, speed and the
-    physical flag of each front."""
-
-    size: np.ndarray
-    family: np.ndarray
-    speed: np.ndarray
-    physical: np.ndarray
-
-    def splice(self, j, other):
-        """The columns with rows j, j + 1 replaced by other's rows."""
-        return QColumns(*(np.concatenate((c[:j], o, c[j + 2:]))
-                          for c, o in zip(self, other)))
-
-
 def q_columns(fronts):
-    """The QColumns of a front list."""
-    n = len(fronts)
-    return QColumns(np.abs(np.fromiter([f.size for f in fronts], float, n)),
-                    np.fromiter([f.family for f in fronts], float, n),
-                    np.fromiter([f.speed for f in fronts], float, n),
-                    np.fromiter([f.is_physical for f in fronts], bool, n))
+    """glimm_Q's per-front data as one (4, m) float64 table: rows |size|,
+    family, speed and the physical flag (1.0 or 0.0), a column per front."""
+    return np.array([[abs(f.size) for f in fronts], [f.family for f in fronts],
+                     [f.speed for f in fronts], [f.is_physical for f in fronts]],
+                    dtype=float)
 
 
-def _pair_weights(a, b):
-    """glimm_Q's weight of every pair (alpha from a, beta from b) with alpha
-    left of beta, as an |a| x |b| array of QColumns entries."""
-    s_a, fam_a, sig_a, phys_a = (c[:, None] for c in a)
-    s_b, fam_b, sig_b, phys_b = b
-    absprod = s_a * s_b
-    same = (fam_a == fam_b) & phys_a & phys_b
-    return np.where(fam_a > fam_b, absprod,
-                    np.where(same, 0.5 * absprod * np.abs(sig_a - sig_b), 0.0))
+def splice_columns(table, j, out):
+    """The q_columns table with columns j, j + 1 replaced by out's columns."""
+    return np.concatenate((table[:, :j], out, table[:, j + 2:]), axis=1)
 
 
-def splice_deltas(cols, j, out_cols):
-    """(dV, dQ) of replacing the adjacent pair at rows j, j + 1 of a field's
-    QColumns by the outgoing fronts' QColumns. Only pairs with a replaced
-    front change Q: each incoming and outgoing front is weighed against the
-    untouched fronts on either side, plus the pairs inside the window; the
-    cost is O(len(cols.size)) in numpy."""
-    dV = sum(out_cols.size.tolist()) - cols.size[j] - cols.size[j + 1]
-    left = [c[:j] for c in cols]
-    right = [c[j + 2:] for c in cols]
-    window = [np.concatenate((c[j:j + 2], o)) for c, o in zip(cols, out_cols)]
-    sign = np.array([-1.0, -1.0] + [1.0] * len(out_cols.size))
-    inside = np.triu(_pair_weights(window, window), 1)
-    dQ = (float((_pair_weights(left, window) * sign).sum())
-          + float((sign[:, None] * _pair_weights(window, right)).sum())
-          + float(inside[2:, 2:].sum()) - float(inside[0, 1]))
+def splice_deltas(table, j, out):
+    """(dV, dQ) of replacing the adjacent pair at columns j, j + 1 of a
+    field's q_columns table by the outgoing fronts' table. Only pairs with a
+    replaced front change Q, so one pass builds every such pair's signed
+    weight: a row per window front (the incoming pair, then the outgoing
+    fronts), a column per field front, then per outgoing front. A field
+    front right of the window is the pair's beta, so its family difference
+    is negated. Each block is copied into the layout of a pair-by-pair
+    weight table before it is summed, so numpy sums in the same order and
+    dQ keeps every bit; the cost is O(m) in numpy."""
+    m = table.shape[1]
+    size, fam, sig, phys = np.concatenate((table, out), axis=1)
+    win = np.concatenate((table[:, j:j + 2], out), axis=1)[:, :, None]
+    dfam = fam - win[1]
+    dfam[:, j + 2:m] *= -1.0
+    coef = (dfam > 0) + 0.5 * np.abs(sig - win[2]) * (dfam == 0) * phys * win[3]
+    win[0, :2] *= -1.0  # incoming fronts leave Q, outgoing ones enter it
+    coef *= size * win[0]
+    inside = coef[:, m:].T.copy()[:, 2:]  # outgoing alpha, outgoing beta
+    for r in range(len(inside)):
+        inside[r, :r + 1] = 0.0
+    dV = sum(out[0].tolist()) - table[0, j] - table[0, j + 1]
+    dQ = (float(coef[:, :j].T.copy().sum()) + float(coef[:, j + 2:m].copy().sum())
+          + float(inside.sum()) + float(coef[1, j]))  # minus the pair's weight
     return float(dV), dQ
 
 
@@ -296,17 +282,25 @@ def front_wave_content(model, i, uL, uR, eigs=None):
     return front_wave_contents(model, uL, uR, eigs)[i - 1]
 
 
-def wave_measure_slice(field, i):
+def _field_contents(field, i, content):
+    """The i-wave contents of a field's fronts in field order (see
+    wave_measure_slice)."""
+    if content is not None:
+        return [content(f.id, i) for f in field.fronts]
+    return [front_wave_content(field.model, i, f.uL, f.uR, f.eigs)
+            for f in field.fronts]
+
+
+def wave_measure_slice(field, i, content=None):
     """i-th wave measure v_i of a field: one atom per front at its position.
+    content(front id, i), when given, supplies the contents (a Timeline's
+    cached wave_content); else each front's own eigensystem gives them.
 
     Nonphysical fronts contribute through the same decomposition; their total
     is O(epsilon).
     """
-    atoms = []
-    for f, x in zip(field.fronts, field.xs):
-        atoms.append((x, front_wave_content(field.model, i, f.uL, f.uR,
-                                            f.eigs)))
-    return AtomicMeasure1D.from_atoms(atoms)
+    return AtomicMeasure1D.from_atoms(
+        list(zip(field.xs, _field_contents(field, i, content))))
 
 
 def nonphysical_total_strength(field):
@@ -439,14 +433,14 @@ def extract_shock_curves(timeline, i, eps0, eps1):
     return kept
 
 
-def split_jump_cont(field, i, curves):
+def split_jump_cont(field, i, curves, content=None):
     """Split v_i into the part carried by the maximal shock fronts and the
-    remainder; the two restrictions add back to v_i atom by atom."""
+    remainder; the two restrictions add back to v_i atom by atom. content
+    is as in wave_measure_slice."""
     ids = curve_front_ids(curves)
     jump, cont = [], []
-    for f, x in zip(field.fronts, field.xs):
-        (jump if f.id in ids else cont).append(
-            (x, front_wave_content(field.model, i, f.uL, f.uR, f.eigs)))
+    for f, x, w in zip(field.fronts, field.xs, _field_contents(field, i, content)):
+        (jump if f.id in ids else cont).append((x, w))
     # from_atoms sorts stably, so each part keeps v_i's order of its atoms
     return AtomicMeasure1D.from_atoms(jump), AtomicMeasure1D.from_atoms(cont)
 

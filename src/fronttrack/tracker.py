@@ -22,7 +22,7 @@ from . import flux_core as fc
 from . import measures as ms
 from . import riemann as rm
 from .errors import (CapExceededError, ConfigError, DomainError,
-                     InitialDataError, SolverError)
+                     FrontTrackError, InitialDataError, SolverError)
 
 _X_BOUND = 0.5 * np.finfo(float).max  # so no gap of two positions overflows
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
@@ -35,8 +35,9 @@ class FrontField:
     with xs[k] the position of fronts[k].
 
     The live field of run (built by _make_live, advanced by step) holds xs
-    as a float64 array and cols, the fronts' measures.QColumns; step splices
-    both with fronts. Other fields hold xs as a list of floats and no cols.
+    as a float64 array and cols, the fronts' measures.q_columns table (row
+    2 is the speeds); step splices both with fronts. Other fields hold xs as
+    a list of floats and no cols.
     """
 
     model: object
@@ -44,7 +45,7 @@ class FrontField:
     left_state: np.ndarray
     fronts: list
     xs: list
-    cols: ms.QColumns | None = field(default=None, repr=False, compare=False)
+    cols: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def state_at(self, x):
         """Right-continuous evaluation at position x."""
@@ -418,8 +419,8 @@ def init_sample(model, data_spec, eps):
 
 
 def _make_live(fld):
-    """Give a field the live loop's columns: positions as a float64 array
-    and the fronts' QColumns."""
+    """Give a field the live loop's arrays: positions as a float64 array
+    and the fronts' (4, m) q_columns table."""
     fld.xs = np.array(fld.xs, dtype=float)
     fld.cols = ms.q_columns(fld.fronts)
 
@@ -433,7 +434,7 @@ def next_collision(fld, tie_tol=0.0):
     a pair-by-pair loop, so the winner is the same to the last bit."""
     fronts = fld.fronts
     xs = fld.xs
-    sp = fld.cols.speed
+    sp = fld.cols[2]
     ds = sp[:-1] - sp[1:]
     js = (ds > 0.0).nonzero()[0]
     if not len(js):
@@ -460,7 +461,7 @@ def _advance(fld, t):
     """Move the live field to time t, each position by its own increment."""
     dt = t - fld.time
     if dt != 0.0:
-        fld.xs += fld.cols.speed * dt
+        fld.xs += fld.cols[2] * dt
     fld.time = t
 
 
@@ -476,16 +477,13 @@ def step(fld, config, next_id, event_index, col):
     _advance(fld, col.t)
     j = col.index
     f_left, f_right = fld.fronts[j], fld.fronts[j + 1]
-    amount, cancellation = ms.interaction_amount(f_left, f_right)
-    if not f_left.is_physical:
+    solver, amount, cancellation = _choose_solver(f_left, f_right, config.rho)
+    if solver == "crude":
         fronts = rm.solve_crude(model, f_left, f_right)
-        solver = "crude"
-    elif amount > config.rho:
+    elif solver == "accurate":
         fronts = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon)
-        solver = "accurate"
     else:
         fronts = rm.solve_simplified(model, f_left, f_right)
-        solver = "simplified"
     kept = _select_outgoing(model, fronts, f_left, f_right)
     for f in kept:
         f.born_t = col.t
@@ -496,11 +494,11 @@ def step(fld, config, next_id, event_index, col):
         f.died_t = col.t
         f.died_x = col.x
         f.death_event = event_index
-    out_cols = ms.q_columns(kept)
-    dV, dQ = ms.splice_deltas(fld.cols, j, out_cols)
+    out = ms.q_columns(kept)
+    dV, dQ = ms.splice_deltas(fld.cols, j, out)
     fld.fronts[j:j + 2] = kept
     fld.xs = np.concatenate((fld.xs[:j], [col.x] * len(kept), fld.xs[j + 2:]))
-    fld.cols = fld.cols.splice(j, out_cols)
+    fld.cols = ms.splice_columns(fld.cols, j, out)
     if len(fld.fronts) > config.front_cap:
         raise CapExceededError(
             f"front cap {config.front_cap} exceeded at t={col.t:.6g} "
@@ -509,6 +507,16 @@ def step(fld, config, next_id, event_index, col):
         index=event_index, t=col.t, x=col.x, solver=solver,
         incoming=[f_left, f_right], outgoing=kept,
         amount_I=amount, cancellation=cancellation, dV=dV, dQ=dQ)
+
+
+def _choose_solver(f_left, f_right, rho):
+    """(solver, interaction amount, cancellation) of a colliding pair: the
+    crude solver when the left front is nonphysical, else the accurate one
+    when the amount exceeds rho and the simplified one when it does not."""
+    amount, cancellation = ms.interaction_amount(f_left, f_right)
+    if not f_left.is_physical:
+        return "crude", amount, cancellation
+    return ("accurate" if amount > rho else "simplified"), amount, cancellation
 
 
 def _select_outgoing(model, fronts, f_left, f_right):
@@ -530,7 +538,9 @@ def _select_outgoing(model, fronts, f_left, f_right):
 
 
 def run(config):
-    """Front-track until t_end or quiescence; returns the Timeline."""
+    """Front-track until t_end or quiescence; returns the Timeline. A
+    FrontTrackError raised while an event is processed carries the event's
+    index, t, x, incoming ids and solver in its event attribute."""
     model = fc.make_model(config.model_id, config.model_params)
     fld = init_sample(model, config.initial, config.epsilon)
     initial = FrontField(model=model, time=0.0, left_state=fld.left_state,
@@ -548,7 +558,15 @@ def run(config):
         if len(events) >= config.event_cap:
             raise CapExceededError(
                 f"event cap {config.event_cap} exceeded (is rho set correctly?)")
-        ev = step(fld, config, next_id, len(events), col)
+        try:
+            ev = step(fld, config, next_id, len(events), col)
+        except FrontTrackError as exc:
+            exc.event = {"index": len(events), "t": col.t, "x": col.x,
+                         "incoming": [col.left_id, col.right_id],
+                         "solver": _choose_solver(records[col.left_id],
+                                                  records[col.right_id],
+                                                  config.rho)[0]}
+            raise
         for f in ev.outgoing:
             records[f.id] = f
         events.append(ev)

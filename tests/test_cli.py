@@ -531,6 +531,27 @@ class TestOrchestrate:
         manifest = json.loads((tmp_path / "out_cap" / "manifest.json").read_text())
         assert not manifest["complete"]
         assert "cap" in manifest["error"]
+        # the cap stops the loop between events, so no event failed
+        assert "failed_event" not in manifest
+
+    def test_failed_event_in_manifest(self, tmp_path, capsys):
+        # the front cap stops the shipped ramp at its first event, which
+        # the manifest names as the uncapped run records it
+        doc = json.loads((SCENARIOS / "burgers_ramp.json").read_text())
+        doc["numerics"]["front_cap"] = 3
+        doc["outputs"]["dir"] = str(tmp_path / "out")
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["run", path]) == cli.EXIT_RUNTIME
+        assert "run failed" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert not manifest["complete"]
+        assert manifest["error"].startswith("front cap 3 exceeded")
+        cfg, _ = cli.parse_config(str(SCENARIOS / "burgers_ramp.json"))
+        ev = tk.run(cfg).events[0]
+        assert manifest["failed_event"] == {
+            "index": 0, "t": ev.t, "x": ev.x, "solver": ev.solver,
+            "incoming": [f.id for f in ev.incoming]}
+        assert ev.solver == "accurate"
 
     def test_oversized_jump_refused_before_solving(self, tmp_path):
         # the small-BV budget rejects the datum before the Riemann radius

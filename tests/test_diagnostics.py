@@ -5,6 +5,7 @@ import pytest
 
 from fronttrack import cli
 from fronttrack import diagnostics as dg
+from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import tracker as tk
 
@@ -260,6 +261,26 @@ class TestDecayEstimate:
         rep = dg.decay_estimate_check(tl, 1, t_ev + 0.25, 0.5, [[(-3.0, 3.0)]])
         assert rep["icj_window_mass"] > 0.0
         assert math.isfinite(rep["C_required"])
+
+
+class TestWaveContentCache:
+    def test_decay_checks_read_cached_contents(self, remark_timeline,
+                                               monkeypatch):
+        # once every front's contents are cached, the two decay checks
+        # need no averaged eigensystem, nonphysical fronts included
+        src = remark_timeline
+        tl = tk.Timeline(src.model, src.config, src.initial_field, src.events,
+                         src.front_records, src.ledger, src.t_end)
+        expect = (dg.positive_decay_check(tl, 2, 0.2, 1.2, [[(-1.0, 1.0)]]),
+                  dg.decay_estimate_check(tl, 2, 1.2, 0.3, [[(-1.0, 1.0)]]))
+        assert any(not f.is_physical for f in tl.slice_at(1.2).fronts)
+        calls = []
+        average_eigs = fc.average_eigs
+        monkeypatch.setattr(fc, "average_eigs",
+                            lambda *args: calls.append(args) or average_eigs(*args))
+        assert (dg.positive_decay_check(tl, 2, 0.2, 1.2, [[(-1.0, 1.0)]]),
+                dg.decay_estimate_check(tl, 2, 1.2, 0.3, [[(-1.0, 1.0)]])) == expect
+        assert calls == []
 
 
 class TestTameOscillation:

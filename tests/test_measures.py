@@ -1,14 +1,17 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import (assert_keeps_own_eigs, quick_run,
+from conftest import (assert_keeps_own_eigs, quick_run, reference_q_columns,
                       reference_source_measure_mu_jump,
                       reference_splice_deltas, reference_split_jump_cont)
 
@@ -22,6 +25,38 @@ def make_field(fronts, left=1.0):
 def synth_front(x, family, size, speed, kind="shock", fid=0):
     return rm.Front(family=family, born_x=x, speed=speed, uL=np.array([0.0]),
                     uR=np.array([size]), size=size, kind=kind, id=fid)
+
+
+def _bits(floats):
+    return struct.pack(f"<{len(floats)}d", *floats)
+
+
+@st.composite
+def splice_windows(draw):
+    """(fronts, j, outgoing): up to about 300 fronts, so a summed block
+    passes numpy's 128-element pairwise block, and 0 to 12 outgoing fronts,
+    so rows pass numpy's 8-element unrolled sum. j is often at either end.
+    The fronts come from a drawn seed: families 1 and 2 are physical or
+    not, family 3 is the nonphysical N + 1, sizes run from 1e-12 to 1, and
+    speeds are often drawn from a few exact values, so equal speeds meet."""
+    m = draw(st.one_of(st.integers(2, 12), st.integers(2, 300)))
+    k = draw(st.integers(0, 12))
+    j = draw(st.one_of(st.just(0), st.just(m - 2), st.integers(0, m - 2)))
+    nonphysical_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    speed_pool = draw(st.sampled_from([(), (-0.5, 0.25), (0.0, 0.25, 1.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fronts = []
+    for fid in range(m + k):
+        fam = int(rng.integers(1, 4))
+        physical = fam < 3 and rng.random() >= nonphysical_share
+        size = float(10.0 ** rng.uniform(-12.0, 0.0))
+        if physical and rng.random() < 0.5:
+            size = -size
+        speed = (float(rng.choice(speed_pool)) if speed_pool and rng.random() < 0.7
+                 else float(rng.uniform(-2.0, 2.0)))
+        fronts.append(synth_front(0.0, fam, size, speed,
+                                  "shock" if physical else "nonphysical", fid))
+    return fronts[:m], j, fronts[m:]
 
 
 def _distinct_event_times(tl):
@@ -132,11 +167,23 @@ class TestVandQ:
             before, outgoing = fronts[:m], fronts[m:]
             j = int(rng.integers(0, m - 1))
             got = ms.splice_deltas(ms.q_columns(before), j, ms.q_columns(outgoing))
-            assert got == reference_splice_deltas(before, j, outgoing)
-            after = ms.q_columns(before).splice(j, ms.q_columns(outgoing))
+            assert _bits(got) == _bits(reference_splice_deltas(before, j, outgoing))
+            after = ms.splice_columns(ms.q_columns(before), j,
+                                      ms.q_columns(outgoing))
             expect = ms.q_columns(before[:j] + outgoing + before[j + 2:])
-            for c, e in zip(after, expect):
-                assert c.dtype == e.dtype and np.array_equal(c, e)
+            assert after.dtype == expect.dtype == np.float64
+            assert after.flags.c_contiguous and np.array_equal(after, expect)
+            # the columns are |size|, family, speed and the physical flag
+            for c, e in zip(after, reference_q_columns(before[:j] + outgoing
+                                                       + before[j + 2:])):
+                assert np.array_equal(c, e)
+
+    @settings(max_examples=150)
+    @given(window=splice_windows())
+    def test_splice_deltas_property_bitwise(self, window):
+        before, j, outgoing = window
+        got = ms.splice_deltas(ms.q_columns(before), j, ms.q_columns(outgoing))
+        assert _bits(got) == _bits(reference_splice_deltas(before, j, outgoing))
 
 
 class TestInteractionAmount:
@@ -316,6 +363,29 @@ class TestWaveContents:
                 for got, ref in pairs:
                     assert got.xs.tobytes() == ref.xs.tobytes()
                     assert got.ws.tobytes() == ref.ws.tobytes()
+
+    def test_slice_measures_read_the_timeline_cache(self, remark_timeline,
+                                                    monkeypatch):
+        # contents read through Timeline.wave_content give the computed
+        # measures' bits, and once cached cost no eigensystem
+        tl = remark_timeline
+        curves = tl.curves(1)
+        fields = [tl.slice_at(t) for t in (0.3, 0.8, 1.4)]
+        assert any(not f.is_physical for fld in fields for f in fld.fronts)
+        expect = [(ms.wave_measure_slice(fld, i),
+                   *ms.split_jump_cont(fld, i, curves))
+                  for fld in fields for i in (1, 2)]
+        for fld in fields:
+            for f in fld.fronts:
+                tl.wave_content(f.id, 1)
+        monkeypatch.setattr(fc, "average_eigs", None)
+        got = [(ms.wave_measure_slice(fld, i, tl.wave_content),
+                *ms.split_jump_cont(fld, i, curves, tl.wave_content))
+               for fld in fields for i in (1, 2)]
+        for g, e in zip(sum(got, ()), sum(expect, ())):
+            assert g.xs.tobytes() == e.xs.tobytes()
+            assert g.ws.tobytes() == e.ws.tobytes()
+
 
 class TestLambdaComponentSlice:
     def test_classified_burgers_shock_atom(self):

@@ -7,7 +7,7 @@ import pytest
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import tracker as tk
-from fronttrack.errors import InitialDataError, SolverError
+from fronttrack.errors import InitialDataError, RiemannError, SolverError
 
 from conftest import (assert_keeps_own_eigs, quick_run,
                       random_breakpoint_scenario,
@@ -153,6 +153,22 @@ class TestRun:
         final = tl.slice_at(2.0)
         assert len(final.fronts) == 1
         assert final.fronts[0].size == pytest.approx(-2.0)
+
+    def test_solver_failure_names_its_event(self, burgers_merge_timeline,
+                                            monkeypatch):
+        # the one event of the merge scenario, failed after its solver ran
+        # (the accurate solver also expands the initial jumps)
+        ev = burgers_merge_timeline.events[0]
+
+        def fail(*args):
+            raise RiemannError("no convergence")
+
+        monkeypatch.setattr(tk, "_select_outgoing", fail)
+        with pytest.raises(RiemannError) as info:
+            tk.run(burgers_merge_timeline.config)
+        assert info.value.event == {
+            "index": 0, "t": ev.t, "x": ev.x, "solver": ev.solver,
+            "incoming": [f.id for f in ev.incoming]}
 
     def test_state_chain_after_every_event(self, sawtooth_timeline):
         for ev in sawtooth_timeline.events:
