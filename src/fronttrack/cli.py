@@ -491,6 +491,10 @@ def orchestrate(cfg, plan):
         if exc.event is not None:
             manifest["failed_event"] = exc.event
         exit_code = EXIT_RUNTIME
+    except Exception as exc:
+        # a defect still exits 1, with its traceback, but the manifest names it
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         io.write_diagnostics_json(os.path.join(outdir, "manifest.json"), manifest)
     return exit_code

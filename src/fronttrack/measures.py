@@ -121,9 +121,22 @@ def total_variation_V(field):
     return float(sum(abs(f.size) for f in field.fronts))
 
 
+# glimm_Q never holds more than CHUNK pair weights at once, and sums them in
+# numpy's pairwise tree down to nodes of at most LEAF weights, each of which
+# is one np.add.reduce call; numpy itself splits only nodes over 128, so LEAF
+# must be at least 128 for the leaves to keep numpy's bits.
+LEAF = 2 ** 14
+CHUNK = 2 ** 15
+
+
 def glimm_Q(field):
     """Interaction potential: transversal approaching pairs plus the collapsed
-    same-family double integral (ordered pairs, alpha = beta included)."""
+    same-family double integral (ordered pairs, alpha = beta included).
+
+    Each term sums a masked sequence of pair weights in row-major order over
+    the pairs alpha < beta. The sequences are streamed in blocks and summed in
+    numpy's pairwise tree, so Q has the bits of the dense m x m sum in O(m)
+    memory."""
     fronts = field.fronts
     m = len(fronts)
     if m < 2:
@@ -132,14 +145,75 @@ def glimm_Q(field):
     fam = np.array([f.family for f in fronts])
     sig = np.array([f.speed for f in fronts])
     phys = np.array([f.is_physical for f in fronts])
-    upper = np.triu(np.ones((m, m), dtype=bool), k=1)  # alpha left of beta
-    absprod = np.abs(np.outer(s, s))
-    transversal = upper & (fam[:, None] > fam[None, :])
-    q1 = float(absprod[transversal].sum())
-    same = upper & (fam[:, None] == fam[None, :]) & phys[:, None] & phys[None, :]
+    # pairs with fam_alpha > fam_beta: a front of family k is the beta of
+    # every front of a larger family on its left
+    n_trans = 0
+    for k in np.unique(fam).tolist():
+        n_trans += int(np.cumsum(fam > k)[fam == k].sum())
+    n_same = sum(c * (c - 1) // 2
+                 for c in np.unique(fam[phys], return_counts=True)[1].tolist())
+
+    def upper(r, c):  # alpha left of beta
+        return np.arange(c.start, c.stop) > np.arange(r.start, r.stop)[:, None]
+
+    def transversal(r, c):
+        mask = upper(r, c) & (fam[r, None] > fam[None, c])
+        return np.abs(np.outer(s[r], s[c]))[mask]
+
+    def same(r, c):
+        mask = (upper(r, c) & (fam[r, None] == fam[None, c])
+                & phys[r, None] & phys[None, c])
+        return (np.abs(np.outer(s[r], s[c]))
+                * np.abs(sig[r, None] - sig[None, c]))[mask]
+
+    q1 = _tree_sum(n_trans, _pair_blocks(m, transversal))
     # ordered-pair sum with the 1/4 prefactor collapses to 1/2 over alpha < beta
-    q2 = 0.5 * float((absprod * np.abs(sig[:, None] - sig[None, :]))[same].sum())
+    q2 = 0.5 * _tree_sum(n_same, _pair_blocks(m, same))
     return q1 + q2
+
+
+def _pair_blocks(m, weights):
+    """weights(rows, cols) of the pairs alpha < beta in row-major blocks of at
+    most CHUNK pairs: runs of whole rows, or one row cut into columns."""
+    r = 0
+    while r < m - 1:
+        width = m - 1 - r
+        if width > CHUNK:
+            for c in range(r + 1, m, CHUNK):
+                yield weights(slice(r, r + 1), slice(c, min(c + CHUNK, m)))
+            r += 1
+        else:
+            r_end = min(m - 1, r + CHUNK // width)
+            yield weights(slice(r, r_end), slice(r + 1, m))
+            r = r_end
+
+
+def _tree_sum(n, blocks):
+    """The sum of the n values the blocks yield, bit for bit as numpy sums
+    them in one array: a node of more than LEAF values splits where numpy's
+    pairwise sum splits it, at n//2 rounded down to a multiple of 8, and a
+    leaf is one np.add.reduce over its values."""
+    if n == 0:
+        return 0.0
+    pending = []  # values read from the blocks, not yet summed
+    held = 0
+
+    def take(k):
+        nonlocal pending, held
+        while held < k:
+            pending.append(next(blocks))
+            held += len(pending[-1])
+        run = np.concatenate(pending) if len(pending) > 1 else pending[0]
+        pending, held = [run[k:]], held - k
+        return run[:k]
+
+    def node(k):
+        if k <= LEAF:
+            return float(np.add.reduce(take(k)))
+        half = k // 2 - (k // 2) % 8
+        return node(half) + node(k - half)
+
+    return node(n)
 
 
 def q_columns(fronts):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flux_core as fc
-from .errors import CurveError, DomainError, RiemannError, SolverError
+from .errors import (CapExceededError, CurveError, DomainError, RiemannError,
+                     SolverError)
 from .flux_core import GENERAL, GNL, LD
 
 SIZE_FLOOR = 1e-13  # below this, a wave size is treated as absent
@@ -427,7 +428,18 @@ def _classify_scalar(model, a, b, sigma):
     return "rarefaction"
 
 
-def _split_curved(model, u_from, u_to, eps, fronts):
+def _fan_count(dlam, eps, front_cap):
+    """ceil(dlam / eps) fronts, at least one, for a fan opening dlam split at
+    most eps apart; a count over front_cap is refused before any is built."""
+    count = dlam / eps - 1e-12
+    if count > front_cap:
+        n = math.ceil(count) if math.isfinite(count) else count
+        raise CapExceededError(
+            f"a fan of {n} fronts exceeds the front cap {front_cap}")
+    return max(1, math.ceil(count))
+
+
+def _split_curved(model, u_from, u_to, eps, fronts, front_cap):
     """Append rarefaction fronts covering a curved envelope piece, splitting
     uniformly in lambda = f' so that the fan opening never exceeds eps."""
     lam_a, lam_b = model.fprime(u_from), model.fprime(u_to)
@@ -437,7 +449,7 @@ def _split_curved(model, u_from, u_to, eps, fronts):
         kind = "contact" if model.field_kind[0] == LD else "rarefaction"
         fronts.append((u_from, u_to, sigma, kind))
         return
-    n = max(1, math.ceil(dlam / eps - 1e-12))
+    n = _fan_count(dlam, eps, front_cap)
     lo, hi = (u_from, u_to) if u_from < u_to else (u_to, u_from)
     prev = u_from
     for m in range(1, n + 1):
@@ -450,11 +462,12 @@ def _split_curved(model, u_from, u_to, eps, fronts):
         prev = nxt
 
 
-def scalar_envelope_fan(model, uL, uR, eps):
+def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf):
     """Riemann fan for general scalar flux via the convex/concave envelope.
 
     Affine envelope pieces become single shocks at their secant speed;
-    curved pieces become rarefaction fans with opening <= eps.
+    curved pieces become rarefaction fans with opening <= eps, each of at
+    most front_cap fronts (CapExceededError otherwise).
     """
     if model.N != 1:
         raise RiemannError("scalar_envelope_fan needs a scalar model")
@@ -471,7 +484,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
         # uniformly convex/concave flux: pure fan one way, single shock the other
         rising = model.fsecond(0.5 * (a + b)) > 0
         if (a < b) == rising:
-            _split_curved(model, a, b, eps, raw)
+            _split_curved(model, a, b, eps, raw, front_cap)
         else:
             raw.append((a, b, _secant(model, a, b), "shock"))
     else:
@@ -484,7 +497,7 @@ def scalar_envelope_fan(model, uL, uR, eps):
             if kind == "affine":
                 raw.append((u_from, u_to, _secant(model, u_from, u_to), "shock"))
             else:
-                _split_curved(model, u_from, u_to, eps, raw)
+                _split_curved(model, u_from, u_to, eps, raw, front_cap)
     fronts = []
     left_state = np.array([a])
     for (u_from, u_to, sigma, kind) in raw:
@@ -537,17 +550,19 @@ def _nonphysical_front(model, uL, uR):
 # ---------------------------------------------------------------------------
 
 
-def solve_accurate(model, uL, uR, eps):
+def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
     """Full approximate Riemann solution between uL and uR.
 
     Scalar models go through the envelope construction; systems solve the
     composed curve map by damped Newton and emit one shock or a rarefaction
     fan per genuinely nonlinear family and one contact per degenerate family.
+    A fan of more than front_cap fronts raises CapExceededError before it
+    is built.
     """
     uL = fc.as_state(uL, model.N)
     uR = fc.as_state(uR, model.N)
     if model.N == 1:
-        return scalar_envelope_fan(model, uL, uR, eps)
+        return scalar_envelope_fan(model, uL, uR, eps, front_cap)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
     dvec = uR - uL
@@ -566,7 +581,7 @@ def solve_accurate(model, uL, uR, eps):
             continue
         kind_tag = model.field_kind[k - 1]
         if kind_tag == GNL and sk > 0:
-            omega = _emit_fan(model, k, omega, sk, eps, fronts)
+            omega = _emit_fan(model, k, omega, sk, eps, fronts, front_cap)
         else:
             f = _system_front(model, k, omega, sk)
             fronts.append(f)
@@ -634,7 +649,7 @@ def _solve_sizes(model, uL, uR):
     raise RiemannError("accurate solver: Newton did not converge")
 
 
-def _emit_fan(model, k, omega0, sk, eps, fronts):
+def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap):
     """Rarefaction fan for family k: partition uniform in the lambda-scaled
     parameter, so consecutive openings are exactly dlam/n <= eps."""
     end, _ = _curve_state(model, k, omega0, sk, "unit")
@@ -645,7 +660,7 @@ def _emit_fan(model, k, omega0, sk, eps, fronts):
         f = _system_front(model, k, omega0, sk)
         fronts.append(f)
         return f.uR
-    n = max(1, math.ceil(dlam / eps - 1e-12))
+    n = _fan_count(dlam, eps, front_cap)
     prev = omega0
     for m in range(1, n + 1):
         if m == n:

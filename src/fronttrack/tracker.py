@@ -393,9 +393,11 @@ def initial_data(model, data_spec):
     return xs, values
 
 
-def init_sample(model, data_spec, eps):
+def init_sample(model, data_spec, eps, front_cap=math.inf):
     """Piecewise-constant initial field from initial_data; every jump
-    expanded by the accurate solver at t = 0."""
+    expanded by the accurate solver at t = 0. A field of more than front_cap
+    fronts is refused as soon as the jumps expanded so far pass it, and a
+    fan of more than front_cap fronts before it is built."""
     xs, values = initial_data(model, data_spec)
     fronts = []
     next_id = 0
@@ -404,11 +406,14 @@ def init_sample(model, data_spec, eps):
             continue
         # the accurate solver emits no nonphysical fronts and its chain is
         # exact, so every fan front is spliced as-is
-        for f in rm.solve_accurate(model, va, vb, eps):
+        for f in rm.solve_accurate(model, va, vb, eps, front_cap):
             f.born_x = float(x)
             f.id = next_id
             next_id += 1
             fronts.append(f)
+        if len(fronts) > front_cap:
+            raise CapExceededError(
+                f"front cap {front_cap} exceeded at t=0 by the initial field")
     return FrontField(model=model, time=0.0, left_state=values[0], fronts=fronts,
                       xs=[f.born_x for f in fronts])
 
@@ -481,7 +486,8 @@ def step(fld, config, next_id, event_index, col):
     if solver == "crude":
         fronts = rm.solve_crude(model, f_left, f_right)
     elif solver == "accurate":
-        fronts = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon)
+        fronts = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon,
+                                   config.front_cap)
     else:
         fronts = rm.solve_simplified(model, f_left, f_right)
     kept = _select_outgoing(model, fronts, f_left, f_right)
@@ -542,7 +548,7 @@ def run(config):
     FrontTrackError raised while an event is processed carries the event's
     index, t, x, incoming ids and solver in its event attribute."""
     model = fc.make_model(config.model_id, config.model_params)
-    fld = init_sample(model, config.initial, config.epsilon)
+    fld = init_sample(model, config.initial, config.epsilon, config.front_cap)
     initial = FrontField(model=model, time=0.0, left_state=fld.left_state,
                          fronts=list(fld.fronts), xs=list(fld.xs))
     _make_live(fld)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +64,35 @@ def quick_run(model_id, initial, epsilon=0.05, t_end=1.0, **kw):
     cfg = tk.RunConfig(model_id=model_id, initial=initial, epsilon=epsilon,
                        t_end=t_end, **kw)
     return tk.run(cfg)
+
+
+# two 1-shocks of the p-system, the left one faster: at epsilon 1e-6 their
+# merger at t = 14.65 reflects a weak 2-rarefaction split into a fan of
+# 4 fronts, while the initial field is the 2 shocks
+PSYSTEM_SHOCK_MERGER = {
+    "kind": "breakpoints", "xs": [-0.5, 0.0],
+    "values": [[1.25, 0.0], [1.191545184452348, -0.05446179068641042],
+               [1.17716145956107, -0.06835391742057143]]}
+
+
+# a child's peak RSS is its VmHWM: Linux keeps the parent's peak in a
+# child's ru_maxrss across exec, so ru_maxrss would read this process
+needs_proc_status = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+
+
+def child_python(code, *args):
+    """Run code in a fresh interpreter on this fronttrack; returns the words
+    it prints and its peak RSS in kB."""
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peak = "\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+    res = subprocess.run([sys.executable, "-c", code + peak, *map(str, args)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    *words, peak_kb = res.stdout.split()
+    return words, int(peak_kb)
 
 
 @pytest.fixture(scope="session")
@@ -189,6 +221,27 @@ def reference_next_collision(fld, tie_tol=0.0):
     t, x, left_id, j = min(group, key=lambda c: (c[1], c[2]))
     return tk.Collision(t=t, x=x, index=j, left_id=left_id,
                         right_id=fronts[j + 1].id)
+
+
+def reference_glimm_Q(field):
+    """glimm_Q as dense m x m masks: the transversal pairs and the 1/2-weighted
+    same-family pairs of physical fronts, alpha left of beta, each summed by
+    one numpy .sum() over the masked weights in row-major order."""
+    fronts = field.fronts
+    m = len(fronts)
+    if m < 2:
+        return 0.0
+    s = np.array([f.size for f in fronts])
+    fam = np.array([f.family for f in fronts])
+    sig = np.array([f.speed for f in fronts])
+    phys = np.array([f.is_physical for f in fronts])
+    upper = np.triu(np.ones((m, m), dtype=bool), k=1)  # alpha left of beta
+    absprod = np.abs(np.outer(s, s))
+    transversal = upper & (fam[:, None] > fam[None, :])
+    q1 = float(absprod[transversal].sum())
+    same = upper & (fam[:, None] == fam[None, :]) & phys[:, None] & phys[None, :]
+    q2 = 0.5 * float((absprod * np.abs(sig[:, None] - sig[None, :]))[same].sum())
+    return q1 + q2
 
 
 def reference_q_columns(fronts):

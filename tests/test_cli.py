@@ -12,10 +12,12 @@ from fronttrack import flux_core as fc
 from fronttrack import tracker as tk
 from fronttrack.errors import ConfigError
 
-from conftest import (quick_run, random_breakpoint_scenario,
+from conftest import (PSYSTEM_SHOCK_MERGER, child_python, needs_proc_status,
+                      quick_run, random_breakpoint_scenario,
                       reference_events_jsonl)
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+TESTS = Path(__file__).resolve().parent
+SCENARIOS = TESTS.parent / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -535,23 +537,75 @@ class TestOrchestrate:
         assert "failed_event" not in manifest
 
     def test_failed_event_in_manifest(self, tmp_path, capsys):
-        # the front cap stops the shipped ramp at its first event, which
-        # the manifest names as the uncapped run records it
-        doc = json.loads((SCENARIOS / "burgers_ramp.json").read_text())
-        doc["numerics"]["front_cap"] = 3
-        doc["outputs"]["dir"] = str(tmp_path / "out")
+        # the front cap refuses the fan reflected by the p-system shock
+        # merger, which the manifest names as the uncapped run records it
+        doc = {"model": {"id": "p-system"}, "initial": PSYSTEM_SHOCK_MERGER,
+               "numerics": {"epsilon": 1e-6, "t_end": 15.0, "front_cap": 3},
+               "outputs": {"dir": str(tmp_path / "out")}}
         path = write_scenario(tmp_path, doc)
         assert cli.main(["run", path]) == cli.EXIT_RUNTIME
         assert "run failed" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert not manifest["complete"]
-        assert manifest["error"].startswith("front cap 3 exceeded")
-        cfg, _ = cli.parse_config(str(SCENARIOS / "burgers_ramp.json"))
-        ev = tk.run(cfg).events[0]
+        assert manifest["error"] == "a fan of 4 fronts exceeds the front cap 3"
+        ev = quick_run("p-system", PSYSTEM_SHOCK_MERGER, epsilon=1e-6,
+                       t_end=15.0).events[0]
         assert manifest["failed_event"] == {
             "index": 0, "t": ev.t, "x": ev.x, "solver": ev.solver,
             "incoming": [f.id for f in ev.incoming]}
         assert ev.solver == "accurate"
+
+    def test_initial_field_over_cap_refused_at_t0(self, tmp_path, monkeypatch):
+        # the shipped ramp starts with 41 fronts; no event is solved
+        def never(*args):
+            raise AssertionError("an over-cap initial field went on")
+
+        monkeypatch.setattr(tk, "step", never)
+        doc = json.loads((SCENARIOS / "burgers_ramp.json").read_text())
+        doc["numerics"]["front_cap"] = 3
+        doc["outputs"]["dir"] = str(tmp_path / "out")
+        assert cli.main(["run", write_scenario(tmp_path, doc)]) == cli.EXIT_RUNTIME
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {
+            "complete": False, "members": [],
+            "error": "front cap 3 exceeded at t=0 by the initial field"}
+
+    @pytest.mark.parametrize("exc", [ValueError("bad value"),
+                                     MemoryError("no room")],
+                             ids=["ValueError", "MemoryError"])
+    def test_any_failure_recorded_in_manifest(self, tmp_path, monkeypatch, exc):
+        # a defect still escapes (exit 1), and the manifest names it
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(tk, "run", fail)
+        doc = dict(MINIMAL, outputs={"dir": str(tmp_path / "out")})
+        with pytest.raises(type(exc)):
+            cli.main(["run", write_scenario(tmp_path, doc)])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {"complete": False, "members": [],
+                            "error": f"{type(exc).__name__}: {exc}"}
+
+    @needs_proc_status
+    def test_over_cap_fan_exits_4_fast_and_small(self, tmp_path):
+        # epsilon 1e-5 splits the initial rarefaction into 100,000 fronts,
+        # five times the default cap; the dense Q0 masks once asked for
+        # 9.3 GiB here
+        doc = json.loads((TESTS / "scenarios" / "burgers_fan_over_cap.json").read_text())
+        doc["outputs"]["dir"] = str(tmp_path / "out")
+        code = ("import sys, time\n"
+                "from fronttrack import cli\n"
+                "t0 = time.perf_counter()\n"
+                "code = cli.main(['run', sys.argv[1]])\n"
+                "print(code, time.perf_counter() - t0)")
+        (exit_code, seconds), peak_kb = child_python(
+            code, write_scenario(tmp_path, doc))
+        assert int(exit_code) == cli.EXIT_RUNTIME
+        assert float(seconds) < 2.0
+        assert peak_kb < 200 * 1024
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"] == "a fan of 100000 fronts exceeds the front cap 20000"
+        assert "failed_event" not in manifest
 
     def test_oversized_jump_refused_before_solving(self, tmp_path):
         # the small-BV budget rejects the datum before the Riemann radius

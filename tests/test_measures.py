@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import (assert_keeps_own_eigs, quick_run, reference_q_columns,
-                      reference_source_measure_mu_jump,
+from conftest import (assert_keeps_own_eigs, quick_run, reference_glimm_Q,
+                      reference_q_columns, reference_source_measure_mu_jump,
                       reference_splice_deltas, reference_split_jump_cont)
 
 
@@ -57,6 +58,43 @@ def splice_windows(draw):
         fronts.append(synth_front(0.0, fam, size, speed,
                                   "shock" if physical else "nonphysical", fid))
     return fronts[:m], j, fronts[m:]
+
+
+@st.composite
+def q_fields(draw):
+    """Fields of 0 to 300 fronts for glimm_Q: N = 1 or 2 physical families
+    plus the nonphysical family N + 1, sizes from 1e-12 to 1, and speeds
+    often drawn from a few exact values, so equal speeds meet."""
+    m = draw(st.one_of(st.integers(0, 12), st.integers(2, 300)))
+    n_families = draw(st.sampled_from([1, 2]))
+    nonphysical_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    speed_pool = draw(st.sampled_from([(), (-0.5, 0.25), (0.0, 0.25, 1.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fronts = []
+    for fid in range(m):
+        physical = rng.random() >= nonphysical_share
+        fam = int(rng.integers(1, n_families + 1)) if physical else n_families + 1
+        size = float(10.0 ** rng.uniform(-12.0, 0.0))
+        if physical and rng.random() < 0.5:
+            size = -size
+        speed = (float(rng.choice(speed_pool)) if speed_pool and rng.random() < 0.7
+                 else float(rng.uniform(-2.0, 2.0)))
+        fronts.append(synth_front(0.0, fam, size, speed,
+                                  "shock" if physical else "nonphysical", fid))
+    return make_field(fronts)
+
+
+def mixed_field(m, seed):
+    """m fronts of families 1 and 2 and the nonphysical family 3."""
+    rng = np.random.default_rng(seed)
+    fronts = []
+    for fid in range(m):
+        fam = int(rng.integers(1, 4))
+        fronts.append(synth_front(
+            0.0, fam, float(rng.uniform(0.0, 0.2) if fam == 3 else rng.uniform(-1, 1)),
+            float(rng.choice([0.25, rng.uniform(-1, 1)])),
+            "nonphysical" if fam == 3 else "shock", fid))
+    return make_field(fronts)
 
 
 def _distinct_event_times(tl):
@@ -184,6 +222,50 @@ class TestVandQ:
         before, j, outgoing = window
         got = ms.splice_deltas(ms.q_columns(before), j, ms.q_columns(outgoing))
         assert _bits(got) == _bits(reference_splice_deltas(before, j, outgoing))
+
+
+class TestGlimmQBounded:
+    """glimm_Q streams the pair weights in blocks and sums them in numpy's
+    pairwise tree: the dense masks' bits in O(m) memory."""
+
+    @settings(max_examples=100)
+    @given(fld=q_fields())
+    def test_small_leaves_and_blocks_keep_the_dense_bits(self, fld):
+        # leaves of 128 and blocks of 64 pairs: trees of many leaves, blocks
+        # of several rows, and rows cut into several blocks
+        expect = _bits([reference_glimm_Q(fld)])
+        assert _bits([ms.glimm_Q(fld)]) == expect
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ms, "LEAF", 128)
+            mp.setattr(ms, "CHUNK", 64)
+            assert _bits([ms.glimm_Q(fld)]) == expect
+
+    def test_ladder_top_rung_keeps_the_dense_bits(self):
+        # the initial field of the benchmark's 640-sample sawtooth rung
+        spec = {"kind": "profile", "name": "sawtooth", "samples": 640,
+                "params": {"teeth": 6, "amplitude": 0.3}}
+        fld = tk.init_sample(fc.make_model("burgers"), spec, 0.02)
+        assert len(fld.fronts) == 638
+        assert _bits([ms.glimm_Q(fld)]) == _bits([reference_glimm_Q(fld)])
+
+    def test_mixed_families_keep_the_dense_bits(self):
+        fld = mixed_field(3000, 43)
+        assert _bits([ms.glimm_Q(fld)]) == _bits([reference_glimm_Q(fld)])
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # the dense masks trace about 108 MB at m = 2000
+        fld = mixed_field(2000, 47)
+        tracemalloc.start()
+        try:
+            ms.glimm_Q(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_leaf_is_no_smaller_than_numpys_block(self):
+        # numpy splits only nodes of more than 128 values
+        assert ms.LEAF >= 128 and ms.CHUNK >= 1
 
 
 class TestInteractionAmount:

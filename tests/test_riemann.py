@@ -3,7 +3,8 @@ import pytest
 
 from fronttrack import flux_core as fc
 from fronttrack import riemann as rm
-from fronttrack.errors import CurveError, DomainError, RiemannError
+from fronttrack.errors import (CapExceededError, CurveError, DomainError,
+                              RiemannError)
 
 from conftest import assert_keeps_own_eigs, random_state, same_eigs
 
@@ -214,6 +215,33 @@ class TestSolveAccurate:
         # oracle: uR already lies on the family-2 curve through uL
         cp = rm.elementary_curve(m, 2, [0.0, 0.0], 0.2, "unit")
         assert np.allclose(cp.state, [0.0, 0.2], atol=1e-12)
+
+    @pytest.mark.parametrize("mid, uL, uR", [
+        ("burgers", [0.0], [1.0]),  # the envelope's curved piece
+        ("cubic", [-1.0], [1.0]),  # a shock, then a fan
+        ("remark-2x2", [0.0, 0.0], [0.0, 0.2]),  # a family-2 fan
+    ])
+    def test_fan_cap_counts_before_building(self, mid, uL, uR, monkeypatch):
+        # a fan of n fronts passes a cap of n and is refused under n - 1
+        # before any of its fronts is built
+        m = fc.make_model(mid)
+
+        def fan_size(front_cap):
+            return sum(f.kind == "rarefaction"
+                       for f in rm.solve_accurate(m, uL, uR, 0.05, front_cap))
+
+        n = fan_size(20000)
+        assert n > 1 and fan_size(n) == n
+
+        def never(*args):
+            raise AssertionError("a fan front was built")
+
+        # each scalar fan front takes a brentq root, each system one a speed
+        monkeypatch.setattr(rm, "brentq", never)
+        monkeypatch.setattr(rm, "front_speed", never)
+        with pytest.raises(CapExceededError) as info:
+            rm.solve_accurate(m, uL, uR, 0.05, front_cap=n - 1)
+        assert str(info.value) == f"a fan of {n} fronts exceeds the front cap {n - 1}"
 
     def test_burgers_coincides_with_envelope(self):
         m = fc.make_model("burgers")

@@ -7,9 +7,12 @@ import pytest
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import tracker as tk
-from fronttrack.errors import InitialDataError, RiemannError, SolverError
+from fronttrack import riemann as rm
+from fronttrack.errors import (CapExceededError, InitialDataError, RiemannError,
+                              SolverError)
 
-from conftest import (assert_keeps_own_eigs, quick_run,
+from conftest import (PSYSTEM_SHOCK_MERGER, assert_keeps_own_eigs,
+                      child_python, needs_proc_status, quick_run,
                       random_breakpoint_scenario,
                       reference_events, reference_next_collision,
                       replay_slice_at)
@@ -234,6 +237,74 @@ class TestRun:
         f1 = tl1.slice_at(1.0)
         f2 = tl2.slice_at(1.0)
         assert f1.xs == f2.xs
+
+
+class TestFrontCap:
+    """front_cap bounds the field before anything is allocated for it: the
+    initial field at t = 0, and every fan before its first front is built."""
+
+    BURGERS_FAN = {"kind": "breakpoints", "xs": [0.0], "values": [[0.0], [1.0]]}
+
+    def test_initial_field_over_cap_refused_at_t0(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an over-cap initial field went on")
+
+        for name in ("next_collision", "step"):
+            monkeypatch.setattr(tk, name, never)
+        monkeypatch.setattr(ms, "glimm_Q", never)
+        initial = {"kind": "profile", "name": "ramp", "samples": 40}
+        with pytest.raises(CapExceededError) as info:
+            quick_run("burgers", initial, epsilon=0.025, t_end=2.0, front_cap=3)
+        assert str(info.value) == "front cap 3 exceeded at t=0 by the initial field"
+        assert info.value.event is None
+
+    def test_initial_field_refused_once_its_fans_pass_the_cap(self, monkeypatch):
+        # 1,000 jumps of about 10 fronts each: the cap of 500 stops the
+        # expansion at the jump that passes it, not after 10,000 fronts
+        solved, solve = [], rm.solve_accurate
+
+        def counted(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(rm, "solve_accurate", counted)
+        initial = {"kind": "profile", "name": "ramp", "samples": 1000,
+                   "params": {"u_left": -1.0, "u_right": 1.0}}
+        with pytest.raises(CapExceededError, match="exceeded at t=0"):
+            quick_run("burgers", initial, epsilon=2e-4, front_cap=500)
+        built = np.cumsum([len(fan) for fan in solved])
+        assert built[-2] <= 500 < built[-1] and len(solved) < 60
+
+    def test_initial_fan_refused_before_it_is_built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rm, "brentq", lambda *args: calls.append(args))
+        with pytest.raises(CapExceededError) as info:
+            quick_run("burgers", self.BURGERS_FAN, epsilon=1e-5)
+        assert str(info.value) == "a fan of 100000 fronts exceeds the front cap 20000"
+        assert info.value.event is None and calls == []
+
+    def test_event_fan_refused_names_its_event(self):
+        ev = quick_run("p-system", PSYSTEM_SHOCK_MERGER, epsilon=1e-6,
+                       t_end=15.0).events[0]
+        assert len(ev.outgoing) == 5  # the shock and a fan of 4
+        with pytest.raises(CapExceededError) as info:
+            quick_run("p-system", PSYSTEM_SHOCK_MERGER, epsilon=1e-6,
+                      t_end=15.0, front_cap=3)
+        assert str(info.value) == "a fan of 4 fronts exceeds the front cap 3"
+        assert info.value.event == {
+            "index": 0, "t": ev.t, "x": ev.x, "solver": "accurate",
+            "incoming": [f.id for f in ev.incoming]}
+
+    @needs_proc_status
+    def test_fine_fan_runs_in_bounded_memory(self):
+        # 5,000 fronts at t = 0; the dense Q0 masks peaked at about 700 MB
+        code = ("from fronttrack import tracker as tk\n"
+                "tl = tk.run(tk.RunConfig(model_id='burgers', epsilon=2e-4, "
+                f"initial={self.BURGERS_FAN!r}))\n"
+                "print(len(tl.initial_field.fronts))")
+        (fronts,), peak_kb = child_python(code)
+        assert int(fronts) == 5000
+        assert peak_kb < 100 * 1024
 
 
 class TestLedgerCounts:
