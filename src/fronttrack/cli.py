@@ -20,7 +20,7 @@ from . import flux_core as fc
 from . import measures as ms
 from . import tracker as tk
 from .errors import (ConfigError, FrontTrackError, InitialDataError,
-                     SolverError)
+                     SolverError, finite, integer, refuse_unknown_keys)
 
 EXIT_OK = 0
 EXIT_AUDIT = 2
@@ -33,12 +33,6 @@ _KNOWN_CHECKS = ("monotonicity", "interaction_estimates", "conservation",
 DEFAULT_CHECKS = ("monotonicity", "interaction_estimates", "conservation")
 
 
-# numerics and numerics.tolerances keys by RunConfig field, which holds every
-# default and check; _NUMBERS and _TOLERANCES are converted to floats here
-_NUMBERS = {"epsilon": "epsilon", "t_end": "t_end", "rho": "rho",
-            "eps0": "eps0", "eps1": "eps1"}
-_AS_GIVEN = {"C0": "c0", "event_cap": "event_cap", "front_cap": "front_cap"}
-_TOLERANCES = {"tie_tol_factor": "tie_tol_factor", "audit_rel": "audit_rel_tol"}
 _DIAGNOSTICS = ("checks", "families", "seed", "balance_regions", "tame_triangles",
                 "np_budget_K", "sbv_threshold", "positive_decay_t",
                 "positive_decay_s", "decay_t", "decay_tau", "positive_decay_sets",
@@ -58,13 +52,13 @@ def parse_config(path):
         raise ConfigError("file", f"malformed JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("file", "scenario must be a JSON object")
-    tk.refuse_unknown_keys("", doc, ("model", "initial", "numerics", "outputs",
+    refuse_unknown_keys("", doc, ("model", "initial", "numerics", "outputs",
                                      "diagnostics"))
 
     model_sec = doc.get("model")
     if not isinstance(model_sec, dict) or "id" not in model_sec:
         raise ConfigError("model.id", "missing model id")
-    tk.refuse_unknown_keys("model", model_sec, ("id", "params"))
+    refuse_unknown_keys("model", model_sec, ("id", "params"))
     model_id = model_sec["id"]
     model_params = model_sec.get("params", {})
     model = fc.make_model(model_id, model_params)  # validates id and params now
@@ -73,16 +67,16 @@ def parse_config(path):
     if not isinstance(initial, dict):
         raise ConfigError("initial", "missing initial-data section")
 
-    num = _section(doc, "numerics", (*_NUMBERS, *_AS_GIVEN, "tolerances"))
-    tol = _section(num, "tolerances", _TOLERANCES, "numerics.tolerances")
+    # numerics reach RunConfig as given, by dotted key, and it checks each
+    num = _section(doc, "numerics")
+    given = {f"numerics.{k}": v for k, v in num.items() if k != "tolerances"}
+    given |= {f"numerics.tolerances.{k}": v for k, v in
+              _section(num, "tolerances", key="numerics.tolerances").items()}
+    refuse_unknown_keys("", given, tk.NUMERICS_KEYS.values())
     settings = {"model_id": model_id, "model_params": model_params,
                 "initial": initial}
-    settings |= {field: _number(num[name], f"numerics.{name}")
-                 for name, field in _NUMBERS.items() if num.get(name) is not None}
-    settings |= {field: num[name]
-                 for name, field in _AS_GIVEN.items() if num.get(name) is not None}
-    settings |= {field: _number(tol[name], f"numerics.tolerances.{name}")
-                 for name, field in _TOLERANCES.items() if tol.get(name) is not None}
+    settings |= {field: given[key] for field, key in tk.NUMERICS_KEYS.items()
+                 if given.get(key) is not None}
     if "epsilon" not in settings:
         raise ConfigError("numerics.epsilon", "missing accuracy parameter")
     cfg = tk.RunConfig(**settings)
@@ -95,39 +89,24 @@ def parse_config(path):
     return cfg, plan
 
 
-def _section(doc, name, keys, key=None):
-    """A copy of the optional object doc[name], whose keys must be in keys;
-    key names it in errors."""
+def _section(doc, name, keys=None, key=None):
+    """A copy of the optional object doc[name], whose keys must be in keys
+    when keys are given; key names it in errors."""
     sec = doc.get(name)
     _require(sec is None or isinstance(sec, dict), key or name,
              "must be a JSON object")
-    tk.refuse_unknown_keys(key or name, sec or {}, keys)
+    if keys is not None:
+        refuse_unknown_keys(key or name, sec or {}, keys)
     return dict(sec or {})
 
 
-def _number(value, key):
-    """float(value); a value float refuses is a ConfigError naming key."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(key, f"must be a number, got {value!r}") from None
-
-
-def _is_number(v):
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _is_int(v, low):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= low
-
-
-def _is_interval_unions(sets):
-    """A list of finite unions of closed intervals [[a, b], ...], a <= b."""
+def _is_interval_unions(sets, key):
+    """A list of finite unions of closed intervals [[a, b], ...], a <= b;
+    an end that is not a finite number is refused under key."""
     return isinstance(sets, list) and all(
         isinstance(union, list) and all(
             isinstance(iv, list) and len(iv) == 2
-            and all(_is_number(e) for e in iv) and iv[0] <= iv[1]
+            and finite(key, iv[0]) <= finite(key, iv[1])
             for iv in union)
         for union in sets)
 
@@ -157,43 +136,42 @@ def _check_plan(plan, n_families, t_end):
                  "diagnostics.checks", f"unknown check {name!r}")
     fams = _default(plan, "families", list(range(1, n_families + 1)))
     _require(isinstance(fams, list)
-             and all(_is_int(i, 1) and i <= n_families for i in fams),
+             and all(integer("diagnostics.families", i) <= n_families
+                     for i in fams),
              "diagnostics.families", f"must be integers in 1..{n_families}")
-    _require(_is_int(_default(plan, "seed", 0), 0),
-             "diagnostics.seed", "must be a nonnegative integer")
+    integer("diagnostics.seed", _default(plan, "seed", 0), 0)
     for key in ("balance_regions", "tame_triangles"):
-        _require(_is_int(_default(plan, key, 20), 1),
-                 f"diagnostics.{key}", "must be a positive integer")
+        integer(f"diagnostics.{key}", _default(plan, key, 20))
     # without np_budget_K the nonphysical budget check only reports
     for key, value in (("np_budget_K", None), ("sbv_threshold", 1e-8)):
         v = _default(plan, key, value)
         if v is not None:
-            _require(_is_number(v) and v >= 0,
-                     f"diagnostics.{key}", "must be finite and nonnegative")
-            plan[key] = float(v)
+            plan[key] = finite(f"diagnostics.{key}", v)
+            _require(plan[key] >= 0, f"diagnostics.{key}", "must be nonnegative")
     outputs = plan["outputs"] = _section(plan, "outputs", ("dir", "slice_times"))
     times = _default(outputs, "slice_times", [0.0, 0.5 * t_end, t_end])
     _require(isinstance(times, list)
-             and all(_is_number(t) and 0 <= t <= t_end for t in times),
+             and all(0 <= finite("outputs.slice_times", t) <= t_end
+                     for t in times),
              "outputs.slice_times", f"must be times in [0, {t_end:g}]")
     outdir = _default(outputs, "dir", "out")
     _require(isinstance(outdir, str) and outdir,
              "outputs.dir", "must be a nonempty string")
     t = _default(plan, "positive_decay_t", 0.75 * t_end)
-    _require(_is_number(t) and 0 < t <= t_end,
+    _require(0 < finite("diagnostics.positive_decay_t", t) <= t_end,
              "diagnostics.positive_decay_t", f"must lie in (0, {t_end:g}]")
     s = _default(plan, "positive_decay_s", 0.0)
-    _require(_is_number(s) and 0 <= s < t,
+    _require(0 <= finite("diagnostics.positive_decay_s", s) < t,
              "diagnostics.positive_decay_s", f"must lie in [0, {t:g})")
     t = _default(plan, "decay_t", 0.75 * t_end)
-    _require(_is_number(t) and 0 < t <= t_end,
+    _require(0 < finite("diagnostics.decay_t", t) <= t_end,
              "diagnostics.decay_t", f"must lie in (0, {t_end:g}]")
     tau = _default(plan, "decay_tau", 0.5 * t)
-    _require(_is_number(tau) and 0 < tau < t,
+    _require(0 < finite("diagnostics.decay_tau", tau) < t,
              "diagnostics.decay_tau", f"must lie in (0, {t:g})")
     for key in ("positive_decay_sets", "decay_sets"):
         sets = _default(plan, key, None)
-        _require(sets is None or _is_interval_unions(sets),
+        _require(sets is None or _is_interval_unions(sets, f"diagnostics.{key}"),
                  f"diagnostics.{key}", "must be a list of interval unions "
                  "[[a, b], ...] with finite a <= b")
     conv = plan["convergence"] = _section(plan, "convergence",
@@ -205,26 +183,29 @@ def _check_plan(plan, n_families, t_end):
                  and scenario in dg.CONVERGENCE_SCENARIOS,
                  "diagnostics.convergence.scenario",
                  f"must be one of {sorted(dg.CONVERGENCE_SCENARIOS)}")
-    ladder = _default(conv, "ladder", [0.1, 0.05])
-    _require(isinstance(ladder, list) and ladder
-             and all(_is_number(e) and e > 0 for e in ladder),
-             "diagnostics.convergence.ladder",
+    conv["ladder"] = _positive_list(conv, "ladder", [0.1, 0.05],
+                                    "diagnostics.convergence.ladder")
+    _require(conv["ladder"], "diagnostics.convergence.ladder",
              "must be a nonempty list of finite positive numbers")
-    conv["ladder"] = [float(e) for e in ladder]
-    t_eval = _default(conv, "t_eval", 1.0)
-    _require(_is_number(t_eval) and t_eval > 0,
+    conv["t_eval"] = finite("diagnostics.convergence.t_eval",
+                            _default(conv, "t_eval", 1.0))
+    _require(conv["t_eval"] > 0,
              "diagnostics.convergence.t_eval", "must be finite and positive")
-    conv["t_eval"] = float(t_eval)
-    ladder = _default(plan, "epsilon_ladder", [])
-    _require(isinstance(ladder, list)
-             and all(_is_number(e) and e > 0 for e in ladder),
-             "diagnostics.epsilon_ladder",
-             "must be a list of finite positive numbers")
-    ladder = plan["epsilon_ladder"] = [float(e) for e in ladder]
+    ladder = plan["epsilon_ladder"] = _positive_list(
+        plan, "epsilon_ladder", [], "diagnostics.epsilon_ladder")
     _require(len({_member_dir(e) for e in ladder}) == len(ladder),
              "diagnostics.epsilon_ladder",
              "members must differ in their first 6 digits "
              "(each writes to eps_<epsilon:g>)")
+
+
+def _positive_list(sec, name, default, key):
+    """sec[name] (default when absent or null), finite positive numbers, as
+    a list of floats."""
+    values = _default(sec, name, default)
+    _require(isinstance(values, list) and all(finite(key, e) > 0 for e in values),
+             key, "must be a list of finite positive numbers")
+    return [finite(key, e) for e in values]
 
 
 def _member_dir(eps):

@@ -1,9 +1,13 @@
-"""Exception taxonomy shared by all solver layers.
+"""Exception taxonomy shared by all solver layers, and the checks through
+which every scenario value enters the program.
 
 Exit-code mapping used by the CLI: ConfigError and InitialDataError -> 3,
 everything derived from SolverError -> 4. A failed audit is reported in the
 checks' verdicts, never raised, and exits 2.
 """
+
+import math
+import numbers
 
 
 class FrontTrackError(Exception):
@@ -19,6 +23,30 @@ class ConfigError(FrontTrackError):
     def __init__(self, key, message):
         self.key = key
         super().__init__(f"{key}: {message}")
+
+
+def finite(key, value):
+    """A real number that is finite, as a float; bools and strings are
+    refused, not coerced."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(key, "must be finite (a number, not a string or a "
+                               f"bool), got {value!r}")
+    return float(value)
+
+
+def integer(key, value, low=1):
+    """An int of at least low; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(key, f"must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def refuse_unknown_keys(where, sec, keys):
+    """Refuse the first key of section where ("" at the top) not in keys."""
+    unknown = [name for name in sec if name not in keys]
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}".lstrip("."), "unknown key")
 
 
 class SolverError(FrontTrackError):

@@ -17,13 +17,15 @@ ones, r = sign(f'') for scalar fields.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DomainError, ModelAuditError,
-                     NearDegeneracyError, UnknownModelError)
+                     NearDegeneracyError, UnknownModelError, finite,
+                     refuse_unknown_keys)
 
 GNL = "genuinely-nonlinear"
 LD = "linearly-degenerate"
@@ -52,10 +54,16 @@ class EigenSystem:
 class FluxModel:
     """Base class for catalog flux models.
 
+    DEFAULTS holds the parameters and their defaults. __init__ checks each
+    given one (null takes the default) and passes them by name to _setup,
+    which sets the attributes below; it refuses a set that makes the box
+    empty, a box corner, the flux there, a fence or lambda_hat non-finite,
+    the last two not ascending, or gap <= 0.
+
     Attributes:
         id: catalog identifier.
         N: state dimension.
-        params: named real parameters.
+        params: the checked parameters, numbers as floats.
         domain: (N, 2) array of componentwise box bounds.
         field_kind: per-family tag among GNL / LD / GENERAL.
         lambda_fences: N+1 ascending speed fences bracketing each family.
@@ -66,10 +74,40 @@ class FluxModel:
     """
 
     id = "abstract"
+    DEFAULTS = {}
 
-    def __init__(self):
+    def __init__(self, params=None):
+        params = {} if params is None else params
+        if not isinstance(params, dict):
+            raise ConfigError("model.params", "must be a JSON object")
+        refuse_unknown_keys("model.params", params, self.DEFAULTS)
         self.params = {}
+        for name, default in self.DEFAULTS.items():
+            value = default if params.get(name) is None else params[name]
+            # a list (linear's matrix) is checked by the model's _setup
+            self.params[name] = (value if isinstance(default, list)
+                                 else finite(f"model.params.{name}", value))
         self.gap_tol = DEFAULT_GAP_TOL
+        # far from the defaults a float power may raise, and a numpy
+        # operation give inf or nan, which the finiteness test refuses
+        try:
+            with np.errstate(all="ignore"):
+                self._setup(**self.params)
+                corners = np.array(list(itertools.product(*self.domain)))
+                flux = np.array([self.f(u) for u in corners])
+        except OverflowError:
+            raise ConfigError("model.params", f"{self.id}: overflows") from None
+        speeds = np.append(self.lambda_fences, self.lambda_hat)
+        if not (self.domain[:, 0] < self.domain[:, 1]).all():
+            raise ConfigError("model.params", f"{self.id}: empty domain box")
+        if not (np.isfinite(speeds).all() and np.isfinite(corners).all()
+                and np.isfinite(flux).all() and (speeds[:-1] < speeds[1:]).all()):
+            raise ConfigError("model.params", f"{self.id}: box corners, flux "
+                              "there, fences or lambda_hat not finite, or the "
+                              "last two not ascending")
+        if not self.gap > 0:
+            raise ConfigError("model.params", f"{self.id}: eigenvalues not "
+                              "distinct on the domain box")
 
     # -- per-model analytic surface -------------------------------------
     def f(self, u):
@@ -187,20 +225,15 @@ class ScalarModel(FluxModel):
 
 class Burgers(ScalarModel):
     id = "burgers"
+    DEFAULTS = {"radius": 2.0}
 
-    def __init__(self, params=None):
-        super().__init__()
-        params = dict(params or {})
-        half = float(params.pop("radius", 2.0))
-        if params:
-            raise ConfigError("model.params", f"burgers has no parameter {sorted(params)[0]!r}")
-        self.params = {"radius": half}
-        self.domain = np.array([[-half, half]])
+    def _setup(self, radius):
+        self.domain = np.array([[-radius, radius]])
         self.field_kind = (GNL,)
-        self.lambda_fences = np.array([-1.1 * half, 1.1 * half])
+        self.lambda_fences = np.array([-1.1 * radius, 1.1 * radius])
         self.gap = math.inf
-        self.curve_radius = half
-        self.riemann_radius = 2.0 * half
+        self.curve_radius = radius
+        self.riemann_radius = 2.0 * radius
         self.tv_budget = 8.0
 
     def f_scalar(self, u):
@@ -217,20 +250,15 @@ class Cubic(ScalarModel):
     """f = u^3/3; convexity flips at u = 0, so the family is 'general'."""
 
     id = "cubic"
+    DEFAULTS = {"radius": 2.0}
 
-    def __init__(self, params=None):
-        super().__init__()
-        params = dict(params or {})
-        half = float(params.pop("radius", 2.0))
-        if params:
-            raise ConfigError("model.params", f"cubic has no parameter {sorted(params)[0]!r}")
-        self.params = {"radius": half}
-        self.domain = np.array([[-half, half]])
+    def _setup(self, radius):
+        self.domain = np.array([[-radius, radius]])
         self.field_kind = (GENERAL,)
-        self.lambda_fences = np.array([-0.1, 1.1 * half * half])
+        self.lambda_fences = np.array([-0.1, 1.1 * radius * radius])
         self.gap = math.inf
-        self.curve_radius = half
-        self.riemann_radius = 2.0 * half
+        self.curve_radius = radius
+        self.riemann_radius = 2.0 * radius
         self.tv_budget = 8.0
 
     def f_scalar(self, u):
@@ -257,24 +285,19 @@ class Remark2x2(FluxModel):
 
     id = "remark-2x2"
     N = 2
+    DEFAULTS = {"radius": 0.32}
 
-    def __init__(self, params=None):
-        super().__init__()
-        params = dict(params or {})
-        half = float(params.pop("radius", 0.32))
-        if params:
-            raise ConfigError("model.params", f"remark-2x2 has no parameter {sorted(params)[0]!r}")
-        if not 0 < half < 1.0 / 3.0:
-            raise ConfigError("model.params", "remark-2x2 radius must sit in (0, 1/3)")
-        self.params = {"radius": half}
-        self.domain = np.array([[-half, half], [-half, half]])
+    def _setup(self, radius):
+        if not 0 < radius < 1.0 / 3.0:
+            raise ConfigError("model.params.radius", "must sit in (0, 1/3)")
+        self.domain = np.array([[-radius, radius], [-radius, radius]])
         self.field_kind = (LD, GNL)
-        lam2_min = 1.0 - 3.0 * half
-        lam2_max = 1.0 + 3.0 * half
+        lam2_min = 1.0 - 3.0 * radius
+        lam2_max = 1.0 + 3.0 * radius
         self.lambda_fences = np.array([-0.5 * lam2_min, 0.5 * lam2_min, lam2_max + 0.1])
         self.gap = lam2_min
-        self.curve_radius = 2.0 * half
-        self.riemann_radius = 2.0 * half
+        self.curve_radius = 2.0 * radius
+        self.riemann_radius = 2.0 * radius
         self.tv_budget = 1.0
 
     def f(self, u):
@@ -321,31 +344,22 @@ class PSystem(FluxModel):
 
     id = "p-system"
     N = 2
+    DEFAULTS = {"gamma": 1.4, "k": 1.0, "v_min": 0.5, "v_max": 2.0, "u_max": 1.0}
 
-    def __init__(self, params=None):
-        super().__init__()
-        params = dict(params or {})
-        self.gamma = float(params.pop("gamma", 1.4))
-        self.k = float(params.pop("k", 1.0))
-        v_lo = float(params.pop("v_min", 0.5))
-        v_hi = float(params.pop("v_max", 2.0))
-        u_half = float(params.pop("u_max", 1.0))
-        if params:
-            raise ConfigError("model.params", f"p-system has no parameter {sorted(params)[0]!r}")
-        if self.gamma <= 0 or self.k <= 0 or not 0 < v_lo < v_hi:
+    def _setup(self, gamma, k, v_min, v_max, u_max):
+        self.gamma, self.k = gamma, k
+        if gamma <= 0 or k <= 0 or not 0 < v_min < v_max:
             raise ConfigError("model.params", "p-system needs gamma, k > 0 and 0 < v_min < v_max")
-        self.params = {"gamma": self.gamma, "k": self.k, "v_min": v_lo,
-                       "v_max": v_hi, "u_max": u_half}
-        self.domain = np.array([[v_lo, v_hi], [-u_half, u_half]])
+        self.domain = np.array([[v_min, v_max], [-u_max, u_max]])
         self._m = 0.5 * (self.gamma + 1.0)
         self._ccoef = math.sqrt(self.k * self.gamma)
-        c_max = self.sound(v_lo)
-        c_min = self.sound(v_hi)
+        c_max = self.sound(v_min)
+        c_min = self.sound(v_max)
         self.field_kind = (GNL, GNL)
         self.lambda_fences = np.array([-1.05 * c_max, 0.0, 1.05 * c_max])
         self.gap = 2.0 * c_min
-        self.curve_radius = 0.6 * (v_hi - v_lo)
-        self.riemann_radius = 0.8 * (v_hi - v_lo)
+        self.curve_radius = 0.6 * (v_max - v_min)
+        self.riemann_radius = 0.8 * (v_max - v_min)
         self.tv_budget = 1.2
 
     # c(v) = sqrt(-p'(v)) = sqrt(k gamma) v^(-(gamma+1)/2)
@@ -412,44 +426,38 @@ class Linear(FluxModel):
     """f(u) = M u for a constant M with distinct real eigenvalues; all LD."""
 
     id = "linear"
+    DEFAULTS = {"matrix": [[1.0]], "radius": 1.0}
 
-    def __init__(self, params=None):
-        super().__init__()
-        params = dict(params or {})
-        matrix = params.pop("matrix", [[1.0]])
-        half = float(params.pop("radius", 1.0))
-        if params:
-            raise ConfigError("model.params", f"linear has no parameter {sorted(params)[0]!r}")
-        self.M = np.array(matrix, dtype=float)
-        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
-            raise ConfigError("model.params", "linear 'matrix' must be square")
+    def _setup(self, matrix, radius):
+        if not (isinstance(matrix, list) and matrix and all(
+                isinstance(row, list) and len(row) == len(matrix) for row in matrix)):
+            raise ConfigError("model.params.matrix",
+                              "must be a square list of rows of numbers")
+        self.M = np.array([[finite("model.params.matrix", e) for e in row]
+                           for row in matrix])
+        self.params["matrix"] = self.M.tolist()
         self.N = self.M.shape[0]
-        self.params = {"matrix": self.M.tolist(), "radius": half}
-        self.domain = np.array([[-half, half]] * self.N)
+        self.domain = np.array([[-radius, radius]] * self.N)
         self.field_kind = (LD,) * self.N
         self._system = self._decompose(self.M)
         lam = self._system.lambdas
-        gaps = np.diff(lam)
-        if self.N > 1 and gaps.min() < self.gap_tol:
-            raise NearDegeneracyError("linear model eigenvalues not separated")
-        self.gap = float(gaps.min()) if self.N > 1 else math.inf
+        self.gap = float(np.diff(lam).min()) if self.N > 1 else math.inf
         fences = [lam[0] - 1.0]
         fences += [0.5 * (lam[i] + lam[i + 1]) for i in range(self.N - 1)]
         fences.append(lam[-1] + 1.0)
         self.lambda_fences = np.array(fences)
-        self.curve_radius = 2.0 * half
-        self.riemann_radius = 2.0 * half * math.sqrt(self.N)
+        self.curve_radius = 2.0 * radius
+        self.riemann_radius = 2.0 * radius * math.sqrt(self.N)
         self.tv_budget = 8.0
 
     def _decompose(self, mat):
         w, vr = np.linalg.eig(mat)
-        if np.abs(w.imag).max() > 1e-10:
-            raise NearDegeneracyError("linear model has complex eigenvalues")
-        w = w.real
-        vr = vr.real
-        order = np.argsort(w)
-        w = w[order]
-        vr = vr[:, order]
+        order = np.argsort(w.real)
+        if (np.abs(w.imag).max() > 1e-10
+                or self.N > 1 and np.diff(w.real[order]).min() < self.gap_tol):
+            raise ConfigError("model.params.matrix",
+                              "must have distinct real eigenvalues")
+        w, vr = w.real[order], vr.real[:, order]
         right = []
         for i in range(self.N):
             r = vr[:, i] / np.linalg.norm(vr[:, i])
@@ -458,7 +466,11 @@ class Linear(FluxModel):
                 r = -r
             right.append(r)
         right = np.array(right)
-        left = np.linalg.inv(right.T)  # rows biorthogonal to right rows
+        try:
+            left = np.linalg.inv(right.T)  # rows biorthogonal to right rows
+        except np.linalg.LinAlgError:
+            raise ConfigError("model.params.matrix", "must have linearly "
+                              "independent eigenvectors") from None
         return EigenSystem(lambdas=w, right=right, left=left,
                            gnl_rates=np.zeros(self.N))
 

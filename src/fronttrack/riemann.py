@@ -54,10 +54,7 @@ class Front:
     id: int = -1
     born_t: float = 0.0
     born_x: float = 0.0
-    birth_event: int | None = None  # None: initial datum
     died_t: float | None = None
-    died_x: float | None = None
-    death_event: int | None = None
     eigs: fc.EigenSystem | None = field(default=None, repr=False)
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -22,7 +21,8 @@ from . import flux_core as fc
 from . import measures as ms
 from . import riemann as rm
 from .errors import (CapExceededError, ConfigError, DomainError,
-                     FrontTrackError, InitialDataError, SolverError)
+                     FrontTrackError, InitialDataError, SolverError, finite,
+                     integer, refuse_unknown_keys)
 
 _X_BOUND = 0.5 * np.finfo(float).max  # so no gap of two positions overflows
 STRENGTH_FLOOR = 1e-14  # fronts with smaller jumps are dropped at splice time
@@ -94,10 +94,20 @@ class InteractionEvent:
     dQ: float  # are the ledger's
 
 
+# each RunConfig field a scenario sets, and its scenario key
+NUMERICS_KEYS = {name: f"numerics.{name}" for name in (
+    "epsilon", "t_end", "rho", "eps0", "eps1", "event_cap", "front_cap")}
+NUMERICS_KEYS |= {"c0": "numerics.C0",
+                  "tie_tol_factor": "numerics.tolerances.tie_tol_factor",
+                  "audit_rel_tol": "numerics.tolerances.audit_rel"}
+
+
 @dataclass
 class RunConfig:
     """Run parameters with their one set of defaults and checks, which a
-    scenario's numerics (cli.parse_config) and library callers share."""
+    scenario's numerics (cli.parse_config) and library callers share. Each
+    value is checked under its NUMERICS_KEYS key; all but the caps are
+    stored as floats."""
 
     model_id: str
     initial: dict
@@ -114,30 +124,24 @@ class RunConfig:
     audit_rel_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.c0 != "auto" and (isinstance(self.c0, bool)
-                                  or not isinstance(self.c0, (int, float))
-                                  or self.c0 < 0):
-            raise ConfigError("numerics.C0", "must be 'auto' or a nonnegative "
-                                             f"number, got {self.c0!r}")
-        for key, value in (("numerics.epsilon", self.epsilon),
-                           ("numerics.t_end", self.t_end),
-                           ("numerics.rho", self.rho),
-                           ("numerics.eps0", self.eps0),
-                           ("numerics.eps1", self.eps1),
-                           ("numerics.C0", None if self.c0 == "auto" else self.c0),
-                           ("numerics.tolerances.tie_tol_factor",
-                            self.tie_tol_factor),
-                           ("numerics.tolerances.audit_rel", self.audit_rel_tol)):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(key, f"must be finite, got {value}")
-        _positive_int("numerics.event_cap", self.event_cap)
-        _positive_int("numerics.front_cap", self.front_cap)
-        if self.epsilon <= 0:
-            raise ConfigError("numerics.epsilon", "must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("numerics.t_end", "must be positive")
+        for name, key in NUMERICS_KEYS.items():
+            value = getattr(self, name)
+            if name in ("event_cap", "front_cap"):
+                integer(key, value)
+            elif not (value is None and name in ("rho", "eps0", "eps1")
+                      or name == "c0" and value == "auto"):
+                value = finite(key, value)
+                if name in ("epsilon", "t_end") and value <= 0:
+                    raise ConfigError(key, "must be positive")
+                if name in ("c0", "tie_tol_factor", "audit_rel_tol") and value < 0:
+                    raise ConfigError(key, "must be >= 0")
+                setattr(self, name, value)
         if self.rho is None:
-            self.rho = self.epsilon ** 3
+            try:
+                self.rho = self.epsilon ** 3
+            except OverflowError:
+                raise ConfigError("numerics.epsilon", "too large: the default "
+                                  "rho = epsilon**3 overflows") from None
         if self.eps0 is None:
             self.eps0 = self.epsilon
         if self.eps1 is None:
@@ -258,36 +262,14 @@ class Timeline:
 # ---------------------------------------------------------------------------
 
 
-def refuse_unknown_keys(where, sec, keys):
-    """Refuse the first key of section where ("" at the top) not in keys."""
-    unknown = [name for name in sec if name not in keys]
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}".lstrip("."), "unknown key")
-
-
-def _finite(key, value):
-    """A real number that is finite, as a float; bools and strings are
-    refused, not coerced."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigError(key, f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive_int(key, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(key, f"must be a positive integer, got {value!r}")
-    return value
-
-
 def _state(model, v):
     """A state given as a number or a list of numbers."""
     comps = v if isinstance(v, (list, tuple, np.ndarray)) else [v]
-    return fc.as_state([_finite("initial.values", c) for c in comps], model.N)
+    return fc.as_state([finite("initial.values", c) for c in comps], model.N)
 
 
 def _param(params, name, default):
-    return _finite(f"initial.params.{name}", params.get(name, default))
+    return finite(f"initial.params.{name}", params.get(name, default))
 
 
 def _profile_bounds(name, params):
@@ -320,7 +302,7 @@ def _profile_ramp(params):
 def _profile_sawtooth(params):
     refuse_unknown_keys("initial.params", params, ("x0", "x1", "teeth", "amplitude"))
     x0, x1 = _profile_bounds("sawtooth", params)
-    teeth = _positive_int("initial.params.teeth", params.get("teeth", 3))
+    teeth = integer("initial.params.teeth", params.get("teeth", 3))
     amp = _param(params, "amplitude", 0.5)
     verts_x = np.linspace(x0, x1, 2 * teeth + 1)
     verts_v = np.zeros(2 * teeth + 1)
@@ -350,7 +332,7 @@ def initial_data(model, data_spec):
         if not isinstance(values, list):
             raise ConfigError("initial.values",
                               f"must be a list of states, got {values!r}")
-        xs = [_finite("initial.xs", x) for x in xs]
+        xs = [finite("initial.xs", x) for x in xs]
         if any(abs(x) > _X_BOUND for x in xs):
             raise ConfigError("initial.xs", "breakpoints must each be at most "
                               "half the largest float in size")
@@ -370,7 +352,7 @@ def initial_data(model, data_spec):
         name = data_spec.get("name")
         if name not in PROFILES:
             raise ConfigError("initial.profile", f"unknown profile {name!r}")
-        samples = _positive_int("initial.samples", data_spec.get("samples", 40))
+        samples = integer("initial.samples", data_spec.get("samples", 40))
         params = data_spec.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("initial.params", "must be an object")
@@ -494,12 +476,9 @@ def step(fld, config, next_id, event_index, col):
     for f in kept:
         f.born_t = col.t
         f.born_x = col.x
-        f.birth_event = event_index
         f.id = next_id()
     for f in (f_left, f_right):
         f.died_t = col.t
-        f.died_x = col.x
-        f.death_event = event_index
     out = ms.q_columns(kept)
     dV, dQ = ms.splice_deltas(fld.cols, j, out)
     fld.fronts[j:j + 2] = kept

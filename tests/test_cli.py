@@ -391,7 +391,58 @@ class TestCheckAgreesWithRun:
         ("diagnostics.outputs", "diagnostics.outputs", {"dir": "x"}, False),
         ("outputs.slice_time", "outputs.slice_time", [1.0], False),
         ("diagnostics.convergence.t_evil",
-         "diagnostics.convergence.t_evil", 0.5, False)])
+         "diagnostics.convergence.t_evil", 0.5, False),
+        # numerics are checked, never coerced with float()
+        ("numerics.epsilon", "numerics.epsilon", "0.05", False),
+        ("numerics.epsilon", "numerics.epsilon", True, False),
+        ("numerics.t_end", "numerics.t_end", True, False),
+        ("numerics.tolerances.audit_rel", "numerics.tolerances.audit_rel",
+         "1e-9", False),
+        # a negative tie tolerance empties the tie group; a negative audit
+        # tolerance fails a correct ledger
+        ("numerics.tolerances.tie_tol_factor",
+         "numerics.tolerances.tie_tol_factor", -1, False),
+        ("numerics.tolerances.audit_rel", "numerics.tolerances.audit_rel",
+         -1, False),
+        # model parameters: a malformed value names its parameter, a set
+        # the model cannot use names model.params
+        ("model.params.radius", "model",
+         {"id": "burgers", "params": {"radius": "inf"}}, False),
+        ("model.params", "model",
+         {"id": "burgers", "params": {"radius": 1e308}}, False),
+        ("model.params.radius", "model",
+         {"id": "burgers", "params": {"radius": True}}, False),
+        ("model.params.radius", "model",
+         {"id": "burgers", "params": {"radius": "3"}}, False),
+        ("model.params", "model",
+         {"id": "burgers", "params": {"radius": -1}}, False),
+        ("model.params", "model",
+         {"id": "cubic", "params": {"radius": 1e200}}, False),
+        ("model.params.gamma", "model",
+         {"id": "p-system", "params": {"gamma": math.nan}}, False),
+        ("model.params.v_max", "model",
+         {"id": "p-system", "params": {"v_max": math.inf}}, False),
+        ("model.params.k", "model",
+         {"id": "p-system", "params": {"k": "2"}}, False),
+        ("model.params.radius", "model",
+         {"id": "remark-2x2", "params": {"radius": "0.1"}}, False),
+        ("model.params.matrix", "model",
+         {"id": "linear", "params": {"matrix": [[0, 1], [1, math.nan]]}},
+         False),
+        ("model.params.matrix", "model",
+         {"id": "linear", "params": {"matrix": [["0", "1"], ["1", "0"]]}},
+         False),
+        ("model.params.matrix", "model",
+         {"id": "linear", "params": {"matrix": "x"}}, False),
+        # complex and repeated eigenvalues
+        ("model.params.matrix", "model",
+         {"id": "linear", "params": {"matrix": [[0, 1], [-1, 0]]}}, False),
+        ("model.params.matrix", "model",
+         {"id": "linear", "params": {"matrix": [[1, 0], [0, 1]]}}, False),
+        ("model.params.radius", "model",
+         {"id": "linear", "params": {"radius": math.inf}}, False),
+        ("model.params.radius", "model",
+         {"id": "linear", "params": {"radius": True}}, False)])
     def test_refusal(self, tmp_path, key, section, value, in_manifest,
                      capsys):
         doc = json.loads(json.dumps(MINIMAL))

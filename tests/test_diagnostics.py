@@ -506,7 +506,9 @@ class TestRegionAuditMatchesReference:
         monkeypatch.setattr(dg, "_fan_group", record)
         curve = dg.min_characteristic(tl, 1, 0.5, 0.3, tl.t_end)
         assert (1.5, 0.375) in curve.nodes
-        assert any(len({f.birth_event for f in g}) >= 2 for g in groups)
+        # a group holds fronts born in two or more tied events
+        born_in = {f.id: e.index for e in tl.events for f in e.outgoing}
+        assert any(len({born_in.get(f.id) for f in g}) >= 2 for g in groups)
 
     @pytest.mark.parametrize("fixture", REGION_FIXTURES)
     def test_region_reports_match_reference(self, fixture, request):

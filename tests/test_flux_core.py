@@ -3,7 +3,7 @@ import pytest
 
 from fronttrack import flux_core as fc
 from fronttrack.errors import (ConfigError, DomainError, ModelAuditError,
-                               NearDegeneracyError, UnknownModelError)
+                               UnknownModelError)
 
 from conftest import (MODEL_IDS, random_state, reference_average_matrix,
                       reference_jacobian_matrix)
@@ -72,8 +72,10 @@ class TestEigDecompose:
         assert sys.gnl_rates[1] == pytest.approx(2.0)
 
     def test_near_degenerate_rejected(self):
-        with pytest.raises(NearDegeneracyError):
+        # a repeated eigenvalue is a configuration error, exit 3
+        with pytest.raises(ConfigError) as err:
             fc.make_model("linear", {"matrix": [[1.0, 0.0], [0.0, 1.0]]})
+        assert err.value.key == "model.params.matrix"
 
     @pytest.mark.parametrize("mid", MODEL_IDS)
     def test_biorthogonality_and_order_random(self, mid):

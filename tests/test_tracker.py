@@ -405,9 +405,8 @@ class TestSliceAt:
 class TestFrontRecords:
     @staticmethod
     def snapshot(tl):
-        return {fid: (f.family, f.kind, f.born_x, f.born_t, f.died_t, f.died_x,
-                      f.birth_event, f.death_event, f.speed, f.size,
-                      f.uL.tobytes(), f.uR.tobytes())
+        return {fid: (f.family, f.kind, f.born_x, f.born_t, f.died_t,
+                      f.speed, f.size, f.uL.tobytes(), f.uR.tobytes())
                 for fid, f in tl.front_records.items()}
 
     @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
@@ -416,14 +415,19 @@ class TestFrontRecords:
         recs = tl.front_records
         for f in tl.initial_field.fronts:
             assert recs[f.id] is f
-            assert f.birth_event is None and f.born_t == 0.0
+            assert f.born_t == 0.0
+        # an initial front is born in no event, and a front dies in one at most
+        outgoing = {id(f) for ev in tl.events for f in ev.outgoing}
+        assert not outgoing & {id(f) for f in tl.initial_field.fronts}
+        incoming = [id(f) for ev in tl.events for f in ev.incoming]
+        assert len(set(incoming)) == len(incoming)
         for ev in tl.events:
             for f in ev.incoming:
                 assert recs[f.id] is f
-                assert (f.died_t, f.died_x, f.death_event) == (ev.t, ev.x, ev.index)
+                assert f.died_t == ev.t
             for f in ev.outgoing:
                 assert recs[f.id] is f
-                assert (f.born_t, f.born_x, f.birth_event) == (ev.t, ev.x, ev.index)
+                assert (f.born_t, f.born_x) == (ev.t, ev.x)
         born = len(tl.initial_field.fronts) + sum(len(e.outgoing) for e in tl.events)
         assert len(recs) == born
         assert all(f.id == fid for fid, f in recs.items())
@@ -593,7 +597,7 @@ class TestLiveColumns:
             values += tl.slice_at(t).xs
         for f in tl.front_records.values():
             values += [f.speed, f.size, f.born_t, f.born_x]
-            values += [v for v in (f.died_t, f.died_x) if v is not None]
+            values += [f.died_t] if f.died_t is not None else []
         for ev in tl.events:
             values += [ev.t, ev.x, ev.amount_I, ev.cancellation, ev.dV, ev.dQ]
         assert type(fld.xs) is list and type(tl.initial_field.xs) is list
