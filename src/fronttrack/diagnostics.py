@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import flux_core as fc
 from . import measures as ms
 from . import oracles
 from . import tracker as tk
@@ -191,12 +192,21 @@ def _next_crossing(fronts, t, x, slope, t_hi, skip):
     between it and the characteristic. Only the nearest front on each side
     that is not in skip and not at x (those cannot be crossed) is tested.
     """
-    k = bisect.bisect_right(fronts, x, key=lambda g: g.position(t))
+    # bisect_right on the positions at t, with Front.position's float
+    # operations inlined: no Python frame per probe
+    lo, hi = 0, len(fronts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        g = fronts[mid]
+        if x < g.born_x + g.speed * (t - g.born_t):
+            hi = mid
+        else:
+            lo = mid + 1
     best = None
-    for side in (range(k - 1, -1, -1), range(k, len(fronts))):
+    for side in (range(lo - 1, -1, -1), range(lo, len(fronts))):
         for j in side:
             g = fronts[j]
-            xg = g.position(t)
+            xg = g.born_x + g.speed * (t - g.born_t)
             if g.id in skip or xg == x:
                 continue
             rel = slope - g.speed
@@ -642,7 +652,7 @@ def sbv_atom_report(timeline, i, threshold, times=()):
     report = {"family": i, "threshold": threshold,
               "exceptional_times": exceptional,
               "icj_total_mass": icj.total_mass()}
-    if timeline.model.N == 1 and times:
+    if isinstance(timeline.model, fc.ScalarModel) and times:
         spectra = {}
         for t in times:
             fld = timeline.slice_at(t)

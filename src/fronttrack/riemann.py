@@ -14,6 +14,7 @@ and chained left to right (each front's uL is its left neighbour's uR).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .flux_core import GENERAL, GNL, LD
 SIZE_FLOOR = 1e-13  # below this, a wave size is treated as absent
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
-FLOAT_EPS = np.finfo(float).eps  # machine epsilon for brentq's tolerance
+FLOAT_EPS = sys.float_info.epsilon  # a Python float: brentq stays off numpy scalars
 BRENT_XTOL = 1e-14
 BRENT_MAXIT = 120
 CLASSIFY_TOL = 1e-12  # Lax-condition slack when labelling a scalar front
@@ -84,8 +85,13 @@ class CurvePoint:
 # ---------------------------------------------------------------------------
 
 
-def brentq(fn, a, b):
-    fa, fb = fn(a), fn(b)
+def brentq(fn, a, b, fa=None, fb=None):
+    """Root of fn in [a, b]; fa and fb, when given, are fn(a) and fn(b)
+    from the caller's sign test, and fn is not called there again."""
+    if fa is None:
+        fa = fn(a)
+    if fb is None:
+        fb = fn(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -185,68 +191,64 @@ def _remark_curve(model, k, u0, s, parametrization):
 
 
 def _psystem_curve(model, k, u0, s, parametrization):
+    """Both branches on Python floats; the contraction l . (T - u0) is
+    l0*dv + l1*dw, each product rounded (numpy's 2-vector dot fuses the
+    second product into the sum, so the last bits differ from it)."""
     v0, w0 = float(u0[0]), float(u0[1])
     c0 = model.sound(v0)
     n0 = math.hypot(1.0, c0)
-    v_lo, v_hi = model.domain[0]
-    F0 = model.sound_antiderivative(v0)
-    if k == 2:
-        lvec = np.array([-0.5 * n0, 0.5 * n0 / c0])
-    else:
-        lvec = np.array([0.5 * n0, 0.5 * n0 / c0])
-    rate0 = -model.dsound(v0) / n0
-    s_unit_target = s if parametrization == "unit" else None
-
-    def rare_state(v):
-        du = model.sound_antiderivative(v) - F0
-        if k == 2:
-            return np.array([v, w0 - du])
-        return np.array([v, w0 + du])
-
-    def shock_state(v):
-        dp = model.pressure(v) - model.pressure(v0)
-        sig = math.sqrt(-dp / (v - v0))
-        if k == 1:
-            sig = -sig
-        return np.array([v, w0 - sig * (v - v0)]), sig
+    v_lo, v_hi = float(model.domain[0, 0]), float(model.domain[0, 1])
+    l0 = -0.5 * n0 if k == 2 else 0.5 * n0
+    l1 = 0.5 * n0 / c0
+    # the 2-rarefaction keeps w + F(v), the 1-rarefaction w - F(v)
+    orient = -1.0 if k == 2 else 1.0
 
     if s >= 0:  # rarefaction branch
+        F0 = model.sound_antiderivative(v0)
         if parametrization == "lambda":
             c_target = c0 + s if k == 2 else c0 - s
             if c_target <= 0:
                 raise CurveError("p-system rarefaction parameter too large")
             v = model.sound_inv(c_target)
+        elif s == 0:
+            v = v0
         else:
-            bracket = (v_lo, v0) if k == 2 else (v0, v_hi)
-
             def g(v):
-                st = rare_state(v)
-                return float(lvec @ (st - u0)) - s_unit_target
+                dw = (w0 + orient * (model.sound_antiderivative(v) - F0)) - w0
+                return (l0 * (v - v0) + l1 * dw) - s
 
-            if g(bracket[0]) * g(bracket[1]) > 0 and abs(s) > 0:
+            a, b = (v_lo, v0) if k == 2 else (v0, v_hi)
+            ga, gb = g(a), g(b)
+            if ga * gb > 0:
                 raise CurveError("p-system rarefaction curve exits the domain")
-            v = v0 if s == 0 else brentq(g, bracket[0], bracket[1])
-        state = rare_state(v)
-        sigma = model.sound(v) * (1.0 if k == 2 else -1.0)
-        return state, sigma
+            v = brentq(g, a, b, ga, gb)
+        w = w0 + orient * (model.sound_antiderivative(v) - F0)
+        return np.array([v, w]), -orient * model.sound(v)
 
     # shock branch; the lambda-parametrized side uses s = rate * l . (T - u)
-    target = s if parametrization == "unit" else s / rate0
+    target = s if parametrization == "unit" else s / (-model.dsound(v0) / n0)
+    p0 = model.pressure(v0)
+
+    def shock_w(v):
+        sig = math.sqrt(-(model.pressure(v) - p0) / (v - v0))
+        if k == 1:
+            sig = -sig
+        return w0 - sig * (v - v0), sig
 
     def gsh(v):
-        st, _ = shock_state(v)
-        return float(lvec @ (st - u0)) - target
+        return (l0 * (v - v0) + l1 * (shock_w(v)[0] - w0)) - target
 
     h = max(1e-12, 1e-9 * v0)
-    if k == 2:
-        lo, hi = v0 + h, v_hi
-    else:
-        lo, hi = v_lo, v0 - h
-    if gsh(lo) * gsh(hi) > 0:
+    lo, hi = (v0 + h, v_hi) if k == 2 else (v_lo, v0 - h)
+    if v0 == (v_hi if k == 2 else v_lo):  # gsh there would be 0/0
+        raise CurveError("p-system Hugoniot curve starts on the box edge "
+                         "it leaves by")
+    glo, ghi = gsh(lo), gsh(hi)
+    if glo * ghi > 0:
         raise CurveError("p-system Hugoniot parameter outside reachable range")
-    v = brentq(gsh, lo, hi)
-    state, sigma = shock_state(v)
-    return state, sigma
+    v = brentq(gsh, lo, hi, glo, ghi)
+    w, sigma = shock_w(v)
+    return np.array([v, w]), sigma
 
 
 def _linear_curve(model, k, u0, s, parametrization):
@@ -258,7 +260,7 @@ def _linear_curve(model, k, u0, s, parametrization):
 def _curve_state(model, k, u0, s, parametrization="unit"):
     """Internal curve evaluation; no field-kind gate (scalar 'general' allowed)."""
     u0 = np.asarray(u0, dtype=float)
-    if model.N == 1:
+    if isinstance(model, fc.ScalarModel):
         state, sigma = _scalar_curve(model, float(u0[0]), s, parametrization)
     elif isinstance(model, fc.Remark2x2):
         state, sigma = _remark_curve(model, k, u0, s, parametrization)
@@ -518,18 +520,20 @@ def front_speed(model, k, uL, uR):
     """(speed, eigs) of a family-k jump: the averaged-matrix speed
     lambda_tilde_k with the averaged eigensystem it came from; the secant
     and None for scalar models."""
-    if model.N == 1:
+    if isinstance(model, fc.ScalarModel):
         return _secant(model, float(uL[0]), float(uR[0])), None
     eigs = fc.average_eigs(model, uL, uR)
     return float(eigs.lambdas[k - 1]), eigs
 
 
-def _system_front(model, k, uL, s):
-    """Single physical front of family k with unit size s starting at uL."""
-    state, sigma = _curve_state(model, k, uL, s, "unit")
+def _system_front(model, k, uL, s, state=None):
+    """Single physical front of family k with unit size s starting at uL;
+    state, when given, is its curve point already found by the caller."""
+    if state is None:
+        state, _ = _curve_state(model, k, uL, s, "unit")
     kind_tag = model.field_kind[k - 1]
     speed, eigs = front_speed(model, k, uL, state)
-    if model.N == 1:
+    if isinstance(model, fc.ScalarModel):
         kind = _classify_scalar(model, float(uL[0]), float(state[0]), speed)
     else:
         kind = "contact" if kind_tag == LD else ("shock" if s < 0 else "rarefaction")
@@ -558,7 +562,7 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
     """
     uL = fc.as_state(uL, model.N)
     uR = fc.as_state(uR, model.N)
-    if model.N == 1:
+    if isinstance(model, fc.ScalarModel):
         return scalar_envelope_fan(model, uL, uR, eps, front_cap)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
@@ -568,19 +572,22 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
     if float(np.linalg.norm(dvec)) > model.riemann_radius:
         raise RiemannError(
             f"|uR-uL|={np.linalg.norm(dvec):.3g} exceeds Riemann radius")
-    sizes = _solve_sizes(model, uL, uR)
-    sizes[np.abs(sizes) < SIZE_FLOOR] = 0.0
+    sizes, legs = _solve_sizes(model, uL, uR)
     fronts = []
     omega = uL
     for k in range(1, model.N + 1):
         sk = float(sizes[k - 1])
-        if sk == 0.0:
+        if abs(sk) < SIZE_FLOOR:
+            if sk != 0.0:
+                legs = None  # the floored size moves every later leg's start
             continue
+        # Newton's chain went through omega with size sk: its end is ours
+        end = legs[k - 1] if legs else None
         kind_tag = model.field_kind[k - 1]
         if kind_tag == GNL and sk > 0:
-            omega = _emit_fan(model, k, omega, sk, eps, fronts, front_cap)
+            omega = _emit_fan(model, k, omega, sk, eps, fronts, front_cap, end)
         else:
-            f = _system_front(model, k, omega, sk)
+            f = _system_front(model, k, omega, sk, end)
             fronts.append(f)
             omega = f.uR
     defect = float(np.max(np.abs(omega - uR))) if fronts else float(np.max(np.abs(dvec)))
@@ -595,36 +602,44 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
 
 
 def _solve_sizes(model, uL, uR):
+    """Sizes s of the composed curve map from uL to uR, by damped Newton with
+    a forward-difference Jacobian, and the converged chain: legs[k-1] is the
+    state after family k (the previous one where s[k-1] is 0)."""
     n = model.N
     left0 = model.point_eig(uL).left
 
-    def chain_end(svec):
-        omega = uL
-        for k in range(1, n + 1):
+    def chain(svec, base=(), start=0):
+        # the first start legs of svec are those of base
+        legs = list(base[:start])
+        omega = legs[-1] if legs else uL
+        for k in range(start + 1, n + 1):
             if svec[k - 1] != 0.0:
                 omega, _ = _curve_state(model, k, omega, float(svec[k - 1]), "unit")
-        return omega
+            legs.append(omega)
+        return legs
 
     s = left0 @ (uR - uL)
     scale = max(1.0, float(np.max(np.abs(uR - uL))))
     try:
-        res = chain_end(s) - uR
+        legs = chain(s)
     except (DomainError, CurveError) as exc:
         raise RiemannError(f"accurate solver: initial guess failed ({exc})")
+    res = legs[-1] - uR
     for _ in range(NEWTON_MAXIT):
         if float(np.max(np.abs(res))) <= NEWTON_TOL * scale:
-            return s
+            return s, legs
         jac = np.empty((n, n))
         base = res + uR
         for k in range(n):
+            # column k moves s[k] only: the legs before it are the base's
             h = 1e-7 * max(1.0, abs(s[k]))
             sp = s.copy()
             sp[k] += h
             try:
-                jac[:, k] = (chain_end(sp) - base) / h
+                jac[:, k] = (chain(sp, legs, k)[-1] - base) / h
             except (DomainError, CurveError):
                 sp[k] = s[k] - h
-                jac[:, k] = (base - chain_end(sp)) / h
+                jac[:, k] = (base - chain(sp, legs, k)[-1]) / h
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -633,12 +648,13 @@ def _solve_sizes(model, uL, uR):
         for _ in range(30):
             cand = s + lam * step
             try:
-                cres = chain_end(cand) - uR
+                clegs = chain(cand)
             except (DomainError, CurveError):
                 lam *= 0.5
                 continue
+            cres = clegs[-1] - uR
             if float(np.max(np.abs(cres))) < float(np.max(np.abs(res))) or lam < 1e-6:
-                s, res = cand, cres
+                s, res, legs = cand, cres, clegs
                 break
             lam *= 0.5
         else:
@@ -646,15 +662,17 @@ def _solve_sizes(model, uL, uR):
     raise RiemannError("accurate solver: Newton did not converge")
 
 
-def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap):
+def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
     """Rarefaction fan for family k: partition uniform in the lambda-scaled
-    parameter, so consecutive openings are exactly dlam/n <= eps."""
-    end, _ = _curve_state(model, k, omega0, sk, "unit")
+    parameter, so consecutive openings are exactly dlam/n <= eps. end, when
+    given, is the fan's far state, already found by the caller."""
+    if end is None:
+        end, _ = _curve_state(model, k, omega0, sk, "unit")
     lam0 = float(model.point_eig(omega0).lambdas[k - 1])
     lam1 = float(model.point_eig(end).lambdas[k - 1])
     dlam = lam1 - lam0
     if dlam <= 1e-14:
-        f = _system_front(model, k, omega0, sk)
+        f = _system_front(model, k, omega0, sk, end)
         fronts.append(f)
         return f.uR
     n = _fan_count(dlam, eps, front_cap)

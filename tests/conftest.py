@@ -12,6 +12,7 @@ from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
+from fronttrack.errors import CurveError, DomainError
 
 MODEL_IDS = ["burgers", "cubic", "remark-2x2", "p-system"]
 
@@ -413,6 +414,88 @@ def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
         return None
     (tc, _), xc, g = best
     return tc, xc, g
+
+
+# ---------------------------------------------------------------------------
+# Reference p-system curve: each residual builds the state as a numpy
+# 2-vector and contracts it with numpy's dot, which fuses the second product
+# into the sum. riemann._psystem_curve works on Python floats and rounds each
+# product; tests hold the two within roundoff.
+# ---------------------------------------------------------------------------
+
+
+def reference_psystem_curve(model, k, u0, s, parametrization):
+    v0, w0 = float(u0[0]), float(u0[1])
+    c0 = model.sound(v0)
+    n0 = math.hypot(1.0, c0)
+    v_lo, v_hi = model.domain[0]
+    F0 = model.sound_antiderivative(v0)
+    if k == 2:
+        lvec = np.array([-0.5 * n0, 0.5 * n0 / c0])
+    else:
+        lvec = np.array([0.5 * n0, 0.5 * n0 / c0])
+    rate0 = -model.dsound(v0) / n0
+    s_unit_target = s if parametrization == "unit" else None
+
+    def rare_state(v):
+        du = model.sound_antiderivative(v) - F0
+        if k == 2:
+            return np.array([v, w0 - du])
+        return np.array([v, w0 + du])
+
+    def shock_state(v):
+        dp = model.pressure(v) - model.pressure(v0)
+        sig = math.sqrt(-dp / (v - v0))
+        if k == 1:
+            sig = -sig
+        return np.array([v, w0 - sig * (v - v0)]), sig
+
+    if s >= 0:  # rarefaction branch
+        if parametrization == "lambda":
+            c_target = c0 + s if k == 2 else c0 - s
+            if c_target <= 0:
+                raise CurveError("p-system rarefaction parameter too large")
+            v = model.sound_inv(c_target)
+        else:
+            bracket = (v_lo, v0) if k == 2 else (v0, v_hi)
+
+            def g(v):
+                st = rare_state(v)
+                return float(lvec @ (st - u0)) - s_unit_target
+
+            if g(bracket[0]) * g(bracket[1]) > 0 and abs(s) > 0:
+                raise CurveError("p-system rarefaction curve exits the domain")
+            v = v0 if s == 0 else rm.brentq(g, bracket[0], bracket[1])
+        state = rare_state(v)
+        sigma = model.sound(v) * (1.0 if k == 2 else -1.0)
+        return state, sigma
+
+    # shock branch; the lambda-parametrized side uses s = rate * l . (T - u)
+    target = s if parametrization == "unit" else s / rate0
+
+    def gsh(v):
+        st, _ = shock_state(v)
+        return float(lvec @ (st - u0)) - target
+
+    h = max(1e-12, 1e-9 * v0)
+    if k == 2:
+        lo, hi = v0 + h, v_hi
+    else:
+        lo, hi = v_lo, v0 - h
+    if gsh(lo) * gsh(hi) > 0:
+        raise CurveError("p-system Hugoniot parameter outside reachable range")
+    v = rm.brentq(gsh, lo, hi)
+    state, sigma = shock_state(v)
+    return state, sigma
+
+
+def reference_curve_state(model, k, u0, s, parametrization):
+    """riemann._curve_state on the reference p-system curve."""
+    state, sigma = reference_psystem_curve(model, k, np.asarray(u0, dtype=float),
+                                           s, parametrization)
+    if not model.contains(state):
+        raise DomainError(f"{model.id}: curve point {state} left the domain")
+    return state, sigma
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fronttrack import cli
+from fronttrack import diagnostics as dg
 from fronttrack import fileio as io
 from fronttrack import flux_core as fc
 from fronttrack import tracker as tk
@@ -874,3 +875,37 @@ class TestDeterminismAndRoundTrip:
             blobs.append((tmp_path / f"proc_{rep}" / "events.jsonl").read_bytes()
                          + (tmp_path / f"proc_{rep}" / "ledger.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestSystemScenarios:
+    def test_shipped_psystem_scenario_runs(self, tmp_path):
+        # the one shipped scenario that reaches the p-system accurate solver
+        doc = json.loads((SCENARIOS / "psystem_waves.json").read_text())
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        assert cli.main(["run", write_scenario(tmp_path, doc)]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert report["C0_calibrated"] and report["events"] == 11
+        assert set(report["checks"]) == set(doc["diagnostics"]["checks"])
+        assert all(check["pass"] for check in report["checks"].values())
+
+    def test_one_by_one_linear_runs(self, tmp_path):
+        # the catalog's default linear model, matrix [[1.0]]
+        doc = {"model": {"id": "linear"},
+               "initial": {"kind": "breakpoints", "xs": [0.0],
+                           "values": [[0.0], [0.1]]},
+               "numerics": {"epsilon": 0.1},
+               "outputs": {"dir": str(tmp_path / "out")}}
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["run", path]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert report["checks"]["conservation"]["audited"]
+        assert report["checks"]["conservation"]["pass"]
+        rows = io.read_csv(tmp_path / "out" / "slices.csv")
+        assert [(r["family"], r["speed"]) for r in rows] == [(1, 1.0)] * 3
+        cfg, _ = cli.parse_config(path)
+        timeline = tk.run(cfg)
+        (front,) = timeline.initial_field.fronts
+        assert (front.kind, front.speed) == ("contact", 1.0)
+        # f' atom spectra belong to scalar fluxes only
+        report = dg.sbv_atom_report(timeline, 1, 1e-8, times=(0.5,))
+        assert "fprime_atom_spectra" not in report

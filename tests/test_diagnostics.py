@@ -7,6 +7,7 @@ from fronttrack import cli
 from fronttrack import diagnostics as dg
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
+from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
 from conftest import (quick_run, random_breakpoint_scenario,
@@ -449,6 +450,48 @@ class TestNextCrossingMatchesFullScan:
             assert got[0] == ref[0] and got[1] == ref[1]
             assert got[2] is ref[2]
         assert len(pairs) >= 40 and hits >= 5
+
+    @staticmethod
+    def seeded_field(rng):
+        """Fronts at time t in field order, some at one point (speeds
+        ascending there, as in a fan), and a t_hi before any two meet."""
+        t = float(rng.uniform(0.0, 2.0))
+        xs = np.round(rng.uniform(-1.0, 1.0, int(rng.integers(0, 12))), 1)
+        rows = sorted((float(x), float(rng.uniform(-2.0, 2.0))) for x in xs)
+        fronts = []
+        for j, (x, speed) in enumerate(rows):
+            born_t = float(rng.uniform(0.0, t))
+            fronts.append(rm.Front(family=1, speed=speed, uL=None, uR=None,
+                                   size=0.0, kind="shock", id=j,
+                                   born_t=born_t,
+                                   born_x=x - speed * (t - born_t)))
+        fronts.sort(key=lambda g: (g.position(t), g.speed))
+        meet = [(b.position(t) - a.position(t)) / (a.speed - b.speed)
+                for a, b in zip(fronts, fronts[1:]) if a.speed > b.speed]
+        return fronts, t, t + 0.5 * min([m for m in meet if m > 0.0] or [1.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_fields(self, seed):
+        # the inline bisection keeps bisect_right's place on ties: the
+        # characteristic may start on a front or on a point several share
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(200):
+            fronts, t, t_hi = self.seeded_field(rng)
+            if fronts and rng.random() < 0.5:
+                x = fronts[int(rng.integers(len(fronts)))].position(t)
+            else:
+                x = float(rng.uniform(-1.2, 1.2))
+            skip = {g.id for g in fronts if rng.random() < 0.2}
+            slope = float(rng.uniform(-3.0, 3.0))
+            got = dg._next_crossing(fronts, t, x, slope, t_hi, skip)
+            ref = reference_next_crossing(fronts, t, x, slope, t_hi, skip)
+            if ref is None:
+                assert got is None
+                continue
+            hits += 1
+            assert got[:2] == ref[:2] and got[2] is ref[2]
+        assert hits >= 20
 
 
 @pytest.fixture(scope="module")

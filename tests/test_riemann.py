@@ -1,12 +1,22 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronttrack import flux_core as fc
 from fronttrack import riemann as rm
+from fronttrack import tracker as tk
 from fronttrack.errors import (CapExceededError, CurveError, DomainError,
                               RiemannError)
 
-from conftest import assert_keeps_own_eigs, random_state, same_eigs
+from conftest import (assert_keeps_own_eigs, random_state,
+                      reference_curve_state, same_eigs)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def rk4_integral_curve(model, k, u0, s, rescale, n=4000):
@@ -433,3 +443,222 @@ class TestStoredEigensystem:
         nonphys = rm.solve_simplified(model, a, b)[-1]
         assert_keeps_own_eigs(model, rm.solve_crude(
             model, nonphys, _front(model, 2, nonphys.uR, 0.01)))
+
+
+def front_speeds_inside_fences(model, fronts):
+    fences = model.lambda_fences
+    return all(fences[f.family - 1] < f.speed < fences[f.family]
+               for f in fronts)
+
+
+def test_one_by_one_linear_is_one_contact():
+    # a 1x1 linear model is a system of one contact family, not a scalar
+    # flux: it has no f_scalar for the envelope
+    model = fc.make_model("linear", {"matrix": [[2.0]]})
+    (front,) = rm.solve_accurate(model, [0.0], [0.5], 0.1)
+    assert (front.family, front.kind, front.speed) == (1, "contact", 2.0)
+    assert front.uL.tolist() == [0.0] and front.uR.tolist() == [0.5]
+    assert front.size == pytest.approx(0.5, abs=1e-15)
+    assert front_speeds_inside_fences(model, [front])
+
+
+PSYSTEM = fc.make_model("p-system")
+
+
+def curve_outcome(curve, k, u0, s, parametrization):
+    try:
+        with np.errstate(all="raise"):
+            return curve(PSYSTEM, k, u0, s, parametrization)
+    except (CurveError, DomainError, FloatingPointError) as exc:
+        return type(exc)
+
+
+class TestFloatPsystemCurve:
+    """riemann._psystem_curve on Python floats against the numpy reference:
+    the same refusals, and otherwise state and sigma within 1e-13 (the
+    contraction rounds differently, and Brent may stop on another iterate
+    inside BRENT_XTOL)."""
+
+    @pytest.mark.parametrize("parametrization", ["unit", "lambda"])
+    @pytest.mark.parametrize("branch", [-1.0, 1.0])  # Hugoniot, rarefaction
+    @pytest.mark.parametrize("k", [1, 2])
+    @settings(max_examples=40)
+    @given(v=st.floats(0.5, 2.0), w=st.floats(-1.0, 1.0),
+           magnitude=st.one_of(st.just(0.0), st.floats(-12.0, math.log10(0.9))))
+    def test_matches_numpy_reference(self, k, branch, parametrization, v, w,
+                                     magnitude):
+        s = 0.0 if magnitude == 0.0 else branch * 10.0 ** magnitude
+        u0 = np.array([v, w])
+        got = curve_outcome(rm._curve_state, k, u0, s, parametrization)
+        ref = curve_outcome(reference_curve_state, k, u0, s, parametrization)
+        if ref is FloatingPointError:
+            # a Hugoniot curve from the box edge it would leave by: the
+            # reference divided 0 by 0 and returned a point off the curve
+            assert got is CurveError
+            assert s < 0 and v == (0.5 if k == 1 else 2.0)
+            return
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref
+            return
+        assert np.max(np.abs(got[0] - ref[0])) <= 1e-13
+        assert abs(got[1] - ref[1]) <= 1e-13
+
+    def test_brentq_takes_the_bracket_ends_once(self, monkeypatch):
+        # the curve's sign test has fn at both ends; brentq does not call fn
+        # there again
+        brentq = rm.brentq
+        roots = []
+
+        def counted(fn, a, b, fa=None, fb=None):
+            assert fa is not None and fb is not None
+            roots.append((a, b))
+
+            def watched(x):
+                assert x != a and x != b, "bracket end evaluated again"
+                return fn(x)
+
+            return brentq(watched, a, b, fa, fb)
+
+        monkeypatch.setattr(rm, "brentq", counted)
+        rng = np.random.default_rng(3)
+        width = PSYSTEM.domain[:, 1] - PSYSTEM.domain[:, 0]
+        for _ in range(40):
+            uL = random_state(PSYSTEM, rng, 0.25)
+            uR = uL + 0.15 * width * (2.0 * rng.random(2) - 1.0)
+            rm.solve_accurate(PSYSTEM, uL, uR, 0.05)
+        assert len(roots) > 400
+
+
+def pair_strategy(model_id):
+    """(uL, uR): uL in the middle 60% of the box, each component of uR - uL
+    zero or between 1e-6 and 1 times 15% of the box width (p-system shocks
+    weaker than about 1e-9 are refused, see test_weak_psystem_shock)."""
+    model = fc.make_model(model_id)
+    lo, hi = model.domain[:, 0], model.domain[:, 1]
+    unit = st.floats(0.0, 1.0)
+    step = st.one_of(st.just(0.0), st.tuples(
+        st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 0.0)).map(
+            lambda d: d[0] * 10.0 ** d[1]))
+    return st.tuples(unit, unit, step, step).map(
+        lambda d: (lo + (hi - lo) * (0.2 + 0.6 * np.array(d[:2])),
+                   lo + (hi - lo) * (0.2 + 0.6 * np.array(d[:2])
+                                     + 0.15 * np.array(d[2:]))))
+
+
+@pytest.mark.xfail(raises=RiemannError, strict=True, reason=(
+    "the Hugoniot bracket starts 1e-9 v0 away from v0, so a weaker shock "
+    "has no root in it and the Newton chain's first guess is refused"))
+def test_weak_psystem_shock():
+    uR = np.array([0.8, -0.6 - 1e-10])
+    fronts = rm.solve_accurate(PSYSTEM, [0.8, -0.6], uR, 0.05)
+    assert fronts and fronts[-1].uR.tobytes() == uR.tobytes()
+
+
+class TestAccurateSolverProperties:
+    """The accurate solver on generated pairs: the Newton chain closes on
+    uR, its legs are what a fresh evaluation gives, fans open at most eps,
+    every speed sits between its family's fences, and every shock meets
+    Lax's inequalities."""
+
+    EPS = 0.05
+    TOL = 1e-12
+
+    def check(self, model, uL, uR):
+        sizes, legs = rm._solve_sizes(model, uL, uR)
+        assert float(np.max(np.abs(legs[-1] - uR))) <= self.TOL
+        omega = uL
+        for k in range(1, model.N + 1):
+            if sizes[k - 1] != 0.0:
+                omega, _ = rm._curve_state(model, k, omega, float(sizes[k - 1]))
+            assert omega.tobytes() == legs[k - 1].tobytes()
+        fronts = rm.solve_accurate(model, uL, uR, self.EPS)
+        if not fronts:
+            assert float(np.linalg.norm(uR - uL)) < 1e-14
+            return
+        assert fronts[0].uL.tobytes() == uL.tobytes()
+        assert all(a.uR is b.uL for a, b in zip(fronts, fronts[1:]))
+        assert fronts[-1].uR.tobytes() == uR.tobytes()
+        assert front_speeds_inside_fences(model, fronts)
+        for f in fronts:
+            k = f.family
+            lam_l = model.point_eig(f.uL).lambdas
+            lam_r = model.point_eig(f.uR).lambdas
+            if f.kind == "rarefaction":
+                assert lam_r[k - 1] - lam_l[k - 1] <= self.EPS + self.TOL
+            if f.kind == "shock":
+                assert lam_r[k - 1] - self.TOL < f.speed < lam_l[k - 1] + self.TOL
+                if k > 1:
+                    assert lam_l[k - 2] < f.speed
+                if k < model.N:
+                    assert f.speed < lam_r[k]
+
+    @settings(max_examples=60)
+    @given(pair=pair_strategy("p-system"))
+    def test_psystem(self, pair):
+        self.check(PSYSTEM, *pair)
+
+    @settings(max_examples=60)
+    @given(pair=pair_strategy("remark-2x2"))
+    def test_remark(self, pair):
+        self.check(fc.make_model("remark-2x2"), *pair)
+
+    @pytest.mark.parametrize("mid", ["p-system", "remark-2x2"])
+    def test_reused_legs_give_the_same_fronts(self, mid, monkeypatch):
+        # the fronts built on Newton's converged chain are those built on
+        # curve points evaluated afresh, bit for bit; in half the pairs the
+        # 1-wave is floored to 0, so the 2-wave starts at uL and not at
+        # Newton's first leg
+        model = fc.make_model(mid)
+        rng = np.random.default_rng(11)
+        width = model.domain[:, 1] - model.domain[:, 0]
+        pairs = []
+        for _ in range(30):
+            uL = random_state(model, rng, 0.25)
+            pairs.append((uL, uL + 0.15 * width * (2.0 * rng.random(2) - 1.0)))
+            # a 1-wave under SIZE_FLOOR (a rarefaction: a p-system shock
+            # this weak is refused, see test_weak_psystem_shock), then a 2-wave
+            tiny = float(rng.uniform(2e-14, 9e-14))
+            mid_state = rm._curve_state(model, 1, uL, tiny)[0]
+            pairs.append((uL, rm._curve_state(model, 2, mid_state,
+                                              float(rng.uniform(-0.1, 0.1)))[0]))
+
+        def outcome(uL, uR):
+            try:
+                return [(f.family, f.kind, f.speed, f.size, f.uL.tobytes(),
+                         f.uR.tobytes())
+                        for f in rm.solve_accurate(model, uL, uR, 0.02)]
+            except RiemannError as exc:
+                return str(exc)
+
+        reused = [outcome(*pair) for pair in pairs]
+        floored = 0
+        for pair in pairs:
+            try:
+                sizes = rm._solve_sizes(model, *pair)[0]
+            except RiemannError:
+                continue
+            floored += any(0.0 < abs(x) < rm.SIZE_FLOOR for x in sizes)
+        assert floored >= 10
+        solve_sizes = rm._solve_sizes
+        monkeypatch.setattr(rm, "_solve_sizes",
+                            lambda *args: (solve_sizes(*args)[0], None))
+        assert [outcome(*pair) for pair in pairs] == reused
+
+
+def test_psystem_curve_calls_per_run(monkeypatch):
+    # one tracker.run of the shipped p-system scenario (corpus draw
+    # p-system/0) takes 171 curve points; evaluating each Newton chain leg
+    # and each fan's far state again took 227
+    doc = json.loads((SCENARIOS / "psystem_waves.json").read_text())
+    calls = []
+    curve = rm._psystem_curve
+
+    def counted(*args):
+        calls.append(args)
+        return curve(*args)
+
+    monkeypatch.setattr(rm, "_psystem_curve", counted)
+    tl = tk.run(tk.RunConfig(model_id="p-system", initial=doc["initial"],
+                             **doc["numerics"]))
+    assert len(tl.events) == 11 and tl.ledger.calibrated
+    assert len(calls) == 171

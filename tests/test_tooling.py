@@ -1,7 +1,7 @@
 """The benchmark's traced pass wraps fronttrack functions by their names in
 perfbench/tracing.py SPANS; each must stay a module-level callable. The
-shipped audit scenario is the benchmark's audit input, and README's library
-example runs as written."""
+shipped audit and p-system scenarios are benchmark inputs, and README's
+library example runs as written."""
 
 import importlib
 import importlib.util
@@ -30,14 +30,19 @@ def test_every_traced_span_resolves_to_a_callable():
     assert set(tracing.PARENT_SPANS) <= set(tracing.SPANS)
 
 
-def test_shipped_audit_scenario_is_the_benchmark_input(tmp_path):
-    # scenarios/remark_audit.json is the audit-remark workload at seed 0,
-    # so CI's check and run-twice steps cover the audited system path
+def load_workloads():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return root, workloads
+
+
+def test_shipped_audit_scenario_is_the_benchmark_input(tmp_path):
+    # scenarios/remark_audit.json is the audit-remark workload at seed 0,
+    # so CI's check and run-twice steps cover the audited system path
+    root, workloads = load_workloads()
     (job,) = workloads.build_jobs("audit-remark", 0, str(tmp_path / "job"))
     bench = json.loads(Path(job.path).read_text())
     job.close()
@@ -45,6 +50,19 @@ def test_shipped_audit_scenario_is_the_benchmark_input(tmp_path):
     assert shipped.pop("outputs") == {"dir": "out/remark_audit"}
     bench.pop("outputs")
     assert shipped == bench
+
+
+def test_shipped_psystem_scenario_is_a_corpus_draw(tmp_path):
+    # scenarios/psystem_waves.json is corpus-200's p-system/0 at seed 0, so
+    # CI's check and run-twice steps cover the p-system accurate solver
+    root, workloads = load_workloads()
+    (job,) = [job for job in workloads.build_jobs("corpus-200", 0, str(tmp_path))
+              if job.label == "p-system/0"]
+    shipped = json.loads((root / "scenarios" / "psystem_waves.json").read_text())
+    cfg = job.config
+    assert shipped["model"] == {"id": cfg.model_id}
+    assert shipped["initial"] == cfg.initial
+    assert shipped["numerics"] == {"epsilon": cfg.epsilon, "t_end": cfg.t_end}
 
 
 def test_readme_library_example_runs():
