@@ -578,8 +578,8 @@ def _triangle_states(timeline, tris):
 
 
 def _diameter(states):
-    """Largest float(np.linalg.norm(u - v)) over pairs of the states, 0.0
-    for fewer than two.
+    """Largest fc.norm(u - v) over pairs of the states, 0.0 for fewer than
+    two.
 
     Squared distances are screened in bulk, in row blocks of bounded size,
     and the exact norm is taken only on pairs within 1e-9 relative of the
@@ -608,7 +608,7 @@ def _diameter(states):
     osc = 0.0
     for p, q, d in found:
         if d >= top * (1.0 - 1e-9):
-            osc = max(osc, float(np.linalg.norm(states[p] - states[q])))
+            osc = max(osc, fc.norm((states[p] - states[q]).tolist()))
     return osc
 
 
@@ -627,7 +627,7 @@ def tame_oscillation_check(timeline, triangles):
     for (a, b, tau, eta, _), uniq in zip(tris, _triangle_states(timeline, tris)):
         osc = _diameter(uniq)
         base = timeline.slice_at(tau)
-        tv = float(sum(np.linalg.norm(f.jump())
+        tv = float(sum(fc.norm(f.jump().tolist())
                        for f, x in zip(base.fronts, base.xs) if a < x < b))
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)

@@ -1,8 +1,7 @@
-"""Deterministic writers and readers for run artifacts.
+"""Deterministic writers for run artifacts.
 
 All numbers are serialized with 17 significant digits so that re-running an
-identical scenario reproduces byte-identical files; every writer has a
-matching reader used by the round-trip tests.
+identical scenario reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,33 +39,11 @@ def _front_json(f):
             f'"speed":{fmt(f.speed)}}}')
 
 
-def read_events_jsonl(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = []
-            for tok in line.strip().split(","):
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    vals.append(tok)
-            rows.append(dict(zip(header, vals)))
-        return rows
 
 
 def write_ledger_csv(path, timeline):

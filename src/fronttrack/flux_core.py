@@ -6,6 +6,11 @@ is always formed by fixed-order Gauss-Legendre quadrature (order 8, exact
 for polynomial fluxes up to degree 15) and then eigen-decomposed with the
 same per-model closed forms.
 
+Dots, norms and the quadrature sum run on Python floats in a fixed order
+(dot, norm, max_abs below): numpy hands a dot or a norm of two float64
+vectors to BLAS, whose kernel is picked per CPU at run time and may fuse or
+reorder the products, so their last bits would depend on the machine.
+
 Two eigenvector normalizations coexist. Stored systems always carry unit
 right eigenvectors with biorthogonal left covectors (l_j . r_i = delta_ij);
 genuinely nonlinear fields additionally record the nonlinearity rate
@@ -34,9 +39,10 @@ GENERAL = "general"  # scalar-only: f'' changes sign; served by the envelope sol
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_GL_X + 1.0)
 GL8_WEIGHTS = 0.5 * _GL_W
-_GL8_THETA = GL8_NODES[:, None]
-_GL8_COTHETA = 1.0 - _GL8_THETA
-_GL8_W = GL8_WEIGHTS[:, None, None]
+# theta, 1 - theta and the weight of each node as Python floats, in node order
+_GL8_THETA = GL8_NODES.tolist()
+_GL8_COTHETA = (1.0 - GL8_NODES).tolist()
+_GL8_WEIGHTS = GL8_WEIGHTS.tolist()
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -113,14 +119,14 @@ class FluxModel:
     def f(self, u):
         raise NotImplementedError
 
-    def jacobian_matrices(self, us):
-        """Df at each row of the (n, N) state array us, as a new (n, N, N)
-        array."""
+    def jacobian_rows(self, u):
+        """Df(u) as a tuple of rows of Python floats; u a sequence of
+        floats."""
         raise NotImplementedError
 
     def jacobian_matrix(self, u):
-        """Df(u): the one-state case of jacobian_matrices."""
-        return self.jacobian_matrices(np.asarray(u, dtype=float)[None, :])[0]
+        """Df(u) as a new (N, N) array."""
+        return np.array(self.jacobian_rows(np.asarray(u, dtype=float).tolist()))
 
     def grad_lambda(self, u):
         """Rows are the gradients of lambda_i at u."""
@@ -150,8 +156,11 @@ class FluxModel:
                              for lo, hi in box)
 
     def contains(self, u):
-        """Inside the domain box up to a 1e-12 slack; NaN is outside."""
-        for x, (lo, hi) in zip(u.tolist(), self._bounds):
+        """Inside the domain box up to a 1e-12 slack; NaN is outside. u is
+        an array or a sequence of Python floats."""
+        if isinstance(u, np.ndarray):
+            u = u.tolist()
+        for x, (lo, hi) in zip(u, self._bounds):
             if not lo <= x <= hi:
                 return False
         return True
@@ -190,10 +199,8 @@ class ScalarModel(FluxModel):
     def f(self, u):
         return np.array([self.f_scalar(float(u[0]))])
 
-    def jacobian_matrices(self, us):
-        out = np.empty((len(us), 1, 1))
-        out[:, 0, 0] = self.fprime(us[:, 0])
-        return out
+    def jacobian_rows(self, u):
+        return ((self.fprime(u[0]),),)
 
     def grad_lambda(self, u):
         return np.array([[self.fsecond(float(u[0]))]])
@@ -216,7 +223,7 @@ class ScalarModel(FluxModel):
     def eig_of_average(self, amat, mid):
         r = self._orientation(float(mid[0]))
         return EigenSystem(
-            lambdas=np.array([amat[0, 0]]),
+            lambdas=np.array([amat[0][0]]),
             right=np.array([[r]]),
             left=np.array([[r]]),
             gnl_rates=np.array([self.fsecond(float(mid[0])) * r]),
@@ -303,11 +310,8 @@ class Remark2x2(FluxModel):
     def f(self, u):
         return np.array([0.0, (1.0 + u[0] + u[1]) * u[1]])
 
-    def jacobian_matrices(self, us):
-        out = np.zeros((len(us), 2, 2))
-        out[:, 1, 0] = us[:, 1]
-        out[:, 1, 1] = 1.0 + us[:, 0] + 2.0 * us[:, 1]
-        return out
+    def jacobian_rows(self, u):
+        return (0.0, 0.0), (u[1], 1.0 + u[0] + 2.0 * u[1])
 
     def grad_lambda(self, u):
         return np.array([[0.0, 0.0], [1.0, 2.0]])
@@ -323,14 +327,14 @@ class Remark2x2(FluxModel):
         )
 
     def point_eig(self, u):
-        return self._eig_at(u[0], u[1])
+        return self._eig_at(float(u[0]), float(u[1]))
 
     def eig_of_average(self, amat, mid):
         # A is linear in the state, so the averaged matrix is A at the segment
         # mean; recover that state from the matrix entries to keep lambda_1
         # identically zero in floating point.
-        vv = amat[1, 0]
-        uu = amat[1, 1] - 1.0 - 2.0 * vv
+        vv = amat[1][0]
+        uu = amat[1][1] - 1.0 - 2.0 * vv
         return self._eig_at(uu, vv)
 
 
@@ -375,6 +379,14 @@ class PSystem(FluxModel):
     def pressure(self, v):
         return self.k * v ** (-self.gamma)
 
+    def chord_sound_sq(self, v0, v):
+        """-(p(v) - p(v0)) / (v - v0), the mean of c^2 over [v0, v], for
+        v != v0: p(v) = p(v0) (1 + d/v0)^(-gamma) with d = v - v0, and
+        expm1/log1p keep every bit of a weak shock's pressure jump, which a
+        difference of the two pressures would cancel."""
+        d = v - v0
+        return -self.pressure(v0) * math.expm1(-self.gamma * math.log1p(d / v0)) / d
+
     def sound_antiderivative(self, v):
         """Antiderivative of c, used by the rarefaction Riemann invariants."""
         if self.gamma == 1.0:
@@ -384,13 +396,10 @@ class PSystem(FluxModel):
     def f(self, u):
         return np.array([-u[1], self.pressure(u[0])])
 
-    def jacobian_matrices(self, us):
-        out = np.zeros((len(us), 2, 2))
-        out[:, 0, 1] = -1.0
-        # scalar pow per state: numpy's array power differs from it in the
-        # last bit on some states
-        out[:, 1, 0] = [-self.sound(v) ** 2 for v in us[:, 0].tolist()]
-        return out
+    def jacobian_rows(self, u):
+        # scalar pow: numpy's array power differs from it in the last bit
+        # on some states
+        return (0.0, -1.0), (-self.sound(u[0]) ** 2, 0.0)
 
     def grad_lambda(self, u):
         cp = self.dsound(u[0])
@@ -408,10 +417,11 @@ class PSystem(FluxModel):
         )
 
     def point_eig(self, u):
-        return self._eig_for_sound(self.sound(u[0]), u[0])
+        v = float(u[0])
+        return self._eig_for_sound(self.sound(v), v)
 
     def eig_of_average(self, amat, mid):
-        msq = -amat[1, 0]  # averaged -p', positive
+        msq = -amat[1][0]  # averaged -p', positive
         if msq <= 0:
             raise NearDegeneracyError("p-system averaged matrix lost hyperbolicity")
         return self._eig_for_sound(math.sqrt(msq), mid[0])
@@ -436,6 +446,7 @@ class Linear(FluxModel):
         self.M = np.array([[finite("model.params.matrix", e) for e in row]
                            for row in matrix])
         self.params["matrix"] = self.M.tolist()
+        self._rows = tuple(map(tuple, self.params["matrix"]))
         self.N = self.M.shape[0]
         self.domain = np.array([[-radius, radius]] * self.N)
         self.field_kind = (LD,) * self.N
@@ -477,8 +488,8 @@ class Linear(FluxModel):
     def f(self, u):
         return self.M @ u
 
-    def jacobian_matrices(self, us):
-        return np.repeat(self.M[None], len(us), axis=0)
+    def jacobian_rows(self, u):
+        return self._rows
 
     def grad_lambda(self, u):
         return np.zeros((self.N, self.N))
@@ -525,16 +536,25 @@ def eig_decompose(model, u):
     return sys
 
 
-def average_matrix(model, uL, uR):
-    """Gauss-Legendre order-8 average of Df along the segment [uL, uR].
-
-    The nodes go through one jacobian_matrices call; the weighted matrices
-    are summed in node order, as a node-by-node loop would."""
-    wjac = _GL8_W * model.jacobian_matrices(_GL8_THETA * uL + _GL8_COTHETA * uR)
-    amat = np.zeros((model.N, model.N))
-    for term in wjac:
-        amat += term
-    return amat
+def _average_rows(model, a, b):
+    """Gauss-Legendre order-8 average of Df along the segment from a to b
+    (sequences of Python floats), as a list of rows: each node's state is
+    theta*a + (1 - theta)*b, and each entry sums its weighted node values
+    from zero in node order."""
+    nodes = zip(*[[theta * x + cotheta * y
+                   for theta, cotheta in zip(_GL8_THETA, _GL8_COTHETA)]
+                  for x, y in zip(a, b)])
+    jacs = [model.jacobian_rows(u) for u in nodes]
+    rows = []
+    for i in range(model.N):
+        row = []
+        for j in range(model.N):
+            acc = 0.0
+            for w, jac in zip(_GL8_WEIGHTS, jacs):
+                acc += w * jac[i][j]
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 def average_eigs(model, uL, uR):
@@ -544,18 +564,47 @@ def average_eigs(model, uL, uR):
     uR = as_state(uR, model.N)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
-    if np.array_equal(uL, uR):
+    a, b = uL.tolist(), uR.tolist()
+    if a == b:
         return model.point_eig(uL)
-    amat = average_matrix(model, uL, uR)
-    sys = model.eig_of_average(amat, 0.5 * (uL + uR))
+    sys = model.eig_of_average(_average_rows(model, a, b),
+                               [0.5 * (x + y) for x, y in zip(a, b)])
     _check_gap(model, sys.lambdas)
     return sys
 
 
 def _check_gap(model, lambdas):
-    if model.N > 1 and float(np.diff(lambdas).min()) < model.gap_tol:
+    lam = lambdas.tolist()
+    if model.N > 1 and min(y - x for x, y in zip(lam, lam[1:])) < model.gap_tol:
         raise NearDegeneracyError(
             f"{model.id}: eigenvalue gap below gap_tol={model.gap_tol}")
+
+
+# ---------------------------------------------------------------------------
+# state vectors on Python floats, in a fixed rounding order
+# ---------------------------------------------------------------------------
+
+
+def dot(a, b):
+    """a . b for sequences of Python floats: a[0]*b[0] + a[1]*b[1] + ...,
+    each product rounded and the sum taken left to right."""
+    acc = a[0] * b[0]
+    for i in range(1, len(a)):
+        acc += a[i] * b[i]
+    return acc
+
+
+def norm(d):
+    """Euclidean norm math.sqrt(dot(d, d)): the squares rounded and summed
+    in order, then one correctly rounded square root. math.hypot would
+    avoid overflow, which states inside a domain box cannot reach, and its
+    algorithm has changed between Python versions."""
+    return math.sqrt(dot(d, d))
+
+
+def max_abs(d):
+    """Largest |d_i|; exact, so its order does not matter."""
+    return max(map(abs, d))
 
 
 def gnl_audit(model, grid_resolution=20):

@@ -43,9 +43,6 @@ class AtomicMeasure1D:
     def __len__(self):
         return len(self.xs)
 
-    def total_variation(self):
-        return float(np.abs(self.ws).sum())
-
     def mass(self):
         return float(self.ws.sum())
 
@@ -347,8 +344,8 @@ def front_wave_contents(model, uL, uR, eigs=None):
         return (0.0,) * model.N
     if eigs is None:
         eigs = fc.average_eigs(model, uL, uR)
-    jump = uR - uL
-    return tuple(float(row @ jump) for row in eigs.left)
+    jump = (uR - uL).tolist()
+    return tuple(fc.dot(row, jump) for row in eigs.left.tolist())
 
 
 def front_wave_content(model, i, uL, uR, eigs=None):
@@ -404,7 +401,7 @@ def lambda_component_slice(field, i, curves):
             # continuous branch instead
         sys = f.eigs if f.eigs is not None else fc.average_eigs(
             model, f.uL, f.uR)
-        w = float(sys.left[i - 1] @ (f.uR - f.uL))
+        w = fc.dot(sys.left[i - 1].tolist(), f.jump().tolist())
         atoms.append((x, float(sys.gnl_rates[i - 1]) * w))
     return AtomicMeasure1D.from_atoms(atoms)
 
@@ -429,10 +426,6 @@ class ShockCurve:
     @property
     def t_minus(self):
         return self.nodes[0][0]
-
-    @property
-    def t_plus(self):
-        return self.nodes[-1][0]
 
     def max_size(self):
         return max(abs(s) for s in self.segment_sizes)

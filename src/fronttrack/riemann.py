@@ -70,7 +70,7 @@ class Front:
 
     def strength(self):
         """Euclidean norm of the jump; the bookkeeping size of nonphysical fronts."""
-        return float(np.linalg.norm(self.uR - self.uL))
+        return fc.norm((self.uR - self.uL).tolist())
 
 
 @dataclass
@@ -145,7 +145,7 @@ def brentq(fn, a, b, fa=None, fb=None):
 
 
 def _scalar_curve(model, u0, s, parametrization):
-    eig = model.point_eig(np.array([u0]))
+    eig = model.point_eig((u0,))
     r = float(eig.right[0, 0])
     rate = float(eig.gnl_rates[0])
     if parametrization == "lambda" and model.field_kind[0] == GNL:
@@ -164,12 +164,13 @@ def _scalar_curve(model, u0, s, parametrization):
         sigma = model.fprime(w)
     else:
         sigma = (model.f_scalar(w) - model.f_scalar(u0)) / (w - u0)
-    return np.array([w]), sigma
+    return (w,), sigma, None, None
 
 
 def _remark_curve(model, k, u0, s, parametrization):
-    uu, vv = float(u0[0]), float(u0[1])
+    uu, vv = u0
     a0 = 1.0 + uu + 2.0 * vv
+    unit = parametrization == "unit"
     if k == 1:  # contact: (1+u+v)v stays constant, lambda_1 = 0
         n0 = math.hypot(a0, vv)
         wu = uu + s * a0 / n0
@@ -177,24 +178,37 @@ def _remark_curve(model, k, u0, s, parametrization):
         disc = (1.0 + wu) ** 2 + 4.0 * inv
         if disc <= 0:
             raise CurveError("remark-2x2 family-1 curve left its branch")
-        wv = 0.5 * (-(1.0 + wu) + math.sqrt(disc))
-        return np.array([wu, wv]), 0.0
+        root = math.sqrt(disc)
+        wv = 0.5 * (-(1.0 + wu) + root)
+        if not unit:
+            return (wu, wv), 0.0, None, None
+        # wu = uu + s a0/n0 with d(a0/n0) = vv (vv da0 - a0 dvv) / n0^3 and
+        # da0 = du + 2 dv; wv moves with wu and with inv through the root
+        n3 = n0 * n0 * n0
+        wu_s, wu_u, wu_v = a0 / n0, 1.0 + s * vv * vv / n3, s * vv * (2.0 * vv - a0) / n3
+        half = 0.5 * ((1.0 + wu) / root - 1.0)
+        return ((wu, wv), 0.0, (wu_s, half * wu_s),
+                ((wu_u, wu_v),
+                 (half * wu_u + vv / root, half * wu_v + a0 / root)))
     # family 2: the locus is the vertical line u = const for both branches
-    dv = s if parametrization == "unit" else 0.5 * s
+    dv = s if unit else 0.5 * s
     wv = vv + dv
-    state = np.array([uu, wv])
     if s >= 0:
         sigma = 1.0 + uu + 2.0 * wv
     else:
         sigma = 1.0 + uu + vv + wv  # Rankine-Hugoniot speed, = mean of lambda_2
-    return state, sigma
+    if not unit:
+        return (uu, wv), sigma, None, None
+    return (uu, wv), sigma, (0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))
 
 
 def _psystem_curve(model, k, u0, s, parametrization):
     """Both branches on Python floats; the contraction l . (T - u0) is
-    l0*dv + l1*dw, each product rounded (numpy's 2-vector dot fuses the
-    second product into the sum, so the last bits differ from it)."""
-    v0, w0 = float(u0[0]), float(u0[1])
+    l0*dv + l1*dw, each product rounded. The unit parametrization's
+    derivatives come from differentiating the residual that fixes v (g on
+    the rarefaction, gsh on the shock) implicitly; at s = 0 they give the
+    tangent r_k and the identity."""
+    v0, w0 = u0
     c0 = model.sound(v0)
     n0 = math.hypot(1.0, c0)
     v_lo, v_hi = float(model.domain[0, 0]), float(model.domain[0, 1])
@@ -202,10 +216,11 @@ def _psystem_curve(model, k, u0, s, parametrization):
     l1 = 0.5 * n0 / c0
     # the 2-rarefaction keeps w + F(v), the 1-rarefaction w - F(v)
     orient = -1.0 if k == 2 else 1.0
+    unit = parametrization == "unit"
 
     if s >= 0:  # rarefaction branch
         F0 = model.sound_antiderivative(v0)
-        if parametrization == "lambda":
+        if not unit:
             c_target = c0 + s if k == 2 else c0 - s
             if c_target <= 0:
                 raise CurveError("p-system rarefaction parameter too large")
@@ -222,57 +237,115 @@ def _psystem_curve(model, k, u0, s, parametrization):
             if ga * gb > 0:
                 raise CurveError("p-system rarefaction curve exits the domain")
             v = brentq(g, a, b, ga, gb)
-        w = w0 + orient * (model.sound_antiderivative(v) - F0)
-        return np.array([v, w]), -orient * model.sound(v)
+        dF = model.sound_antiderivative(v) - F0
+        c = model.sound(v)
+        state = (v, w0 + orient * dF)
+        if not unit:
+            return state, -orient * c, None, None
+        # g = l0 (v - v0) + l1 orient (F(v) - F(v0)) - s, with l0 and l1
+        # functions of v0 through c0
+        dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
+        g_v = l0 + l1 * orient * c
+        g_v0 = dl0 * (v - v0) - l0 + orient * (dl1 * dF - l1 * c0)
+        v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
+        return (state, -orient * c, (v_s, orient * c * v_s),
+                ((v_v0, 0.0), (orient * (c * v_v0 - c0), 1.0)))
 
     # shock branch; the lambda-parametrized side uses s = rate * l . (T - u)
-    target = s if parametrization == "unit" else s / (-model.dsound(v0) / n0)
-    p0 = model.pressure(v0)
+    target = s if unit else s / (-model.dsound(v0) / n0)
+    if abs(target) < 8.0 * math.ulp(v0) * n0:
+        # the root lies within 8 ulp of v0, nearer than a bracket can start;
+        # there the Hugoniot locus is its tangent r_k to the last bit
+        r = (orient / n0, c0 / n0)
+        state = (v0 + target * r[0], w0 + target * r[1])
+        if not unit:
+            return state, -orient * c0, None, None
+        return state, -orient * c0, r, ((1.0, 0.0), (0.0, 1.0))
 
-    def shock_w(v):
-        sig = math.sqrt(-(model.pressure(v) - p0) / (v - v0))
+    def shock(v):
+        # the chord slope of -p, its root sigma (signed by the family),
+        # and w on the Hugoniot locus
+        q = model.chord_sound_sq(v0, v)
+        sig = math.sqrt(q)
         if k == 1:
             sig = -sig
-        return w0 - sig * (v - v0), sig
+        return w0 - sig * (v - v0), sig, q
 
     def gsh(v):
-        return (l0 * (v - v0) + l1 * (shock_w(v)[0] - w0)) - target
+        return (l0 * (v - v0) + l1 * (shock(v)[0] - w0)) - target
 
-    h = max(1e-12, 1e-9 * v0)
+    # the bracket starts at most 1e-3 |target| away from v0, so that the
+    # root of a weak shock lies inside it, and at least 4 ulp away, so that
+    # its end is not v0
+    h = min(max(1e-12, 1e-9 * v0), max(4.0 * math.ulp(v0), 1e-3 * abs(target)))
     lo, hi = (v0 + h, v_hi) if k == 2 else (v_lo, v0 - h)
-    if v0 == (v_hi if k == 2 else v_lo):  # gsh there would be 0/0
+    if v0 == (v_hi if k == 2 else v_lo):  # the bracket would be empty
         raise CurveError("p-system Hugoniot curve starts on the box edge "
                          "it leaves by")
     glo, ghi = gsh(lo), gsh(hi)
     if glo * ghi > 0:
         raise CurveError("p-system Hugoniot parameter outside reachable range")
     v = brentq(gsh, lo, hi, glo, ghi)
-    w, sigma = shock_w(v)
-    return np.array([v, w]), sigma
+    w, sigma, q = shock(v)
+    if not unit:
+        return (v, w), sigma, None, None
+    # w - w0 = phi = -sigma (v - v0) with sigma^2 = q; dq/dv = (c^2 - q)/(v - v0)
+    # and dq/dv0 = (q - c0^2)/(v - v0), so the (v - v0) factors cancel
+    dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
+    phi_v = -sigma - (model.sound(v) ** 2 - q) / (2.0 * sigma)
+    phi_v0 = sigma - (q - c0 * c0) / (2.0 * sigma)
+    g_v = l0 + l1 * phi_v
+    g_v0 = dl0 * (v - v0) - l0 + dl1 * (-sigma * (v - v0)) + l1 * phi_v0
+    v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
+    return ((v, w), sigma, (v_s, phi_v * v_s),
+            ((v_v0, 0.0), (phi_v * v_v0 + phi_v0, 1.0)))
+
+
+def _psystem_dl(model, k, v0, c0, n0):
+    """d l0/d v0 and d l1/d v0 for l = (-+0.5 n0, 0.5 n0/c0), n0 =
+    hypot(1, c0)."""
+    dc0 = model.dsound(v0)
+    dn0 = c0 * dc0 / n0
+    dl0 = -0.5 * dn0 if k == 2 else 0.5 * dn0
+    return dl0, -0.5 * dc0 / (n0 * c0 * c0)
 
 
 def _linear_curve(model, k, u0, s, parametrization):
     sys = model.point_eig(u0)
-    state = u0 + s * sys.right[k - 1]
-    return state, float(sys.lambdas[k - 1])
+    r = sys.right[k - 1].tolist()
+    state = tuple(x + s * y for x, y in zip(u0, r))
+    identity = tuple(tuple(float(i == j) for j in range(model.N))
+                     for i in range(model.N))
+    return state, float(sys.lambdas[k - 1]), tuple(r), identity
+
+
+def _curve_point(model, k, u0, s, parametrization):
+    """Point on the k-th curve through u0, a sequence of Python floats:
+    (T, sigma, dT/ds, dT/du0) with T and dT/ds tuples of floats and dT/du0
+    a tuple of rows. The derivatives are those of a system family in the
+    unit parametrization, None otherwise. No field-kind gate (scalar
+    'general' allowed); DomainError when T leaves the box."""
+    if isinstance(model, fc.ScalarModel):
+        out = _scalar_curve(model, u0[0], s, parametrization)
+    elif isinstance(model, fc.Remark2x2):
+        out = _remark_curve(model, k, u0, s, parametrization)
+    elif isinstance(model, fc.PSystem):
+        out = _psystem_curve(model, k, u0, s, parametrization)
+    elif isinstance(model, fc.Linear):
+        out = _linear_curve(model, k, u0, s, parametrization)
+    else:
+        raise CurveError(f"no curve implementation for model {model.id!r}")
+    if not model.contains(out[0]):
+        raise DomainError(f"{model.id}: curve point {np.array(out[0])} left "
+                          "the domain")
+    return out
 
 
 def _curve_state(model, k, u0, s, parametrization="unit"):
-    """Internal curve evaluation; no field-kind gate (scalar 'general' allowed)."""
-    u0 = np.asarray(u0, dtype=float)
-    if isinstance(model, fc.ScalarModel):
-        state, sigma = _scalar_curve(model, float(u0[0]), s, parametrization)
-    elif isinstance(model, fc.Remark2x2):
-        state, sigma = _remark_curve(model, k, u0, s, parametrization)
-    elif isinstance(model, fc.PSystem):
-        state, sigma = _psystem_curve(model, k, u0, s, parametrization)
-    elif isinstance(model, fc.Linear):
-        state, sigma = _linear_curve(model, k, u0, s, parametrization)
-    else:
-        raise CurveError(f"no curve implementation for model {model.id!r}")
-    if not model.contains(state):
-        raise DomainError(f"{model.id}: curve point {state} left the domain")
-    return state, sigma
+    """(T, sigma) of _curve_point, T as an array."""
+    state, sigma, _, _ = _curve_point(
+        model, k, np.asarray(u0, dtype=float).tolist(), s, parametrization)
+    return np.array(state), sigma
 
 
 def elementary_curve(model, k, u, s, parametrization="auto"):
@@ -332,14 +405,14 @@ def _refine_bridge(gval, gp, gpp, lo, hi, p0, q0, left_interior, right_interior)
             r.append(gp(pp) * (qq - pp) - dg)
         if right_interior:
             r.append(gp(qq) * (qq - pp) - dg)
-        return np.array(r)
+        return r
 
     if not (left_interior or right_interior):
         return p, q
     scale = max(1.0, abs(gval(q0) - gval(p0)))
     r = resid(p, q)
     for _ in range(60):
-        if np.abs(r).max() <= 1e-12 * scale:
+        if fc.max_abs(r) <= 1e-12 * scale:
             return p, q
         rows = []
         if left_interior:
@@ -348,10 +421,8 @@ def _refine_bridge(gval, gp, gpp, lo, hi, p0, q0, left_interior, right_interior)
         if right_interior:
             rows.append([gp(p) - gp(q), gpp(q) * (q - p)] if left_interior
                         else [gpp(q) * (q - p)])
-        jac = np.array(rows, dtype=float)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
+        step = _solve_linear(rows, [-x for x in r])
+        if step is None:
             raise RiemannError("envelope tangency root-finding failed (singular)")
         lam = 1.0
         for _ in range(40):
@@ -364,7 +435,7 @@ def _refine_bridge(gval, gp, gpp, lo, hi, p0, q0, left_interior, right_interior)
                 qn = q + lam * step[si]
             if lo <= pn < qn <= hi:
                 rn = resid(pn, qn)
-                if np.abs(rn).max() < np.abs(r).max():
+                if fc.max_abs(rn) < fc.max_abs(r):
                     p, q, r = pn, qn, rn
                     break
             lam *= 0.5
@@ -543,7 +614,7 @@ def _system_front(model, k, uL, s, state=None):
 
 def _nonphysical_front(model, uL, uR):
     return Front(family=model.N + 1, speed=model.lambda_hat, uL=uL, uR=uR,
-                 size=float(np.linalg.norm(uR - uL)), kind="nonphysical")
+                 size=fc.norm((uR - uL).tolist()), kind="nonphysical")
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +637,17 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
         return scalar_envelope_fan(model, uL, uR, eps, front_cap)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
-    dvec = uR - uL
-    if float(np.linalg.norm(dvec)) < 1e-14:
+    dvec = (uR - uL).tolist()
+    dist = fc.norm(dvec)
+    if dist < 1e-14:
         return []
-    if float(np.linalg.norm(dvec)) > model.riemann_radius:
-        raise RiemannError(
-            f"|uR-uL|={np.linalg.norm(dvec):.3g} exceeds Riemann radius")
+    if dist > model.riemann_radius:
+        raise RiemannError(f"|uR-uL|={dist:.3g} exceeds Riemann radius")
     sizes, legs = _solve_sizes(model, uL, uR)
     fronts = []
     omega = uL
     for k in range(1, model.N + 1):
-        sk = float(sizes[k - 1])
+        sk = sizes[k - 1]
         if abs(sk) < SIZE_FLOOR:
             if sk != 0.0:
                 legs = None  # the floored size moves every later leg's start
@@ -590,8 +661,8 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
             f = _system_front(model, k, omega, sk, end)
             fronts.append(f)
             omega = f.uR
-    defect = float(np.max(np.abs(omega - uR))) if fronts else float(np.max(np.abs(dvec)))
-    if defect > 1e-9 * max(1.0, float(np.max(np.abs(uR)))):
+    defect = fc.max_abs((omega - uR).tolist() if fronts else dvec)
+    if defect > 1e-9 * max(1.0, fc.max_abs(uR.tolist())):
         raise RiemannError(f"accurate solver closure defect {defect:.3e}")
     if fronts and fronts[-1].uR.tobytes() != uR.tobytes():
         # a chain end equal to uR bit for bit has its speed and eigs already
@@ -602,64 +673,91 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
 
 
 def _solve_sizes(model, uL, uR):
-    """Sizes s of the composed curve map from uL to uR, by damped Newton with
-    a forward-difference Jacobian, and the converged chain: legs[k-1] is the
-    state after family k (the previous one where s[k-1] is 0)."""
+    """Sizes s of the composed curve map from uL to uR, by damped Newton on
+    Python floats, and the converged chain: legs[k-1] is the state after
+    family k (the previous one where s[k-1] is 0), an array.
+
+    The Jacobian is exact: column k is dT_k/ds at the chain's k-th leg,
+    carried through dT_j/du0 of every later family j by the chain rule."""
     n = model.N
-    left0 = model.point_eig(uL).left
+    a, b = uL.tolist(), uR.tolist()
+    d = [y - x for x, y in zip(a, b)]
+    s = [fc.dot(row, d) for row in model.point_eig(a).left.tolist()]
+    scale = max(1.0, fc.max_abs(d))
 
-    def chain(svec, base=(), start=0):
-        # the first start legs of svec are those of base
-        legs = list(base[:start])
-        omega = legs[-1] if legs else uL
-        for k in range(start + 1, n + 1):
+    def chain(svec):
+        # legs, and each family's (dT/ds, dT/du0); a zero size keeps the
+        # leg and takes the curve's derivatives at s = 0
+        omega, legs, jets = a, [], []
+        for k in range(1, n + 1):
+            point, _, ts, tu = _curve_point(model, k, omega, svec[k - 1], "unit")
             if svec[k - 1] != 0.0:
-                omega, _ = _curve_state(model, k, omega, float(svec[k - 1]), "unit")
+                omega = point
             legs.append(omega)
-        return legs
+            jets.append((ts, tu))
+        return legs, jets, [x - y for x, y in zip(omega, b)]
 
-    s = left0 @ (uR - uL)
-    scale = max(1.0, float(np.max(np.abs(uR - uL))))
     try:
-        legs = chain(s)
+        legs, jets, res = chain(s)
     except (DomainError, CurveError) as exc:
         raise RiemannError(f"accurate solver: initial guess failed ({exc})")
-    res = legs[-1] - uR
     for _ in range(NEWTON_MAXIT):
-        if float(np.max(np.abs(res))) <= NEWTON_TOL * scale:
-            return s, legs
-        jac = np.empty((n, n))
-        base = res + uR
-        for k in range(n):
-            # column k moves s[k] only: the legs before it are the base's
-            h = 1e-7 * max(1.0, abs(s[k]))
-            sp = s.copy()
-            sp[k] += h
-            try:
-                jac[:, k] = (chain(sp, legs, k)[-1] - base) / h
-            except (DomainError, CurveError):
-                sp[k] = s[k] - h
-                jac[:, k] = (base - chain(sp, legs, k)[-1]) / h
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
+        size = fc.max_abs(res)
+        if size <= NEWTON_TOL * scale:
+            return s, [np.array(leg) for leg in legs]
+        # columns from the last family back: carry holds the product of
+        # the dT/du0 of the families after column k
+        cols, carry = [None] * n, None
+        for k in range(n - 1, -1, -1):
+            ts, tu = jets[k]
+            cols[k] = ts if carry is None else [fc.dot(row, ts) for row in carry]
+            if k:
+                carry = tu if carry is None else [
+                    [fc.dot(row, col) for col in zip(*tu)] for row in carry]
+        step = _solve_linear([list(row) for row in zip(*cols)],
+                             [-x for x in res])
+        if step is None:
             raise RiemannError("accurate solver: singular Newton system")
         lam = 1.0
         for _ in range(30):
-            cand = s + lam * step
+            cand = [x + lam * y for x, y in zip(s, step)]
             try:
-                clegs = chain(cand)
+                clegs, cjets, cres = chain(cand)
             except (DomainError, CurveError):
                 lam *= 0.5
                 continue
-            cres = clegs[-1] - uR
-            if float(np.max(np.abs(cres))) < float(np.max(np.abs(res))) or lam < 1e-6:
-                s, res, legs = cand, cres, clegs
+            if fc.max_abs(cres) < size or lam < 1e-6:
+                s, legs, jets, res = cand, clegs, cjets, cres
                 break
             lam *= 0.5
         else:
             raise RiemannError("accurate solver: Newton damping failed")
     raise RiemannError("accurate solver: Newton did not converge")
+
+
+def _solve_linear(rows, rhs):
+    """x with rows . x = rhs, by Gaussian elimination with partial pivoting
+    on Python floats (rows and rhs are overwritten); None on a zero pivot.
+    One equation gives rhs[0] / rows[0][0], as LAPACK's solve does."""
+    n = len(rhs)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0.0:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rhs[c], rhs[p] = rhs[p], rhs[c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            for j in range(c, n):
+                rows[r][j] -= f * rows[c][j]
+            rhs[r] -= f * rhs[c]
+    x = [0.0] * n
+    for c in range(n - 1, -1, -1):
+        acc = rhs[c]
+        for j in range(c + 1, n):
+            acc -= rows[c][j] * x[j]
+        x[c] = acc / rows[c][c]
+    return x
 
 
 def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
@@ -682,7 +780,8 @@ def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
             nxt = end
         else:
             nxt, _ = _curve_state(model, k, omega0, dlam * m / n, "lambda")
-        piece_size = float(model.point_eig(prev).left[k - 1] @ (nxt - prev))
+        piece_size = fc.dot(model.point_eig(prev).left[k - 1].tolist(),
+                            (nxt - prev).tolist())
         speed, eigs = front_speed(model, k, prev, nxt)
         fronts.append(Front(family=k, speed=speed, uL=prev, uR=nxt,
                             size=piece_size, kind="rarefaction", eigs=eigs))

@@ -64,7 +64,7 @@ class FrontField:
             # just before a collision fires, positions may overlap by fp noise
             if xf < prev_x - 1e-12 * max(1.0, abs(prev_x)):
                 raise SolverError("front positions out of order")
-            if np.max(np.abs(f.uL - u)) > CHAIN_ATOL:
+            if fc.max_abs((f.uL - u).tolist()) > CHAIN_ATOL:
                 raise SolverError("state chain broken")
             prev_x = xf
             u = f.uR
@@ -367,7 +367,7 @@ def initial_data(model, data_spec):
         if not model.contains(v):
             raise ConfigError("initial.values",
                               f"state {v} outside the {model.id} domain box")
-    tv = float(sum(np.linalg.norm(b - a) for a, b in zip(values, values[1:])))
+    tv = float(sum(fc.norm((b - a).tolist()) for a, b in zip(values, values[1:])))
     if tv > model.tv_budget:
         raise InitialDataError(
             f"initial.values: total variation {tv:.4g} exceeds {model.id} "
@@ -384,7 +384,7 @@ def init_sample(model, data_spec, eps, front_cap=math.inf):
     fronts = []
     next_id = 0
     for x, (va, vb) in zip(xs, zip(values[:-1], values[1:])):
-        if float(np.linalg.norm(vb - va)) == 0.0:
+        if fc.norm((vb - va).tolist()) == 0.0:
             continue
         # the accurate solver emits no nonphysical fronts and its chain is
         # exact, so every fan front is spliced as-is

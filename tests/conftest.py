@@ -12,7 +12,7 @@ from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
-from fronttrack.errors import CurveError, DomainError
+from fronttrack.errors import CurveError, DomainError, RiemannError
 
 MODEL_IDS = ["burgers", "cubic", "remark-2x2", "p-system"]
 
@@ -94,6 +94,31 @@ def child_python(code, *args):
     assert res.returncode == 0, res.stderr
     *words, peak_kb = res.stdout.split()
     return words, int(peak_kb)
+
+
+def read_events_jsonl(path):
+    """The events of an events.jsonl artifact, one dict per line."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def read_csv(path):
+    """The rows of a CSV artifact as dicts keyed by the header; a value
+    that parses as a float is one."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = []
+        for line in fh:
+            if not line.strip():
+                continue
+            vals = []
+            for tok in line.strip().split(","):
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    vals.append(tok)
+            rows.append(dict(zip(header, vals)))
+        return rows
 
 
 @pytest.fixture(scope="session")
@@ -418,9 +443,11 @@ def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
 
 # ---------------------------------------------------------------------------
 # Reference p-system curve: each residual builds the state as a numpy
-# 2-vector and contracts it with numpy's dot, which fuses the second product
-# into the sum. riemann._psystem_curve works on Python floats and rounds each
-# product; tests hold the two within roundoff.
+# 2-vector and contracts it with numpy's dot, which may fuse the second
+# product into the sum. riemann._psystem_curve works on Python floats and
+# rounds each product; tests hold the two within roundoff. Both take the
+# chord slope of -p from PSystem.chord_sound_sq and start the Hugoniot
+# bracket at the same target-scaled distance from v0.
 # ---------------------------------------------------------------------------
 
 
@@ -444,8 +471,7 @@ def reference_psystem_curve(model, k, u0, s, parametrization):
         return np.array([v, w0 + du])
 
     def shock_state(v):
-        dp = model.pressure(v) - model.pressure(v0)
-        sig = math.sqrt(-dp / (v - v0))
+        sig = math.sqrt(model.chord_sound_sq(v0, v))
         if k == 1:
             sig = -sig
         return np.array([v, w0 - sig * (v - v0)]), sig
@@ -477,7 +503,7 @@ def reference_psystem_curve(model, k, u0, s, parametrization):
         st, _ = shock_state(v)
         return float(lvec @ (st - u0)) - target
 
-    h = max(1e-12, 1e-9 * v0)
+    h = min(max(1e-12, 1e-9 * v0), max(4.0 * math.ulp(v0), 1e-3 * abs(target)))
     if k == 2:
         lo, hi = v0 + h, v_hi
     else:
@@ -487,6 +513,61 @@ def reference_psystem_curve(model, k, u0, s, parametrization):
     v = rm.brentq(gsh, lo, hi)
     state, sigma = shock_state(v)
     return state, sigma
+
+
+def reference_solve_sizes(model, uL, uR):
+    """riemann._solve_sizes as it was before its Jacobian became exact:
+    damped Newton on numpy arrays with forward-difference columns, each
+    from a chain re-evaluated from family k, and numpy's solve."""
+    n = model.N
+    left0 = model.point_eig(uL).left
+
+    def chain(svec, base=(), start=0):
+        # the first start legs of svec are those of base
+        legs = list(base[:start])
+        omega = legs[-1] if legs else uL
+        for k in range(start + 1, n + 1):
+            if svec[k - 1] != 0.0:
+                omega, _ = rm._curve_state(model, k, omega, float(svec[k - 1]),
+                                           "unit")
+            legs.append(omega)
+        return legs
+
+    s = left0 @ (uR - uL)
+    scale = max(1.0, float(np.max(np.abs(uR - uL))))
+    legs = chain(s)
+    res = legs[-1] - uR
+    for _ in range(rm.NEWTON_MAXIT):
+        if float(np.max(np.abs(res))) <= rm.NEWTON_TOL * scale:
+            return s, legs
+        jac = np.empty((n, n))
+        base = res + uR
+        for k in range(n):
+            h = 1e-7 * max(1.0, abs(s[k]))
+            sp = s.copy()
+            sp[k] += h
+            try:
+                jac[:, k] = (chain(sp, legs, k)[-1] - base) / h
+            except (DomainError, CurveError):
+                sp[k] = s[k] - h
+                jac[:, k] = (base - chain(sp, legs, k)[-1]) / h
+        step = np.linalg.solve(jac, -res)
+        lam = 1.0
+        for _ in range(30):
+            cand = s + lam * step
+            try:
+                clegs = chain(cand)
+            except (DomainError, CurveError):
+                lam *= 0.5
+                continue
+            cres = clegs[-1] - uR
+            if float(np.max(np.abs(cres))) < float(np.max(np.abs(res))) or lam < 1e-6:
+                s, res, legs = cand, cres, clegs
+                break
+            lam *= 0.5
+        else:
+            raise RiemannError("reference Newton: damping failed")
+    raise RiemannError("reference Newton: no convergence")
 
 
 def reference_curve_state(model, k, u0, s, parametrization):

@@ -78,9 +78,9 @@ def reference_tame_check(timeline, triangles):
         osc = 0.0
         for p in range(len(uniq)):
             for q in range(p + 1, len(uniq)):
-                osc = max(osc, float(np.linalg.norm(uniq[p] - uniq[q])))
+                osc = max(osc, fc.norm((uniq[p] - uniq[q]).tolist()))
         base = replay_slice_at(timeline, tau)
-        tv = float(sum(np.linalg.norm(f.jump())
+        tv = float(sum(fc.norm(f.jump().tolist())
                        for f, x in zip(base.fronts, base.xs) if a < x < b))
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)
@@ -595,7 +595,7 @@ def pairwise_diameter(states):
     osc = 0.0
     for p in range(len(states)):
         for q in range(p + 1, len(states)):
-            osc = max(osc, float(np.linalg.norm(states[p] - states[q])))
+            osc = max(osc, fc.norm((states[p] - states[q]).tolist()))
     return osc
 
 

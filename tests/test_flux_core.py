@@ -9,6 +9,11 @@ from conftest import (MODEL_IDS, random_state, reference_average_matrix,
                       reference_jacobian_matrix)
 
 
+def average_matrix(model, uL, uR):
+    """flux_core's GL8 average of Df between two state arrays, as an array."""
+    return np.array(fc._average_rows(model, uL.tolist(), uR.tolist()))
+
+
 def dense_average_matrix(model, uL, uR, n=20000):
     """Riemann-sum oracle for the averaged Jacobian."""
     thetas = (np.arange(n) + 0.5) / n
@@ -132,7 +137,7 @@ class TestAverageEigs:
         model = fc.make_model(mid)
         rng = np.random.default_rng(5)
         uL, uR = random_state(model, rng), random_state(model, rng)
-        amat = fc.average_matrix(model, uL, uR)
+        amat = average_matrix(model, uL, uR)
         oracle = dense_average_matrix(model, uL, uR)
         assert np.max(np.abs(amat - oracle)) <= 1e-7
 
@@ -159,8 +164,8 @@ CATALOG = [("burgers", {}), ("cubic", {}), ("remark-2x2", {}), ("p-system", {}),
 
 
 class TestStackedQuadrature:
-    """average_matrix evaluates its 8 nodes in one jacobian_matrices call;
-    it must equal the node-by-node sum of point Jacobians to the bit."""
+    """average_eigs sums its 8 nodes' Jacobians on Python floats; the sum
+    must equal the node-by-node numpy sum of point Jacobians to the bit."""
 
     @pytest.mark.parametrize("mid,params", CATALOG)
     def test_matches_per_node_reference(self, mid, params):
@@ -168,7 +173,7 @@ class TestStackedQuadrature:
         rng = np.random.default_rng(41)
         for _ in range(300):
             uL, uR = random_state(model, rng, 0.0), random_state(model, rng, 0.0)
-            assert same_bits(fc.average_matrix(model, uL, uR),
+            assert same_bits(average_matrix(model, uL, uR),
                              reference_average_matrix(model, uL, uR))
             assert same_bits(model.jacobian_matrix(uL),
                              reference_jacobian_matrix(model, uL))
@@ -185,20 +190,22 @@ class TestStackedQuadrature:
             array_pow = -(model._ccoef * vs ** (-model._m)) ** 2
             scalar_pow = np.array([-model.sound(v) ** 2 for v in vs.tolist()])
             trapped += not same_bits(array_pow, scalar_pow)
-            assert same_bits(fc.average_matrix(model, uL, uR),
+            assert same_bits(average_matrix(model, uL, uR),
                              reference_average_matrix(model, uL, uR))
         assert trapped >= 100
 
     @pytest.mark.parametrize("mid,params", CATALOG)
     def test_jacobian_matrices_fresh_arrays(self, mid, params):
+        # each jacobian_matrix call returns a new array: writing to one
+        # changes neither the state, the model nor the next call's matrix
         model = fc.make_model(mid, params)
-        us = np.array([random_state(model, np.random.default_rng(3))] * 2)
-        before = us.copy()
-        jacs = model.jacobian_matrices(us)
-        jacs += 1.0
-        assert same_bits(us, before)
-        assert same_bits(model.jacobian_matrix(us[0]),
-                         reference_jacobian_matrix(model, us[0]))
+        u = random_state(model, np.random.default_rng(3))
+        before = u.copy()
+        jac = model.jacobian_matrix(u)
+        jac += 1.0
+        assert same_bits(u, before)
+        assert same_bits(model.jacobian_matrix(u),
+                         reference_jacobian_matrix(model, u))
 
 
 class TestGnlAudit:
