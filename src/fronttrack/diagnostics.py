@@ -58,7 +58,7 @@ class CharCurve:
 
 
 def _lambda_i(model, i, u):
-    return float(model.point_eig(u).lambdas[i - 1])
+    return model.point_eig(u).lambdas[i - 1]
 
 
 def _rideable(model, i, front):
@@ -390,8 +390,8 @@ def region_balance_check(timeline, region):
         if any(a - _ON_TOL <= ev.x <= b + _ON_TOL for a, b in sections):
             mu_i_mass += ev.amount_I
             mu_ic_mass += ev.amount_I + ev.cancellation
-            w_out = sum(timeline.wave_content(f.id, i) for f in ev.outgoing)
-            w_in = sum(timeline.wave_content(f.id, i) for f in ev.incoming)
+            w_out = fc.total(timeline.wave_content(f.id, i) for f in ev.outgoing)
+            w_in = fc.total(timeline.wave_content(f.id, i) for f in ev.incoming)
             p_sum += w_out - w_in
             for a, b in sections:
                 if abs(ev.x - a) <= 1e-8 or abs(ev.x - b) <= 1e-8:
@@ -506,8 +506,8 @@ def _triangle_states(timeline, tris):
     One sweep over the event times serves every triangle: between two event
     times the front order is fixed (order_at the frame's start) and each
     front moves on its closed form, so each frame is one array pass over
-    triangles x regions. States are keyed on their float tuples, which
-    compare like np.array_equal (0.0 == -0.0).
+    triangles x regions. States are keyed on themselves, so 0.0 and -0.0
+    components are one state.
     """
     seen = [{} for _ in tris]
     live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
@@ -564,17 +564,14 @@ def _triangle_states(timeline, tris):
         cells = np.ix_(ks, region_ids)
         new = ok & ~met[cells]
         met[cells] |= ok
-        keys = {}
         for r, j in zip(*new.nonzero()):  # by triangle, then region
-            if j not in keys:
-                u = left_state if j == 0 else records[int(idx[j - 1])].uR
-                keys[j] = (tuple(u.tolist()), u)
-            seen[ks[r]].setdefault(*keys[j])
+            u = left_state if j == 0 else records[int(idx[j - 1])].uR
+            seen[ks[r]].setdefault(u)
 
     ts = sorted({t for t in timeline.event_times() if 0.0 < t <= t_stop})
     for frame_lo, frame_hi in zip([0.0, *ts], [*ts, t_stop]):
         visit(frame_lo, frame_hi)
-    return [list(states.values()) for states in seen]
+    return [list(states) for states in seen]
 
 
 def _diameter(states):
@@ -608,7 +605,7 @@ def _diameter(states):
     osc = 0.0
     for p, q, d in found:
         if d >= top * (1.0 - 1e-9):
-            osc = max(osc, fc.norm((states[p] - states[q]).tolist()))
+            osc = max(osc, fc.norm([x - y for x, y in zip(states[p], states[q])]))
     return osc
 
 
@@ -627,8 +624,8 @@ def tame_oscillation_check(timeline, triangles):
     for (a, b, tau, eta, _), uniq in zip(tris, _triangle_states(timeline, tris)):
         osc = _diameter(uniq)
         base = timeline.slice_at(tau)
-        tv = float(sum(fc.norm(f.jump().tolist())
-                       for f, x in zip(base.fronts, base.xs) if a < x < b))
+        tv = fc.total(fc.norm(f.jump())
+                      for f, x in zip(base.fronts, base.xs) if a < x < b)
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)
         rows.append({"a": a, "b": b, "tau": tau, "eta": eta, "osc": osc,
@@ -656,8 +653,8 @@ def sbv_atom_report(timeline, i, threshold, times=()):
         spectra = {}
         for t in times:
             fld = timeline.slice_at(t)
-            spectra[t] = [(x, timeline.model.fprime(float(f.uR[0]))
-                           - timeline.model.fprime(float(f.uL[0])))
+            spectra[t] = [(x, timeline.model.fprime(f.uR[0])
+                           - timeline.model.fprime(f.uL[0]))
                           for f, x in zip(fld.fronts, fld.xs)]
         report["fprime_atom_spectra"] = spectra
     return report

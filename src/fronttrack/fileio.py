@@ -63,10 +63,7 @@ def write_slices_csv(path, timeline, times):
     for t in times:
         fld = timeline.slice_at(t)
         for f, x in zip(fld.fronts, fld.xs):
-            row = [t, x, f.family, f.size, f.speed]
-            row += [float(v) for v in f.uL]
-            row += [float(v) for v in f.uR]
-            rows.append(row)
+            rows.append([t, x, f.family, f.size, f.speed, *f.uL, *f.uR])
     header = (["t", "x", "family", "size", "speed"]
               + [f"uL{k}" for k in range(n)] + [f"uR{k}" for k in range(n)])
     _write_csv(path, header, rows)

@@ -6,10 +6,14 @@ is always formed by fixed-order Gauss-Legendre quadrature (order 8, exact
 for polynomial fluxes up to degree 15) and then eigen-decomposed with the
 same per-model closed forms.
 
-Dots, norms and the quadrature sum run on Python floats in a fixed order
-(dot, norm, max_abs below): numpy hands a dot or a norm of two float64
-vectors to BLAS, whose kernel is picked per CPU at run time and may fuse or
-reorder the products, so their last bits would depend on the machine.
+A state is a tuple of Python floats, and an EigenSystem holds tuples of
+them; as_state makes one from any sequence of numbers at the public entry
+points. Dots, norms, sums and the quadrature sum run on Python floats in a
+fixed order (dot, norm, max_abs, total below): numpy hands a dot or a norm
+of two float64 vectors to BLAS, whose kernel is picked per CPU at run time
+and may fuse or reorder the products, and Python's builtin sum of floats
+compensates its rounding from 3.12 on, so their last bits would depend on
+the machine or the Python version.
 
 Two eigenvector normalizations coexist. Stored systems always carry unit
 right eigenvectors with biorthogonal left covectors (l_j . r_i = delta_ij);
@@ -49,12 +53,13 @@ DEFAULT_GAP_TOL = 1e-8
 
 @dataclass
 class EigenSystem:
-    """Point eigensystem: ascending speeds, unit right rows, biorthogonal left rows."""
+    """Point eigensystem: ascending speeds, unit right rows, biorthogonal
+    left rows, all tuples of Python floats."""
 
-    lambdas: np.ndarray
-    right: np.ndarray  # right[i] = r_{i+1}
-    left: np.ndarray  # left[i] = l_{i+1}
-    gnl_rates: np.ndarray  # grad_lambda_i . r_i under the unit normalization
+    lambdas: tuple
+    right: tuple  # right[i] = r_{i+1}
+    left: tuple  # left[i] = l_{i+1}
+    gnl_rates: tuple  # grad_lambda_i . r_i under the unit normalization
 
 
 class FluxModel:
@@ -120,13 +125,12 @@ class FluxModel:
         raise NotImplementedError
 
     def jacobian_rows(self, u):
-        """Df(u) as a tuple of rows of Python floats; u a sequence of
-        floats."""
+        """Df(u) as a tuple of rows of Python floats; u a state."""
         raise NotImplementedError
 
     def jacobian_matrix(self, u):
         """Df(u) as a new (N, N) array."""
-        return np.array(self.jacobian_rows(np.asarray(u, dtype=float).tolist()))
+        return np.array(self.jacobian_rows(as_state(u, self.N)))
 
     def grad_lambda(self, u):
         """Rows are the gradients of lambda_i at u."""
@@ -156,25 +160,24 @@ class FluxModel:
                              for lo, hi in box)
 
     def contains(self, u):
-        """Inside the domain box up to a 1e-12 slack; NaN is outside. u is
-        an array or a sequence of Python floats."""
-        if isinstance(u, np.ndarray):
-            u = u.tolist()
+        """Inside the domain box up to a 1e-12 slack; NaN is outside."""
         for x, (lo, hi) in zip(u, self._bounds):
             if not lo <= x <= hi:
                 return False
         return True
 
     def require_inside(self, u, what="state"):
-        if not self.contains(np.asarray(u, dtype=float)):
+        if not self.contains(u):
             raise DomainError(f"{self.id}: {what} {np.asarray(u)} outside domain box")
 
 
 def as_state(u, n):
+    """u, a number or a sequence of numbers, as a state: a tuple of n
+    Python floats. Any other shape is refused."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     if arr.shape != (n,):
         raise DomainError(f"state shape {arr.shape} incompatible with N={n}")
-    return arr
+    return tuple(arr.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +216,13 @@ class ScalarModel(FluxModel):
     def point_eig(self, u):
         uu = float(u[0])
         r = self._orientation(uu)
-        return EigenSystem(
-            lambdas=np.array([self.fprime(uu)]),
-            right=np.array([[r]]),
-            left=np.array([[r]]),
-            gnl_rates=np.array([self.fsecond(uu) * r]),
-        )
+        return EigenSystem(lambdas=(self.fprime(uu),), right=((r,),),
+                           left=((r,),), gnl_rates=(self.fsecond(uu) * r,))
 
     def eig_of_average(self, amat, mid):
-        r = self._orientation(float(mid[0]))
-        return EigenSystem(
-            lambdas=np.array([amat[0][0]]),
-            right=np.array([[r]]),
-            left=np.array([[r]]),
-            gnl_rates=np.array([self.fsecond(float(mid[0])) * r]),
-        )
+        r = self._orientation(mid[0])
+        return EigenSystem(lambdas=(amat[0][0],), right=((r,),), left=((r,),),
+                           gnl_rates=(self.fsecond(mid[0]) * r,))
 
 
 class Burgers(ScalarModel):
@@ -319,12 +314,10 @@ class Remark2x2(FluxModel):
     def _eig_at(self, uu, vv):
         a = 1.0 + uu + 2.0 * vv  # lambda_2, positive on the domain
         n = math.hypot(a, vv)
-        return EigenSystem(
-            lambdas=np.array([0.0, a]),
-            right=np.array([[a / n, -vv / n], [0.0, 1.0]]),
-            left=np.array([[n / a, 0.0], [vv / a, 1.0]]),
-            gnl_rates=np.array([0.0, 2.0]),
-        )
+        return EigenSystem(lambdas=(0.0, a),
+                           right=((a / n, -vv / n), (0.0, 1.0)),
+                           left=((n / a, 0.0), (vv / a, 1.0)),
+                           gnl_rates=(0.0, 2.0))
 
     def point_eig(self, u):
         return self._eig_at(float(u[0]), float(u[1]))
@@ -408,13 +401,10 @@ class PSystem(FluxModel):
     def _eig_for_sound(self, c, v_for_rate):
         n = math.hypot(1.0, c)
         rate = -self.dsound(v_for_rate) / n  # positive: c decreases in v
-        return EigenSystem(
-            lambdas=np.array([-c, c]),
-            right=np.array([[1.0 / n, c / n], [-1.0 / n, c / n]]),
-            left=np.array([[0.5 * n, 0.5 * n / c],
-                           [-0.5 * n, 0.5 * n / c]]),
-            gnl_rates=np.array([rate, rate]),
-        )
+        return EigenSystem(lambdas=(-c, c),
+                           right=((1.0 / n, c / n), (-1.0 / n, c / n)),
+                           left=((0.5 * n, 0.5 * n / c), (-0.5 * n, 0.5 * n / c)),
+                           gnl_rates=(rate, rate))
 
     def point_eig(self, u):
         v = float(u[0])
@@ -482,8 +472,10 @@ class Linear(FluxModel):
         except np.linalg.LinAlgError:
             raise ConfigError("model.params.matrix", "must have linearly "
                               "independent eigenvectors") from None
-        return EigenSystem(lambdas=w, right=right, left=left,
-                           gnl_rates=np.zeros(self.N))
+        return EigenSystem(lambdas=tuple(map(float, w)),
+                           right=tuple(tuple(map(float, r)) for r in right),
+                           left=tuple(tuple(map(float, r)) for r in left),
+                           gnl_rates=(0.0,) * self.N)
 
     def f(self, u):
         return self.M @ u
@@ -564,17 +556,15 @@ def average_eigs(model, uL, uR):
     uR = as_state(uR, model.N)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
-    a, b = uL.tolist(), uR.tolist()
-    if a == b:
+    if uL == uR:
         return model.point_eig(uL)
-    sys = model.eig_of_average(_average_rows(model, a, b),
-                               [0.5 * (x + y) for x, y in zip(a, b)])
+    sys = model.eig_of_average(_average_rows(model, uL, uR),
+                               [0.5 * (x + y) for x, y in zip(uL, uR)])
     _check_gap(model, sys.lambdas)
     return sys
 
 
-def _check_gap(model, lambdas):
-    lam = lambdas.tolist()
+def _check_gap(model, lam):
     if model.N > 1 and min(y - x for x, y in zip(lam, lam[1:])) < model.gap_tol:
         raise NearDegeneracyError(
             f"{model.id}: eigenvalue gap below gap_tol={model.gap_tol}")
@@ -605,6 +595,15 @@ def norm(d):
 def max_abs(d):
     """Largest |d_i|; exact, so its order does not matter."""
     return max(map(abs, d))
+
+
+def total(xs):
+    """Sum of Python floats from 0.0, left to right, each addition rounded:
+    the builtin sum's result before Python 3.12, on every version."""
+    acc = 0.0
+    for x in xs:
+        acc += x
+    return acc
 
 
 def gnl_audit(model, grid_resolution=20):

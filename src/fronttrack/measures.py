@@ -105,7 +105,7 @@ class SpaceTimeAtoms:
 
 
 def interval_length(sets):
-    return float(sum(b - a for a, b in sets))
+    return fc.total(b - a for a, b in sets)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def interval_length(sets):
 
 def total_variation_V(field):
     """V(t): sum of |size| over physical fronts plus nonphysical strengths."""
-    return float(sum(abs(f.size) for f in field.fronts))
+    return fc.total(abs(f.size) for f in field.fronts)
 
 
 # glimm_Q never holds more than CHUNK pair weights at once, and sums them in
@@ -247,7 +247,7 @@ def splice_deltas(table, j, out):
     inside = coef[:, m:].T.copy()[:, 2:]  # outgoing alpha, outgoing beta
     for r in range(len(inside)):
         inside[r, :r + 1] = 0.0
-    dV = sum(out[0].tolist()) - table[0, j] - table[0, j + 1]
+    dV = fc.total(out[0]) - table[0, j] - table[0, j + 1]
     dQ = (float(coef[:, :j].T.copy().sum()) + float(coef[:, j + 2:m].copy().sum())
           + float(inside.sum()) + float(coef[1, j]))  # minus the pair's weight
     return float(dV), dQ
@@ -340,12 +340,12 @@ def front_wave_contents(model, uL, uR, eigs=None):
     """(l_tilde_1 . (uR - uL), ..., l_tilde_N . (uR - uL)) with the front's
     own averaged eigensystem eigs (a Front's stored one), computed here when
     not given; once for every family."""
-    if np.array_equal(uL, uR):
+    if uL == uR:
         return (0.0,) * model.N
     if eigs is None:
         eigs = fc.average_eigs(model, uL, uR)
-    jump = (uR - uL).tolist()
-    return tuple(fc.dot(row, jump) for row in eigs.left.tolist())
+    jump = [y - x for x, y in zip(uL, uR)]
+    return tuple(fc.dot(row, jump) for row in eigs.left)
 
 
 def front_wave_content(model, i, uL, uR, eigs=None):
@@ -375,7 +375,7 @@ def wave_measure_slice(field, i, content=None):
 
 
 def nonphysical_total_strength(field):
-    return float(sum(f.size for f in field.fronts if not f.is_physical))
+    return fc.total(f.size for f in field.fronts if not f.is_physical)
 
 
 def lambda_component_slice(field, i, curves):
@@ -389,11 +389,11 @@ def lambda_component_slice(field, i, curves):
         if not f.is_physical:
             continue
         if f.id in on_curves:
-            lam_r = float(model.point_eig(f.uR).lambdas[i - 1])
-            lam_l = float(model.point_eig(f.uL).lambdas[i - 1])
+            lam_r = model.point_eig(f.uR).lambdas[i - 1]
+            lam_l = model.point_eig(f.uL).lambdas[i - 1]
             contents = [abs(w) for w in
                         front_wave_contents(model, f.uL, f.uR, f.eigs)]
-            denom = sum(contents)
+            denom = fc.total(contents)
             if denom > 0.0:
                 atoms.append((x, (lam_r - lam_l) * contents[i - 1] / denom))
                 continue
@@ -401,8 +401,8 @@ def lambda_component_slice(field, i, curves):
             # continuous branch instead
         sys = f.eigs if f.eigs is not None else fc.average_eigs(
             model, f.uL, f.uR)
-        w = fc.dot(sys.left[i - 1].tolist(), f.jump().tolist())
-        atoms.append((x, float(sys.gnl_rates[i - 1]) * w))
+        w = fc.dot(sys.left[i - 1], f.jump())
+        atoms.append((x, sys.gnl_rates[i - 1] * w))
     return AtomicMeasure1D.from_atoms(atoms)
 
 
@@ -523,8 +523,8 @@ def source_measure_mu_i(timeline, i):
     including nonphysical ones, so horizontal balances close exactly."""
     atoms = []
     for ev in timeline.events:
-        w_out = sum(timeline.wave_content(f.id, i) for f in ev.outgoing)
-        w_in = sum(timeline.wave_content(f.id, i) for f in ev.incoming)
+        w_out = fc.total(timeline.wave_content(f.id, i) for f in ev.outgoing)
+        w_in = fc.total(timeline.wave_content(f.id, i) for f in ev.incoming)
         atoms.append((ev.t, ev.x, w_out - w_in))
     return SpaceTimeAtoms.from_atoms(atoms)
 
@@ -593,5 +593,5 @@ def mass_relative(field, x_ref):
     fronts all sit left of x_ref."""
     total = np.zeros(field.model.N)
     for f, x in zip(field.fronts, field.xs):
-        total += (x_ref - x) * (f.uR - f.uL)
+        total += (x_ref - x) * np.subtract(f.uR, f.uL)
     return total

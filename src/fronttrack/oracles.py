@@ -2,9 +2,9 @@
 
 Each oracle maps a time to a piecewise description of the exact profile:
 a list of (x_lo, x_hi, payload) where payload is either a constant state
-vector or a scalar callable on x. These are written from the closed-form
-solutions (Rankine-Hugoniot speeds, centered fans, envelope tangency,
-characteristic translates), never from the solver under test.
+(a tuple of floats) or a scalar callable on x. These are written from the
+closed-form solutions (Rankine-Hugoniot speeds, centered fans, envelope
+tangency, characteristic translates), never from the solver under test.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import flux_core as fc
 from .errors import ConfigError
 
 
@@ -21,14 +22,14 @@ def burgers_riemann_oracle(uL, uR):
 
     def pieces(t, lo, hi):
         if t <= 0:
-            return [(lo, 0.0, np.array([uL])), (0.0, hi, np.array([uR]))]
+            return [(lo, 0.0, (uL,)), (0.0, hi, (uR,))]
         if uL > uR:
             xs = 0.5 * (uL + uR) * t
-            return [(lo, xs, np.array([uL])), (xs, hi, np.array([uR]))]
+            return [(lo, xs, (uL,)), (xs, hi, (uR,))]
         xa, xb = uL * t, uR * t
-        return [(lo, xa, np.array([uL])),
+        return [(lo, xa, (uL,)),
                 (xa, xb, lambda x: x / t),
-                (xb, hi, np.array([uR]))]
+                (xb, hi, (uR,))]
 
     return pieces
 
@@ -40,21 +41,23 @@ def cubic_riemann_oracle():
 
     def pieces(t, lo, hi):
         if t <= 0:
-            return [(lo, 0.0, np.array([-1.0])), (0.0, hi, np.array([1.0]))]
+            return [(lo, 0.0, (-1.0,)), (0.0, hi, (1.0,))]
         xs = 0.25 * t
         xb = t
-        return [(lo, xs, np.array([-1.0])),
+        return [(lo, xs, (-1.0,)),
                 (xs, xb, lambda x: math.sqrt(x / t)),
-                (xb, hi, np.array([1.0]))]
+                (xb, hi, (1.0,))]
 
     return pieces
 
 
 def linear_system_oracle(model, xs, values):
-    """Characteristic translates of piecewise-constant data for f(u) = Mu."""
-    sys = model.point_eig(np.zeros(model.N))
+    """Characteristic translates of piecewise-constant data for f(u) = Mu:
+    u = sum over k of (l_k . u0(x - lambda_k t)) r_k, each component summed
+    over k in order."""
+    sys = model.point_eig((0.0,) * model.N)
     xs = [float(x) for x in xs]
-    values = [np.asarray(v, dtype=float) for v in values]
+    values = [fc.as_state(v, model.N) for v in values]
 
     def state_at(x):
         u = values[0]
@@ -71,11 +74,11 @@ def linear_system_oracle(model, xs, values):
         out = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             xm = 0.5 * (a + b)
-            u = np.zeros(model.N)
-            for k in range(model.N):
-                lam = sys.lambdas[k]
-                u = u + (sys.left[k] @ state_at(xm - lam * t)) * sys.right[k]
-            out.append((a, b, u))
+            waves = [fc.dot(row, state_at(xm - lam * t))
+                     for row, lam in zip(sys.left, sys.lambdas)]
+            out.append((a, b, tuple(
+                fc.total(w * r[j] for w, r in zip(waves, sys.right))
+                for j in range(model.N))))
         return out
 
     return pieces
@@ -117,10 +120,10 @@ def l1_error(field, oracle_pieces, lo, hi):
         if payload is None:
             raise ConfigError("diagnostics.convergence", "oracle window too small")
         if callable(payload):
-            c = float(u_num[0])
+            c = u_num[0]
             total += _piece_l1_scalar(c, payload, a, b)
         else:
-            total += float(np.abs(u_num - payload).sum()) * (b - a)
+            total += float(np.abs(np.subtract(u_num, payload)).sum()) * (b - a)
     return total
 
 

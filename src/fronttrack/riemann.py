@@ -9,11 +9,13 @@ lambda_k(T_s) = lambda_k(u) + s.
 
 Every solver returns its outgoing fronts as a plain list, ordered by speed
 and chained left to right (each front's uL is its left neighbour's uR).
+States are tuples of Python floats (see flux_core).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -48,8 +50,8 @@ class Front:
 
     family: int
     speed: float
-    uL: np.ndarray
-    uR: np.ndarray
+    uL: tuple
+    uR: tuple
     size: float
     kind: str  # shock | rarefaction | contact | nonphysical
     id: int = -1
@@ -66,17 +68,17 @@ class Front:
         return self.born_x + self.speed * (t - self.born_t)
 
     def jump(self):
-        return self.uR - self.uL
+        return tuple(y - x for x, y in zip(self.uL, self.uR))
 
     def strength(self):
         """Euclidean norm of the jump; the bookkeeping size of nonphysical fronts."""
-        return fc.norm((self.uR - self.uL).tolist())
+        return fc.norm(self.jump())
 
 
 @dataclass
 class CurvePoint:
     s: float
-    state: np.ndarray
+    state: tuple
     sigma: float
 
 
@@ -146,15 +148,15 @@ def brentq(fn, a, b, fa=None, fb=None):
 
 def _scalar_curve(model, u0, s, parametrization):
     eig = model.point_eig((u0,))
-    r = float(eig.right[0, 0])
-    rate = float(eig.gnl_rates[0])
+    r = eig.right[0][0]
+    rate = eig.gnl_rates[0]
     if parametrization == "lambda" and model.field_kind[0] == GNL:
         if s >= 0:
             # rarefaction branch parametrized by speed: f'(w) = f'(u0) + s
             target = model.fprime(u0) + s
             w = u0 + (s / rate) * r  # exact when f' is affine (Burgers)
             if abs(model.fprime(w) - target) > 1e-13 * max(1.0, abs(target)):
-                lo, hi = model.domain[0]
+                lo, hi = map(float, model.domain[0])
                 w = brentq(lambda x: model.fprime(x) - target, lo, hi)
         else:
             w = u0 + (s / rate) * r  # Hugoniot side: s = rate * l.(T - u)
@@ -312,19 +314,19 @@ def _psystem_dl(model, k, v0, c0, n0):
 
 def _linear_curve(model, k, u0, s, parametrization):
     sys = model.point_eig(u0)
-    r = sys.right[k - 1].tolist()
+    r = sys.right[k - 1]
     state = tuple(x + s * y for x, y in zip(u0, r))
     identity = tuple(tuple(float(i == j) for j in range(model.N))
                      for i in range(model.N))
-    return state, float(sys.lambdas[k - 1]), tuple(r), identity
+    return state, sys.lambdas[k - 1], r, identity
 
 
 def _curve_point(model, k, u0, s, parametrization):
-    """Point on the k-th curve through u0, a sequence of Python floats:
-    (T, sigma, dT/ds, dT/du0) with T and dT/ds tuples of floats and dT/du0
-    a tuple of rows. The derivatives are those of a system family in the
-    unit parametrization, None otherwise. No field-kind gate (scalar
-    'general' allowed); DomainError when T leaves the box."""
+    """Point on the k-th curve through the state u0: (T, sigma, dT/ds,
+    dT/du0) with T and dT/ds tuples of floats and dT/du0 a tuple of rows.
+    The derivatives are those of a system family in the unit
+    parametrization, None otherwise. No field-kind gate (scalar 'general'
+    allowed); DomainError when T leaves the box."""
     if isinstance(model, fc.ScalarModel):
         out = _scalar_curve(model, u0[0], s, parametrization)
     elif isinstance(model, fc.Remark2x2):
@@ -341,13 +343,6 @@ def _curve_point(model, k, u0, s, parametrization):
     return out
 
 
-def _curve_state(model, k, u0, s, parametrization="unit"):
-    """(T, sigma) of _curve_point, T as an array."""
-    state, sigma, _, _ = _curve_point(
-        model, k, np.asarray(u0, dtype=float).tolist(), s, parametrization)
-    return np.array(state), sigma
-
-
 def elementary_curve(model, k, u, s, parametrization="auto"):
     """Point T_s on the k-th elementary curve through u, with its speed.
 
@@ -356,6 +351,7 @@ def elementary_curve(model, k, u, s, parametrization="auto"):
     "unit" (s = l_k(u).(T_s - u)) on linearly degenerate ones.
     """
     u = fc.as_state(u, model.N)
+    s = float(s)
     model.require_inside(u)
     if not 1 <= k <= model.N:
         raise CurveError(f"family {k} out of range for N={model.N}")
@@ -368,7 +364,7 @@ def elementary_curve(model, k, u, s, parametrization="auto"):
         raise CurveError(f"|s|={abs(s)} exceeds curve radius {model.curve_radius}")
     if parametrization == "auto":
         parametrization = "lambda" if kind == GNL else "unit"
-    state, sigma = _curve_state(model, k, u, s, parametrization)
+    state, sigma, _, _ = _curve_point(model, k, u, s, parametrization)
     return CurvePoint(s=s, state=state, sigma=sigma)
 
 
@@ -541,10 +537,11 @@ def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf):
     """
     if model.N != 1:
         raise RiemannError("scalar_envelope_fan needs a scalar model")
-    a = float(np.atleast_1d(uL)[0])
-    b = float(np.atleast_1d(uR)[0])
-    model.require_inside(np.array([a]), "left state")
-    model.require_inside(np.array([b]), "right state")
+    uL = fc.as_state(uL, 1)
+    uR = fc.as_state(uR, 1)
+    model.require_inside(uL, "left state")
+    model.require_inside(uR, "right state")
+    (a,), (b,) = uL, uR
     if a == b:
         return []
     raw = []
@@ -569,16 +566,16 @@ def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf):
             else:
                 _split_curved(model, u_from, u_to, eps, raw, front_cap)
     fronts = []
-    left_state = np.array([a])
+    left_state = uL
     for (u_from, u_to, sigma, kind) in raw:
         if abs(u_to - u_from) < 1e-14:
             continue
-        right_state = np.array([u_to])
+        right_state = (float(u_to),)
         fronts.append(Front(family=1, speed=float(sigma), uL=left_state,
                             uR=right_state, size=float(u_to - u_from), kind=kind))
         left_state = right_state
     if fronts:
-        fronts[-1].uR = np.array([b])
+        fronts[-1].uR = uR
     return fronts
 
 
@@ -592,20 +589,20 @@ def front_speed(model, k, uL, uR):
     lambda_tilde_k with the averaged eigensystem it came from; the secant
     and None for scalar models."""
     if isinstance(model, fc.ScalarModel):
-        return _secant(model, float(uL[0]), float(uR[0])), None
+        return _secant(model, uL[0], uR[0]), None
     eigs = fc.average_eigs(model, uL, uR)
-    return float(eigs.lambdas[k - 1]), eigs
+    return eigs.lambdas[k - 1], eigs
 
 
 def _system_front(model, k, uL, s, state=None):
     """Single physical front of family k with unit size s starting at uL;
     state, when given, is its curve point already found by the caller."""
     if state is None:
-        state, _ = _curve_state(model, k, uL, s, "unit")
+        state, _, _, _ = _curve_point(model, k, uL, s, "unit")
     kind_tag = model.field_kind[k - 1]
     speed, eigs = front_speed(model, k, uL, state)
     if isinstance(model, fc.ScalarModel):
-        kind = _classify_scalar(model, float(uL[0]), float(state[0]), speed)
+        kind = _classify_scalar(model, uL[0], state[0], speed)
     else:
         kind = "contact" if kind_tag == LD else ("shock" if s < 0 else "rarefaction")
     return Front(family=k, speed=speed, uL=uL, uR=state, size=s, kind=kind,
@@ -614,7 +611,8 @@ def _system_front(model, k, uL, s, state=None):
 
 def _nonphysical_front(model, uL, uR):
     return Front(family=model.N + 1, speed=model.lambda_hat, uL=uL, uR=uR,
-                 size=fc.norm((uR - uL).tolist()), kind="nonphysical")
+                 size=fc.norm([y - x for x, y in zip(uL, uR)]),
+                 kind="nonphysical")
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +635,7 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
         return scalar_envelope_fan(model, uL, uR, eps, front_cap)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
-    dvec = (uR - uL).tolist()
+    dvec = [y - x for x, y in zip(uL, uR)]
     dist = fc.norm(dvec)
     if dist < 1e-14:
         return []
@@ -661,41 +659,45 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
             f = _system_front(model, k, omega, sk, end)
             fronts.append(f)
             omega = f.uR
-    defect = fc.max_abs((omega - uR).tolist() if fronts else dvec)
-    if defect > 1e-9 * max(1.0, fc.max_abs(uR.tolist())):
+    defect = fc.max_abs([x - y for x, y in zip(omega, uR)] if fronts else dvec)
+    if defect > 1e-9 * max(1.0, fc.max_abs(uR)):
         raise RiemannError(f"accurate solver closure defect {defect:.3e}")
-    if fronts and fronts[-1].uR.tobytes() != uR.tobytes():
+    if fronts and _bits(fronts[-1].uR) != _bits(uR):
         # a chain end equal to uR bit for bit has its speed and eigs already
         last = fronts[-1]
-        last.uR = uR.copy()
+        last.uR = uR
         last.speed, last.eigs = front_speed(model, last.family, last.uL, uR)
     return fronts
+
+
+def _bits(u):
+    """A state's float64 bytes, which unlike == tell -0.0 from 0.0."""
+    return struct.pack(f"{len(u)}d", *u)
 
 
 def _solve_sizes(model, uL, uR):
     """Sizes s of the composed curve map from uL to uR, by damped Newton on
     Python floats, and the converged chain: legs[k-1] is the state after
-    family k (the previous one where s[k-1] is 0), an array.
+    family k (the previous one where s[k-1] is 0).
 
     The Jacobian is exact: column k is dT_k/ds at the chain's k-th leg,
     carried through dT_j/du0 of every later family j by the chain rule."""
     n = model.N
-    a, b = uL.tolist(), uR.tolist()
-    d = [y - x for x, y in zip(a, b)]
-    s = [fc.dot(row, d) for row in model.point_eig(a).left.tolist()]
+    d = [y - x for x, y in zip(uL, uR)]
+    s = [fc.dot(row, d) for row in model.point_eig(uL).left]
     scale = max(1.0, fc.max_abs(d))
 
     def chain(svec):
         # legs, and each family's (dT/ds, dT/du0); a zero size keeps the
         # leg and takes the curve's derivatives at s = 0
-        omega, legs, jets = a, [], []
+        omega, legs, jets = uL, [], []
         for k in range(1, n + 1):
             point, _, ts, tu = _curve_point(model, k, omega, svec[k - 1], "unit")
             if svec[k - 1] != 0.0:
                 omega = point
             legs.append(omega)
             jets.append((ts, tu))
-        return legs, jets, [x - y for x, y in zip(omega, b)]
+        return legs, jets, [x - y for x, y in zip(omega, uR)]
 
     try:
         legs, jets, res = chain(s)
@@ -704,7 +706,7 @@ def _solve_sizes(model, uL, uR):
     for _ in range(NEWTON_MAXIT):
         size = fc.max_abs(res)
         if size <= NEWTON_TOL * scale:
-            return s, [np.array(leg) for leg in legs]
+            return s, legs
         # columns from the last family back: carry holds the product of
         # the dT/du0 of the families after column k
         cols, carry = [None] * n, None
@@ -765,9 +767,9 @@ def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
     parameter, so consecutive openings are exactly dlam/n <= eps. end, when
     given, is the fan's far state, already found by the caller."""
     if end is None:
-        end, _ = _curve_state(model, k, omega0, sk, "unit")
-    lam0 = float(model.point_eig(omega0).lambdas[k - 1])
-    lam1 = float(model.point_eig(end).lambdas[k - 1])
+        end, _, _, _ = _curve_point(model, k, omega0, sk, "unit")
+    lam0 = model.point_eig(omega0).lambdas[k - 1]
+    lam1 = model.point_eig(end).lambdas[k - 1]
     dlam = lam1 - lam0
     if dlam <= 1e-14:
         f = _system_front(model, k, omega0, sk, end)
@@ -779,9 +781,9 @@ def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
         if m == n:
             nxt = end
         else:
-            nxt, _ = _curve_state(model, k, omega0, dlam * m / n, "lambda")
-        piece_size = fc.dot(model.point_eig(prev).left[k - 1].tolist(),
-                            (nxt - prev).tolist())
+            nxt, _, _, _ = _curve_point(model, k, omega0, dlam * m / n, "lambda")
+        piece_size = fc.dot(model.point_eig(prev).left[k - 1],
+                            [y - x for x, y in zip(prev, nxt)])
         speed, eigs = front_speed(model, k, prev, nxt)
         fronts.append(Front(family=k, speed=speed, uL=prev, uR=nxt,
                             size=piece_size, kind="rarefaction", eigs=eigs))

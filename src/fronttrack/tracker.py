@@ -42,7 +42,7 @@ class FrontField:
 
     model: object
     time: float
-    left_state: np.ndarray
+    left_state: tuple
     fronts: list
     xs: list
     cols: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -64,7 +64,7 @@ class FrontField:
             # just before a collision fires, positions may overlap by fp noise
             if xf < prev_x - 1e-12 * max(1.0, abs(prev_x)):
                 raise SolverError("front positions out of order")
-            if fc.max_abs((f.uL - u).tolist()) > CHAIN_ATOL:
+            if fc.max_abs([x - y for x, y in zip(f.uL, u)]) > CHAIN_ATOL:
                 raise SolverError("state chain broken")
             prev_x = xf
             u = f.uR
@@ -360,14 +360,15 @@ def initial_data(model, data_spec):
         edges = np.linspace(x0, x1, samples + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         xs = list(edges)
-        values = [np.array([u]) for u in (u_left, *val(mids), u_right)]
+        values = [(float(u),) for u in (u_left, *val(mids), u_right)]
     else:
         raise ConfigError("initial.kind", f"unknown initial data kind {kind!r}")
     for v in values:
         if not model.contains(v):
-            raise ConfigError("initial.values",
-                              f"state {v} outside the {model.id} domain box")
-    tv = float(sum(fc.norm((b - a).tolist()) for a, b in zip(values, values[1:])))
+            raise ConfigError("initial.values", f"state {np.array(v)} "
+                              f"outside the {model.id} domain box")
+    tv = fc.total(fc.norm([y - x for x, y in zip(a, b)])
+                  for a, b in zip(values, values[1:]))
     if tv > model.tv_budget:
         raise InitialDataError(
             f"initial.values: total variation {tv:.4g} exceeds {model.id} "
@@ -384,7 +385,7 @@ def init_sample(model, data_spec, eps, front_cap=math.inf):
     fronts = []
     next_id = 0
     for x, (va, vb) in zip(xs, zip(values[:-1], values[1:])):
-        if fc.norm((vb - va).tolist()) == 0.0:
+        if fc.norm([b - a for a, b in zip(va, vb)]) == 0.0:
             continue
         # the accurate solver emits no nonphysical fronts and its chain is
         # exact, so every fan front is spliced as-is
@@ -515,7 +516,7 @@ def _select_outgoing(model, fronts, f_left, f_right):
         kept.append(residual)
     if kept and kept[-1].is_physical:
         # a dropped (or absent) residual owes its tiny jump to the last front
-        if not np.array_equal(kept[-1].uR, f_right.uR):
+        if kept[-1].uR != f_right.uR:
             last = kept[-1] = replace(kept[-1], uR=f_right.uR)
             last.speed, last.eigs = rm.front_speed(model, last.family,
                                                    last.uL, last.uR)

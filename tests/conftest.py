@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -65,6 +66,21 @@ def quick_run(model_id, initial, epsilon=0.05, t_end=1.0, **kw):
     cfg = tk.RunConfig(model_id=model_id, initial=initial, epsilon=epsilon,
                        t_end=t_end, **kw)
     return tk.run(cfg)
+
+
+# the acceptance corpus (criterion 01): per model, the jumps and step scale
+# of its breakpoint scenarios; run s draws from generator seed 9000 + 17 s
+CORPUS = {"burgers": (8, 0.5), "cubic": (8, 0.6), "remark-2x2": (5, None),
+          "p-system": (5, None)}
+
+
+def corpus_run(model_id, s):
+    """Run s of the acceptance corpus for model_id."""
+    n_jumps, scale = CORPUS[model_id]
+    rng = np.random.default_rng(9000 + 17 * s)
+    init = random_breakpoint_scenario(model_id, rng, n_jumps=n_jumps,
+                                      scale=scale)
+    return quick_run(model_id, init, epsilon=0.05, t_end=1.5)
 
 
 # two 1-shocks of the p-system, the left one faster: at epsilon 1e-6 their
@@ -149,11 +165,24 @@ def remark_timeline():
     return quick_run("remark-2x2", initial, epsilon=0.05, t_end=1.5)
 
 
+def bits(u):
+    """A float's float64 bytes, or a sequence of them nested like u: a
+    state, a tuple of rows, or a tuple of those."""
+    if isinstance(u, float):
+        return struct.pack("d", u)
+    return tuple(map(bits, u))
+
+
+def same_bits(a, b):
+    """Equal to the bit, component by component: unlike ==, -0.0 and 0.0
+    differ."""
+    return bits(a) == bits(b)
+
+
 def same_eigs(a, b):
     """Two EigenSystems equal to the bit."""
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in ((a.lambdas, b.lambdas), (a.right, b.right),
-                            (a.left, b.left), (a.gnl_rates, b.gnl_rates)))
+    return same_bits((a.lambdas, a.right, a.left, a.gnl_rates),
+                     (b.lambdas, b.right, b.left, b.gnl_rates))
 
 
 def assert_keeps_own_eigs(model, fronts):
@@ -294,7 +323,8 @@ def reference_splice_deltas(fronts, j, outgoing):
     fronts against the untouched fronts on each side, plus the pairs inside
     the window."""
     f_left, f_right = fronts[j], fronts[j + 1]
-    dV = sum(abs(f.size) for f in outgoing) - abs(f_left.size) - abs(f_right.size)
+    dV = (fc.total(abs(f.size) for f in outgoing) - abs(f_left.size)
+          - abs(f_right.size))
     cols = reference_q_columns(fronts)
     left = [c[:j] for c in cols]
     right = [c[j + 2:] for c in cols]
@@ -520,7 +550,8 @@ def reference_solve_sizes(model, uL, uR):
     damped Newton on numpy arrays with forward-difference columns, each
     from a chain re-evaluated from family k, and numpy's solve."""
     n = model.N
-    left0 = model.point_eig(uL).left
+    uL, uR = np.asarray(uL, dtype=float), np.asarray(uR, dtype=float)
+    left0 = np.array(model.point_eig(uL).left)
 
     def chain(svec, base=(), start=0):
         # the first start legs of svec are those of base
@@ -528,8 +559,9 @@ def reference_solve_sizes(model, uL, uR):
         omega = legs[-1] if legs else uL
         for k in range(start + 1, n + 1):
             if svec[k - 1] != 0.0:
-                omega, _ = rm._curve_state(model, k, omega, float(svec[k - 1]),
-                                           "unit")
+                omega = np.array(rm._curve_point(
+                    model, k, tuple(omega.tolist()), float(svec[k - 1]),
+                    "unit")[0])
             legs.append(omega)
         return legs
 
@@ -571,7 +603,8 @@ def reference_solve_sizes(model, uL, uR):
 
 
 def reference_curve_state(model, k, u0, s, parametrization):
-    """riemann._curve_state on the reference p-system curve."""
+    """(T, sigma) of riemann._curve_point on the reference p-system curve,
+    T an array."""
     state, sigma = reference_psystem_curve(model, k, np.asarray(u0, dtype=float),
                                            s, parametrization)
     if not model.contains(state):
@@ -729,8 +762,8 @@ def reference_region_balance_check(timeline, region):
         if any(a - dg._ON_TOL <= ev.x <= b + dg._ON_TOL for a, b in sections):
             mu_i_mass += ev.amount_I
             mu_ic_mass += ev.amount_I + ev.cancellation
-            w_out = sum(timeline.wave_content(f.id, i) for f in ev.outgoing)
-            w_in = sum(timeline.wave_content(f.id, i) for f in ev.incoming)
+            w_out = fc.total(timeline.wave_content(f.id, i) for f in ev.outgoing)
+            w_in = fc.total(timeline.wave_content(f.id, i) for f in ev.incoming)
             p_sum += w_out - w_in
             for a, b in sections:
                 if abs(ev.x - a) <= 1e-8 or abs(ev.x - b) <= 1e-8:

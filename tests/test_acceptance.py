@@ -15,7 +15,8 @@ from fronttrack import diagnostics as dg
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
 
-from conftest import MODEL_IDS, quick_run, random_breakpoint_scenario
+from conftest import (MODEL_IDS, corpus_run, quick_run,
+                      random_breakpoint_scenario)
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "_baselines",
                              "interaction_constants.json")
@@ -29,25 +30,13 @@ def report(num, desc, ok, detail=""):
     assert ok, line
 
 
-def _suite_params(mid):
-    return {"burgers": (8, 0.5), "cubic": (8, 0.6),
-            "remark-2x2": (5, None), "p-system": (5, None)}[mid]
-
-
 @pytest.fixture(scope="module")
 def random_suite():
     """50 randomized small-BV scenarios per catalog model, timed."""
     start = time.perf_counter()
     suites = {}
     for mid in MODEL_IDS:
-        n_jumps, scale = _suite_params(mid)
-        runs = []
-        for s in range(50):
-            rng = np.random.default_rng(9000 + 17 * s)
-            init = random_breakpoint_scenario(mid, rng, n_jumps=n_jumps,
-                                              scale=scale)
-            runs.append(quick_run(mid, init, epsilon=0.05, t_end=1.5))
-        suites[mid] = runs
+        suites[mid] = [corpus_run(mid, s) for s in range(50)]
     return suites, time.perf_counter() - start
 
 
@@ -324,7 +313,7 @@ def test_criterion_08_remark_conformance():
             state = np.array([uu, vv])
             l2 = fc.average_eigs(model, state, state).left[1]
             hand = np.array([vv / (1.0 + uu + 2.0 * vv), 1.0])
-            worst_l = max(worst_l, float(np.max(np.abs(l2 - hand))))
+            worst_l = max(worst_l, float(np.max(np.abs(np.subtract(l2, hand)))))
     ok &= worst_l <= 1e-8
     report(8, "remark-2x2 eigensystem, zero-speed contacts, hand-derived l2",
            ok, f"eig defect {worst_eig:.1e}, l2 defect {worst_l:.1e}, "

@@ -10,10 +10,9 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import (quick_run, random_breakpoint_scenario,
-                      reference_min_characteristic, reference_next_crossing,
-                      reference_region_balance_check, replay_frames,
-                      replay_slice_at)
+from conftest import (corpus_run, quick_run, reference_min_characteristic,
+                      reference_next_crossing, reference_region_balance_check,
+                      replay_frames, replay_slice_at)
 
 
 def scan_position(curve, t):
@@ -29,7 +28,7 @@ def scan_position(curve, t):
 
 def reference_triangle_states(timeline, a, b, eta, t_lo, t_hi):
     """Reference state collection: one incremental replay for the triangle,
-    and list deduplication with np.array_equal."""
+    and list deduplication with ==."""
     states = []
     if t_hi > t_lo:
         for fld, frame_hi in replay_frames(timeline, t_hi):
@@ -61,7 +60,7 @@ def reference_triangle_states(timeline, a, b, eta, t_lo, t_hi):
                 states.append(u)
     uniq = []
     for u in states:
-        if not any(np.array_equal(u, v) for v in uniq):
+        if not any(u == v for v in uniq):
             uniq.append(u)
     return uniq
 
@@ -78,10 +77,10 @@ def reference_tame_check(timeline, triangles):
         osc = 0.0
         for p in range(len(uniq)):
             for q in range(p + 1, len(uniq)):
-                osc = max(osc, fc.norm((uniq[p] - uniq[q]).tolist()))
+                osc = max(osc, fc.norm(np.subtract(uniq[p], uniq[q]).tolist()))
         base = replay_slice_at(timeline, tau)
-        tv = float(sum(fc.norm(f.jump().tolist())
-                       for f, x in zip(base.fronts, base.xs) if a < x < b))
+        tv = fc.total(fc.norm(f.jump())
+                      for f, x in zip(base.fronts, base.xs) if a < x < b)
         ratio = osc / tv if tv > 0 else (0.0 if osc == 0.0 else math.inf)
         worst = max(worst, ratio)
         rows.append({"a": a, "b": b, "tau": tau, "eta": eta, "osc": osc,
@@ -370,8 +369,8 @@ class TestTameMatchesReference:
             assert all(u is v for u, v in zip(states, ref))
 
     def test_signed_zero_states_count_once(self):
-        # the left state is -0.0 and the right state 0.0: one state, as
-        # np.array_equal counts them, and the first one met is kept
+        # the left state is -0.0 and the right state 0.0: one state, as ==
+        # counts them, and the first one met is kept
         tl = quick_run("burgers", {"kind": "breakpoints", "xs": [-0.5, 0.5],
                                    "values": [[-0.0], [0.5], [0.0]]}, 0.1, 2.0)
         assert np.signbit(tl.initial_field.left_state[0])
@@ -383,15 +382,6 @@ class TestTameMatchesReference:
         assert len(zeros) == 1 and np.signbit(zeros[0][0])
         assert len(states) == len(ref)
         assert all(u is v for u, v in zip(states, ref))
-
-
-def corpus_run(model_id, s):
-    """Run s of the acceptance corpus (criterion 01) for model_id."""
-    n_jumps, scale = {"cubic": (8, 0.6), "p-system": (5, None)}[model_id]
-    rng = np.random.default_rng(9000 + 17 * s)
-    init = random_breakpoint_scenario(model_id, rng, n_jumps=n_jumps,
-                                      scale=scale)
-    return quick_run(model_id, init, epsilon=0.05, t_end=1.5)
 
 
 @pytest.fixture(scope="module")
@@ -595,7 +585,7 @@ def pairwise_diameter(states):
     osc = 0.0
     for p in range(len(states)):
         for q in range(p + 1, len(states)):
-            osc = max(osc, fc.norm((states[p] - states[q]).tolist()))
+            osc = max(osc, fc.norm(np.subtract(states[p], states[q]).tolist()))
     return osc
 
 

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import math
 import struct
 import tracemalloc
 
@@ -12,20 +14,21 @@ from fronttrack import measures as ms
 from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
-from conftest import (assert_keeps_own_eigs, quick_run, reference_glimm_Q,
+from conftest import (CORPUS, assert_keeps_own_eigs, corpus_run, quick_run,
+                      reference_glimm_Q,
                       reference_q_columns, reference_source_measure_mu_jump,
                       reference_splice_deltas, reference_split_jump_cont)
 
 
 def make_field(fronts, left=1.0):
     return tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                         left_state=np.array([left]), fronts=fronts,
+                         left_state=(left,), fronts=fronts,
                          xs=[f.born_x for f in fronts])
 
 
 def synth_front(x, family, size, speed, kind="shock", fid=0):
-    return rm.Front(family=family, born_x=x, speed=speed, uL=np.array([0.0]),
-                    uR=np.array([size]), size=size, kind=kind, id=fid)
+    return rm.Front(family=family, born_x=x, speed=speed, uL=(0.0,),
+                    uR=(size,), size=size, kind=kind, id=fid)
 
 
 def _bits(floats):
@@ -366,7 +369,7 @@ class TestWaveMeasureSlice:
 
     def test_remark_pure_family2_jump(self):
         m = fc.make_model("remark-2x2")
-        f = rm._system_front(m, 2, np.array([0.1, 0.0]), 0.12)
+        f = rm._system_front(m, 2, (0.1, 0.0), 0.12)
         fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
                             xs=[0.0])
         v2 = ms.wave_measure_slice(fld, 2)
@@ -376,7 +379,7 @@ class TestWaveMeasureSlice:
 
     def test_constant_field_empty(self):
         fld = tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                            left_state=np.array([0.5]), fronts=[], xs=[])
+                            left_state=(0.5,), fronts=[], xs=[])
         assert len(ms.wave_measure_slice(fld, 1)) == 0
 
     def test_scalar_total_matches_V(self, sawtooth_timeline):
@@ -412,7 +415,7 @@ class TestWaveContents:
                 for fid in tl.front_records:
                     tl.wave_content(fid, i)
         # fronts that keep their eigensystem need no call
-        unkept = sum(rec.eigs is None and not np.array_equal(rec.uL, rec.uR)
+        unkept = sum(rec.eigs is None and rec.uL != rec.uR
                      for rec in tl.front_records.values())
         kept = sum(rec.eigs is not None for rec in tl.front_records.values())
         assert len(tl.front_records) > 20 and kept > 20 and unkept > 5
@@ -482,7 +485,7 @@ class TestLambdaComponentSlice:
     def test_remark_contact_atom_vanishes(self):
         # lambda_1 is identically zero, so the family-1 jump term is zero
         m = fc.make_model("remark-2x2")
-        f = rm._system_front(m, 1, np.array([0.0, 0.1]), 0.15)
+        f = rm._system_front(m, 1, (0.0, 0.1), 0.15)
         f.id = 0
         fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
                             xs=[0.0])
@@ -496,7 +499,7 @@ class TestLambdaComponentSlice:
     def test_unclassified_front_uses_continuous_branch(self):
         # off-curve fronts carry the rate-weighted continuous content
         m = fc.make_model("burgers")
-        f = rm._system_front(m, 1, np.array([0.2]), 0.1)
+        f = rm._system_front(m, 1, (0.2,), 0.1)
         f.id = 0
         fld = tk.FrontField(model=m, time=0.0, left_state=f.uL, fronts=[f],
                             xs=[0.0])
@@ -505,7 +508,7 @@ class TestLambdaComponentSlice:
 
     def test_constant_field_empty(self):
         fld = tk.FrontField(model=fc.make_model("burgers"), time=0.0,
-                            left_state=np.array([0.0]), fronts=[], xs=[])
+                            left_state=(0.0,), fronts=[], xs=[])
         assert len(ms.lambda_component_slice(fld, 1, [])) == 0
 
 
@@ -727,3 +730,43 @@ class TestCalibration:
         for k, ev in enumerate(tl.events):
             assert led.Vs[k + 1] == led.Vs[k] + ev.dV
             assert led.Qs[k + 1] == led.Qs[k] + ev.dQ
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """builtins.sum as Python 3.12 and later compute it on floats: Neumaier's
+    compensated summation when start is 0 and every item is a float, the
+    plain sum otherwise."""
+    items = list(iterable)
+    if (type(start) is not int or start != 0 or not items
+            or not all(type(x) is float for x in items)):
+        return _BUILTIN_SUM(items, start)
+    total = comp = 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+class TestSumsDoNotDependOnPython:
+    """V0, every dV and the wave balances sum their floats in one fixed
+    order, so the ledger keeps its bits under the builtin sum of Python 3.12
+    and later, which compensates its rounding."""
+
+    def test_compensated_sum_differs_from_the_plain_one(self):
+        items = [0.1] * 10
+        assert fc.total(items) != 1.0 and compensated_sum(items) == 1.0
+
+    @pytest.mark.parametrize("mid", sorted(CORPUS))
+    def test_corpus_ledgers_keep_their_bits(self, mid, monkeypatch):
+        def ledger_bits(tl):
+            led = tl.ledger
+            return [a.tobytes() for a in (led.Vs, led.Qs, led.dVs, led.dQs)]
+
+        plain = [ledger_bits(corpus_run(mid, s)) for s in range(10)]
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        compensated = [ledger_bits(corpus_run(mid, s)) for s in range(10)]
+        assert compensated == plain

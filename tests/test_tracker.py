@@ -11,8 +11,8 @@ from fronttrack import riemann as rm
 from fronttrack.errors import (CapExceededError, InitialDataError, RiemannError,
                               SolverError)
 
-from conftest import (PSYSTEM_SHOCK_MERGER, assert_keeps_own_eigs,
-                      child_python, needs_proc_status, quick_run,
+from conftest import (PSYSTEM_SHOCK_MERGER, assert_keeps_own_eigs, bits,
+                      child_python, corpus_run, needs_proc_status, quick_run,
                       random_breakpoint_scenario,
                       reference_events, reference_next_collision,
                       replay_slice_at)
@@ -67,12 +67,12 @@ class TestNextCollision:
         u = 1.0
         for j, (x, s) in enumerate(zip(positions, speeds)):
             # chain of downward unit jumps; speeds are set directly
-            f = tk.rm.Front(family=1, speed=s, uL=np.array([u]),
-                            uR=np.array([u - 0.1]), size=-0.1, kind="shock",
+            f = tk.rm.Front(family=1, speed=s, uL=(u,), uR=(u - 0.1,),
+                            size=-0.1, kind="shock",
                             id=j, born_t=0.0, born_x=x)
             fronts.append(f)
             u -= 0.1
-        fld = tk.FrontField(model=m, time=0.0, left_state=np.array([1.0]),
+        fld = tk.FrontField(model=m, time=0.0, left_state=(1.0,),
                             fronts=fronts, xs=list(positions))
         tk._make_live(fld)
         return fld
@@ -175,8 +175,8 @@ class TestRun:
 
     def test_state_chain_after_every_event(self, sawtooth_timeline):
         for ev in sawtooth_timeline.events:
-            assert np.array_equal(ev.outgoing[0].uL, ev.incoming[0].uL)
-            assert np.array_equal(ev.outgoing[-1].uR, ev.incoming[1].uR)
+            assert ev.outgoing[0].uL == ev.incoming[0].uL
+            assert ev.outgoing[-1].uR == ev.incoming[1].uR
         for t in np.linspace(0.0, 2.0, 9):
             sawtooth_timeline.slice_at(float(t)).validate()
 
@@ -187,9 +187,9 @@ class TestRun:
         for rec in remark_timeline.front_records.values():
             if not rec.is_physical:
                 continue
-            state, _ = rm._curve_state(model, rec.family, rec.uL, rec.size,
-                                       "unit")
-            assert np.max(np.abs(state - rec.uR)) <= 1e-9
+            state = rm._curve_point(model, rec.family, rec.uL, rec.size,
+                                    "unit")[0]
+            assert np.max(np.abs(np.subtract(state, rec.uR))) <= 1e-9
 
     def test_speed_fences(self, remark_timeline):
         model = remark_timeline.model
@@ -362,7 +362,7 @@ class TestSliceAt:
             assert [f.id for f in got.fronts] == [f.id for f in ref.fronts]
             assert all(tl.front_records[f.id] is f for f in got.fronts)
             for f, g in zip(got.fronts, ref.fronts):
-                assert np.array_equal(f.uL, g.uL) and np.array_equal(f.uR, g.uR)
+                assert f.uL == g.uL and f.uR == g.uR
             for x, x_ref in zip(got.xs, ref.xs):
                 assert abs(x - x_ref) <= 1e-12 * max(1.0, abs(x_ref))
             assert len(got.xs) == len(got.fronts)
@@ -406,7 +406,7 @@ class TestFrontRecords:
     @staticmethod
     def snapshot(tl):
         return {fid: (f.family, f.kind, f.born_x, f.born_t, f.died_t,
-                      f.speed, f.size, f.uL.tobytes(), f.uR.tobytes())
+                      f.speed, f.size, bits(f.uL), bits(f.uR))
                 for fid, f in tl.front_records.items()}
 
     @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
@@ -498,10 +498,10 @@ class TestFrontRecords:
 def _collision_field(xs, speeds, ids=None, time=0.0):
     m = fc.make_model("burgers")
     ids = range(len(xs)) if ids is None else ids
-    fronts = [tk.rm.Front(family=1, speed=sp, uL=np.array([0.0]),
-                          uR=np.array([-0.1]), size=-0.1, kind="shock", id=i)
+    fronts = [tk.rm.Front(family=1, speed=sp, uL=(0.0,), uR=(-0.1,),
+                          size=-0.1, kind="shock", id=i)
               for sp, i in zip(speeds, ids)]
-    return tk.FrontField(model=m, time=time, left_state=np.array([0.0]),
+    return tk.FrontField(model=m, time=time, left_state=(0.0,),
                          fronts=fronts, xs=list(xs))
 
 
@@ -610,12 +610,12 @@ class TestSelectOutgoing:
         # a residual below the strength floor is dropped and its jump goes
         # to the last physical front, whose speed and eigensystem follow
         model = fc.make_model(mid)
-        u = 0.5 * (model.domain[:, 0] + model.domain[:, 1])
+        u = fc.as_state(0.5 * (model.domain[:, 0] + model.domain[:, 1]), 2)
         f_left = tk.rm._system_front(model, 1, u, -0.02)
         f_right = tk.rm._system_front(model, 2, f_left.uR, 0.015)
         fronts = tk.rm.solve_simplified(model, f_left, f_right)
         phys = [f for f in fronts if f.is_physical]
-        target = phys[-1].uR + np.array([5e-15, 5e-15])
+        target = tuple(x + 5e-15 for x in phys[-1].uR)
         f_right = dataclasses.replace(f_right, uR=target)
         fronts[-1] = tk.rm._nonphysical_front(model, phys[-1].uR, target)
         assert 0.0 < fronts[-1].size <= tk.STRENGTH_FLOOR
@@ -624,3 +624,69 @@ class TestSelectOutgoing:
         assert kept[-1].uR is target and kept[-1] is not phys[-1]
         assert_keeps_own_eigs(model, kept)
         assert kept[-1].speed != phys[-1].speed
+
+
+class TestOneStateRepresentation:
+    """A state is a tuple of Python floats from the initial data to every
+    record and slice, and an eigensystem holds tuples of them; public entry
+    points take any sequence and hand back tuples."""
+
+    @staticmethod
+    def assert_state(u, n):
+        assert type(u) is tuple and len(u) == n, u
+        assert all(type(x) is float for x in u), u
+
+    def assert_eigs(self, eigs, n):
+        self.assert_state(eigs.lambdas, n)
+        self.assert_state(eigs.gnl_rates, n)
+        for rows in (eigs.right, eigs.left):
+            assert type(rows) is tuple and len(rows) == n
+            for row in rows:
+                self.assert_state(row, n)
+
+    def assert_fronts(self, fronts, n):
+        for f in fronts:
+            self.assert_state(f.uL, n)
+            self.assert_state(f.uR, n)
+            if f.eigs is not None:
+                self.assert_eigs(f.eigs, n)
+
+    # p-system/8 reaches all three solvers, cubic/0 the envelope fans
+    @pytest.mark.parametrize("mid,s", [("p-system", 8), ("cubic", 0)])
+    def test_corpus_run(self, mid, s):
+        tl = corpus_run(mid, s)
+        n = tl.model.N
+        assert {e.solver for e in tl.events} >= (
+            {"accurate", "simplified", "crude"} if n > 1 else {"accurate"})
+        self.assert_state(tl.initial_field.left_state, n)
+        self.assert_fronts(tl.front_records.values(), n)
+        for t in [0.0, *tl.event_times(), tl.t_end]:
+            fld = tl.slice_at(t)
+            self.assert_state(fld.left_state, n)
+            self.assert_fronts(fld.fronts, n)
+            for x in fld.xs:
+                self.assert_state(fld.state_at(x), n)
+
+    @pytest.mark.parametrize("mid,params,uL,uR", [
+        ("p-system", {}, [1.0, 0.0], [1.1, -0.05]),
+        ("remark-2x2", {}, [0.0, 0.0], [0.05, 0.1]),
+        ("linear", {"matrix": [[0.0, 1.0], [1.0, 0.0]]},
+         [0.2, -0.1], [-0.4, 0.3]),
+        ("cubic", {}, [-1.0], [1.0]),
+        ("burgers", {}, [0.0], [1.0])])
+    def test_public_entry_points(self, mid, params, uL, uR):
+        model = fc.make_model(mid, params)
+        n = model.N
+        # numpy input, np.float64 components included, comes back as floats
+        a, b = np.array(uL), np.array(uR)
+        self.assert_eigs(fc.eig_decompose(model, a), n)
+        self.assert_eigs(fc.average_eigs(model, a, a), n)
+        self.assert_eigs(fc.average_eigs(model, a, b), n)
+        fronts = rm.solve_accurate(model, a, b, 0.05)
+        assert fronts
+        self.assert_fronts(fronts, n)
+        for k, kind in enumerate(model.field_kind, start=1):
+            if kind != fc.GENERAL:
+                cp = rm.elementary_curve(model, k, a, np.float64(0.01))
+                self.assert_state(cp.state, n)
+                assert type(cp.sigma) is float
