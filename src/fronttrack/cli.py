@@ -27,9 +27,6 @@ EXIT_AUDIT = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
-_KNOWN_CHECKS = ("monotonicity", "interaction_estimates", "conservation",
-                 "nonphysical_budget", "balance", "positive_decay", "decay",
-                 "tame_oscillation", "sbv_atoms", "convergence")
 DEFAULT_CHECKS = ("monotonicity", "interaction_estimates", "conservation")
 
 
@@ -132,7 +129,7 @@ def _check_plan(plan, n_families, t_end):
     _require(isinstance(checks, list),
              "diagnostics.checks", "must be a list of check names")
     for name in checks:
-        _require(name in _KNOWN_CHECKS,
+        _require(name in CHECKS,
                  "diagnostics.checks", f"unknown check {name!r}")
     fams = _default(plan, "families", list(range(1, n_families + 1)))
     _require(isinstance(fams, list)
@@ -214,179 +211,154 @@ def _member_dir(eps):
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks: each takes (timeline, plan, rng, window) and returns its report
+# entry, "pass" included
 # ---------------------------------------------------------------------------
 
 
 def _domain_window(timeline):
-    xs = timeline.initial_field.xs
-    if not xs:
-        xs = [0.0]
-    span = float(timeline.model.lambda_fences[-1] - timeline.model.lambda_fences[0])
-    pad = (span + 1.0) * timeline.t_end
+    xs = timeline.initial_field.xs or [0.0]
+    pad = (dg.default_eta_bar(timeline.model) + 1.0) * timeline.t_end
     return min(xs) - pad, max(xs) + pad
 
 
-def run_checks(timeline, plan):
-    """Execute the enabled checks; returns (report dict, audit_failed)."""
-    checks = plan["checks"]
-    families = plan["families"]
-    rng = np.random.default_rng(plan["seed"])
+def _by_family(plan, keys, check):
+    """{family: the keys of check(family)'s report} over the plan's families."""
+    reports = {i: check(i) for i in plan["families"]}
+    return {i: {k: rep[k] for k in keys} for i, rep in reports.items()}
+
+
+def _all_finite_C(families):
+    return all(math.isfinite(v["C_required"]) for v in families.values())
+
+
+def _monotonicity(timeline, plan, rng, window):
     led = timeline.ledger
-    report = {"C0": led.C0, "C0_calibrated": led.calibrated,
-              "events": len(timeline.events), "checks": {}}
-    failed = False
+    ups0 = led.upsilon0()
+    monotone, strict = led.verdicts([ev.amount_I for ev in timeline.events],
+                                    timeline.config.audit_rel_tol)
+    dups = led.dUps
+    bad = [{"t": float(led.ts[k + 1]), "dUpsilon": float(dups[k]),
+            "monotone": bool(monotone[k]), "strict": bool(strict[k]),
+            "ok": False}
+           for k in (~(monotone & strict)).nonzero()[0]]
+    return {"pass": not bad and led.calibrated, "violations": bad[:20],
+            "n_violations": len(bad), "Upsilon0": ups0}
 
-    if "monotonicity" in checks:
-        ups0 = led.upsilon0()
-        monotone, strict = led.verdicts([ev.amount_I for ev in timeline.events],
-                                        timeline.config.audit_rel_tol)
-        dups = led.dUps
-        bad = [{"t": float(led.ts[k + 1]), "dUpsilon": float(dups[k]),
-                "monotone": bool(monotone[k]), "strict": bool(strict[k]),
-                "ok": False}
-               for k in (~(monotone & strict)).nonzero()[0]]
-        ok = not bad and led.calibrated
-        report["checks"]["monotonicity"] = {
-            "pass": ok, "violations": bad[:20], "n_violations": len(bad),
-            "Upsilon0": ups0}
-        failed |= not ok
 
-    if "interaction_estimates" in checks:
-        cs, ks = [], []
-        for ev in timeline.events:
-            if ev.amount_I > 1e-14:
-                cs.append(-ev.dQ / ev.amount_I)
-                ks.append(abs(ev.dV) / ev.amount_I)
-        c_fit = min(cs) if cs else None
-        k_fit = max(ks) if ks else None
-        ok = (c_fit is None) or (c_fit > 0 and math.isfinite(k_fit))
-        report["checks"]["interaction_estimates"] = {
-            "pass": bool(ok), "c": c_fit, "K": k_fit, "n_events": len(cs)}
-        failed |= not ok
+def _interaction_estimates(timeline, plan, rng, window):
+    cs, ks = [], []
+    for ev in timeline.events:
+        if ev.amount_I > 1e-14:
+            cs.append(-ev.dQ / ev.amount_I)
+            ks.append(abs(ev.dV) / ev.amount_I)
+    c_fit = min(cs) if cs else None
+    k_fit = max(ks) if ks else None
+    ok = (c_fit is None) or (c_fit > 0 and math.isfinite(k_fit))
+    return {"pass": bool(ok), "c": c_fit, "K": k_fit, "n_events": len(cs)}
 
-    if "conservation" in checks:
-        lo, hi = _domain_window(timeline)
-        final = timeline.slice_at(timeline.t_end)
-        m0 = ms.mass_relative(timeline.initial_field, hi)
-        m1 = ms.mass_relative(final, hi)
-        u_left = timeline.initial_field.left_state
-        u_right = (timeline.initial_field.fronts[-1].uR
-                   if timeline.initial_field.fronts else u_left)
-        # over a fixed window the contents change at the boundary-flux rate
-        influx = timeline.t_end * (timeline.model.f(u_left)
-                                   - timeline.model.f(u_right))
-        drift = float(np.max(np.abs(m1 - m0 - influx)))
-        scalar = timeline.model.N == 1
-        ok = drift <= 1e-9 if scalar else True
-        report["checks"]["conservation"] = {
-            "pass": bool(ok), "mass_drift": drift, "audited": scalar}
-        failed |= not ok
 
-    if "nonphysical_budget" in checks:
-        fld = timeline.slice_at(timeline.t_end)
-        total = ms.nonphysical_total_strength(fld)
-        k_budget = plan["np_budget_K"]
-        ok = True if k_budget is None else total <= k_budget * timeline.config.epsilon
-        report["checks"]["nonphysical_budget"] = {
-            "pass": bool(ok), "total_strength": total,
+def _conservation(timeline, plan, rng, window):
+    final = timeline.slice_at(timeline.t_end)
+    m0 = ms.mass_relative(timeline.initial_field, window[1])
+    m1 = ms.mass_relative(final, window[1])
+    u_left = timeline.initial_field.left_state
+    u_right = (timeline.initial_field.fronts[-1].uR
+               if timeline.initial_field.fronts else u_left)
+    # over a fixed window the contents change at the boundary-flux rate
+    influx = timeline.t_end * (timeline.model.f(u_left)
+                               - timeline.model.f(u_right))
+    drift = float(np.max(np.abs(m1 - m0 - influx)))
+    scalar = timeline.model.N == 1
+    ok = drift <= 1e-9 if scalar else True
+    return {"pass": bool(ok), "mass_drift": drift, "audited": scalar}
+
+
+def _nonphysical_budget(timeline, plan, rng, window):
+    total = ms.nonphysical_total_strength(timeline.slice_at(timeline.t_end))
+    k_budget = plan["np_budget_K"]
+    ok = True if k_budget is None else total <= k_budget * timeline.config.epsilon
+    return {"pass": bool(ok), "total_strength": total,
             "strength_over_epsilon": total / timeline.config.epsilon}
-        failed |= not ok
-
-    if "balance" in checks:
-        out = {"regions": [], "C_required_signed": 0.0, "C_required_split": 0.0}
-        ok = True
-        lo, hi = _domain_window(timeline)
-        for i in families:
-            for _ in range(plan["balance_regions"]):
-                t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
-                tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
-                a = float(rng.uniform(lo, hi - 0.5))
-                w = float(rng.uniform(0.3, 0.6)) * (hi - a)
-                try:
-                    region = dg.make_region(timeline, i, t0, tau, [(a, a + w)])
-                    rep = dg.region_balance_check(timeline, region)
-                except SolverError:
-                    continue
-                out["regions"].append({"family": i, "t0": t0, "tau": tau,
-                                       "a": a, "b": a + w,
-                                       "ratio_signed": rep["ratio_signed"],
-                                       "ratio_split": rep["ratio_split"]})
-                if math.isinf(rep["ratio_signed"]) or math.isinf(rep["ratio_split"]):
-                    ok = False
-                out["C_required_signed"] = max(out["C_required_signed"],
-                                               min(rep["ratio_signed"], 1e18))
-                out["C_required_split"] = max(out["C_required_split"],
-                                              min(rep["ratio_split"], 1e18))
-        out["pass"] = ok
-        report["checks"]["balance"] = out
-        failed |= not ok
-
-    if "positive_decay" in checks:
-        sets = plan["positive_decay_sets"] or _default_sets(timeline, rng)
-        out = {"families": {}}
-        for i in families:
-            rep = dg.positive_decay_check(timeline, i, plan["positive_decay_s"],
-                                          plan["positive_decay_t"], sets)
-            out["families"][i] = {"C_required": rep["C_required"],
-                                  "q_drop": rep["q_drop"]}
-        out["pass"] = all(math.isfinite(v["C_required"])
-                          for v in out["families"].values())
-        report["checks"]["positive_decay"] = out
-        failed |= not out["pass"]
-
-    if "decay" in checks:
-        sets = plan["decay_sets"] or _default_sets(timeline, rng)
-        out = {"families": {}}
-        for i in families:
-            rep = dg.decay_estimate_check(timeline, i, plan["decay_t"],
-                                          plan["decay_tau"], sets)
-            out["families"][i] = {"C_required": rep["C_required"],
-                                  "icj_window_mass": rep["icj_window_mass"]}
-        out["pass"] = all(math.isfinite(v["C_required"])
-                          for v in out["families"].values())
-        report["checks"]["decay"] = out
-        failed |= not out["pass"]
-
-    if "tame_oscillation" in checks:
-        lo, hi = _domain_window(timeline)
-        tris = []
-        for _ in range(plan["tame_triangles"]):
-            a = float(rng.uniform(lo, hi - 0.1))
-            b = float(rng.uniform(a + 0.1, hi))
-            tau = float(rng.uniform(0.0, 0.8)) * timeline.t_end
-            tris.append({"a": a, "b": b, "tau": tau})
-        rep = dg.tame_oscillation_check(timeline, tris)
-        ok = math.isfinite(rep["C_prime"])
-        report["checks"]["tame_oscillation"] = {"pass": bool(ok),
-                                                "C_prime": rep["C_prime"],
-                                                "n_triangles": len(tris)}
-        failed |= not ok
-
-    if "sbv_atoms" in checks:
-        out = {"families": {}}
-        for i in families:
-            rep = dg.sbv_atom_report(timeline, i, plan["sbv_threshold"])
-            out["families"][i] = {
-                "exceptional_times": rep["exceptional_times"],
-                "icj_total_mass": rep["icj_total_mass"]}
-        out["pass"] = True
-        report["checks"]["sbv_atoms"] = out
-
-    if "convergence" in checks:
-        conv = plan["convergence"]
-        rep = dg.convergence_study(conv["scenario"], conv["ladder"],
-                                   t_eval=conv["t_eval"])
-        ok = all(math.isfinite(r["l1_error"]) for r in rep["rows"])
-        rep["pass"] = bool(ok)
-        report["checks"]["convergence"] = rep
-        failed |= not ok
-
-    return report, failed
 
 
-def _default_sets(timeline, rng):
-    lo, hi = _domain_window(timeline)
+def _balance(timeline, plan, rng, window):
+    out = {"regions": [], "C_required_signed": 0.0, "C_required_split": 0.0}
+    ok = True
+    lo, hi = window
+    for i in plan["families"]:
+        for _ in range(plan["balance_regions"]):
+            t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
+            tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
+            a = float(rng.uniform(lo, hi - 0.5))
+            w = float(rng.uniform(0.3, 0.6)) * (hi - a)
+            try:
+                region = dg.make_region(timeline, i, t0, tau, [(a, a + w)])
+                rep = dg.region_balance_check(timeline, region)
+            except SolverError:
+                continue
+            out["regions"].append({"family": i, "t0": t0, "tau": tau,
+                                   "a": a, "b": a + w,
+                                   "ratio_signed": rep["ratio_signed"],
+                                   "ratio_split": rep["ratio_split"]})
+            if math.isinf(rep["ratio_signed"]) or math.isinf(rep["ratio_split"]):
+                ok = False
+            out["C_required_signed"] = max(out["C_required_signed"],
+                                           min(rep["ratio_signed"], 1e18))
+            out["C_required_split"] = max(out["C_required_split"],
+                                          min(rep["ratio_split"], 1e18))
+    out["pass"] = ok
+    return out
+
+
+def _positive_decay(timeline, plan, rng, window):
+    sets = plan["positive_decay_sets"] or _default_sets(window, rng)
+    families = _by_family(plan, ("C_required", "q_drop"),
+                          lambda i: dg.positive_decay_check(
+                              timeline, i, plan["positive_decay_s"],
+                              plan["positive_decay_t"], sets))
+    return {"families": families, "pass": _all_finite_C(families)}
+
+
+def _decay(timeline, plan, rng, window):
+    sets = plan["decay_sets"] or _default_sets(window, rng)
+    families = _by_family(plan, ("C_required", "icj_window_mass"),
+                          lambda i: dg.decay_estimate_check(
+                              timeline, i, plan["decay_t"], plan["decay_tau"],
+                              sets))
+    return {"families": families, "pass": _all_finite_C(families)}
+
+
+def _tame_oscillation(timeline, plan, rng, window):
+    lo, hi = window
+    tris = []
+    for _ in range(plan["tame_triangles"]):
+        a = float(rng.uniform(lo, hi - 0.1))
+        b = float(rng.uniform(a + 0.1, hi))
+        tau = float(rng.uniform(0.0, 0.8)) * timeline.t_end
+        tris.append({"a": a, "b": b, "tau": tau})
+    rep = dg.tame_oscillation_check(timeline, tris)
+    return {"pass": bool(math.isfinite(rep["C_prime"])),
+            "C_prime": rep["C_prime"], "n_triangles": len(tris)}
+
+
+def _sbv_atoms(timeline, plan, rng, window):
+    families = _by_family(plan, ("exceptional_times", "icj_total_mass"),
+                          lambda i: dg.sbv_atom_report(timeline, i,
+                                                       plan["sbv_threshold"]))
+    return {"families": families, "pass": True}
+
+
+def _convergence(timeline, plan, rng, window):
+    conv = plan["convergence"]
+    rep = dg.convergence_study(conv["scenario"], conv["ladder"],
+                               t_eval=conv["t_eval"])
+    rep["pass"] = all(math.isfinite(r["l1_error"]) for r in rep["rows"])
+    return rep
+
+
+def _default_sets(window, rng):
+    lo, hi = window
     sets = []
     for _ in range(6):
         a = float(rng.uniform(lo, hi - 0.2))
@@ -397,9 +369,43 @@ def _default_sets(timeline, rng):
     return sets
 
 
+# The one list of checks. Its order is the order they run in, which fixes the
+# draws each gets from diagnostics.seed: balance regions, then the default
+# sets of positive_decay and decay, then tame triangles.
+CHECKS = {"monotonicity": _monotonicity,
+          "interaction_estimates": _interaction_estimates,
+          "conservation": _conservation,
+          "nonphysical_budget": _nonphysical_budget,
+          "balance": _balance,
+          "positive_decay": _positive_decay,
+          "decay": _decay,
+          "tame_oscillation": _tame_oscillation,
+          "sbv_atoms": _sbv_atoms,
+          "convergence": _convergence}
+
+
+def run_checks(timeline, plan):
+    """Execute the enabled checks in CHECKS order; returns (report dict,
+    audit_failed): some check's entry has "pass" false."""
+    rng = np.random.default_rng(plan["seed"])
+    window = _domain_window(timeline)
+    checks = {name: check(timeline, plan, rng, window)
+              for name, check in CHECKS.items() if name in plan["checks"]}
+    led = timeline.ledger
+    report = {"C0": led.C0, "C0_calibrated": led.calibrated,
+              "events": len(timeline.events), "checks": checks}
+    return report, not all(entry["pass"] for entry in checks.values())
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
+
+
+def _rows(kind, family, measure):
+    """measures.csv rows of the measure's atoms."""
+    return [(kind, family, t, x, w)
+            for t, x, w in zip(measure.ts, measure.xs, measure.ws)]
 
 
 def _emit_artifacts(outdir, timeline, plan, check_report):
@@ -408,25 +414,15 @@ def _emit_artifacts(outdir, timeline, plan, check_report):
     io.write_slices_csv(os.path.join(outdir, "slices.csv"), timeline,
                         plan["outputs"]["slice_times"])
     io.write_ledger_csv(os.path.join(outdir, "ledger.csv"), timeline)
-    entries = []
     mu_i_meas, mu_ic = ms.record_interaction_measures(timeline.events)
-    for t, x, w in zip(mu_i_meas.ts, mu_i_meas.xs, mu_i_meas.ws):
-        entries.append(("I", 0, t, x, w))
-    for t, x, w in zip(mu_ic.ts, mu_ic.xs, mu_ic.ws):
-        entries.append(("IC", 0, t, x, w))
+    entries = _rows("I", 0, mu_i_meas) + _rows("IC", 0, mu_ic)
     curves_by_family = {}
     for i in plan["families"]:
-        curves = timeline.curves(i)
-        curves_by_family[i] = curves
-        icj = ms.mu_ICJ(timeline, i, curves)
-        for t, x, w in zip(icj.ts, icj.xs, icj.ws):
-            entries.append(("ICJ", i, t, x, w))
-        mu_src = ms.source_measure_mu_i(timeline, i)
-        for t, x, w in zip(mu_src.ts, mu_src.xs, mu_src.ws):
-            entries.append(("mu_i", i, t, x, w))
+        curves = curves_by_family[i] = timeline.curves(i)
+        entries += _rows("ICJ", i, ms.mu_ICJ(timeline, i, curves))
+        entries += _rows("mu_i", i, ms.source_measure_mu_i(timeline, i))
         mu_jump, _ = ms.source_measure_mu_jump(timeline, i, curves)
-        for t, x, w in zip(mu_jump.ts, mu_jump.xs, mu_jump.ws):
-            entries.append(("mu_jump", i, t, x, w))
+        entries += _rows("mu_jump", i, mu_jump)
     io.write_measures_csv(os.path.join(outdir, "measures.csv"), entries)
     io.write_curves_csv(os.path.join(outdir, "curves.csv"), curves_by_family)
     io.write_diagnostics_json(os.path.join(outdir, "diagnostics.json"),

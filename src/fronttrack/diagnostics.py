@@ -477,20 +477,11 @@ def default_eta_bar(model):
     return float(model.lambda_fences[-1] - model.lambda_fences[0])
 
 
-def _positive_window(g_lo, g_hi, lo, hi):
-    """Subinterval of [lo, hi] where the affine function with endpoint values
-    g_lo, g_hi is positive; None when empty."""
-    if g_lo <= 0.0 and g_hi <= 0.0:
-        return None
-    if g_lo > 0.0 and g_hi > 0.0:
-        return lo, hi
-    root = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-    return (lo, root) if g_lo > 0.0 else (root, hi)
-
-
 def _positive_windows(g_lo, g_hi, lo, hi):
-    """_positive_window elementwise over arrays, with the same float
-    operations in the same order: returns (lo, hi, nonempty)."""
+    """Subintervals of [lo, hi] where the affine functions with endpoint
+    values g_lo, g_hi are positive, elementwise over arrays, with the float
+    operations of the scalar reference in tests/conftest.py in the same
+    order: returns (lo, hi, nonempty)."""
     with np.errstate(all="ignore"):
         root = lo + (hi - lo) * g_lo / (g_lo - g_hi)
     pos_lo = g_lo > 0.0
@@ -703,7 +694,7 @@ def convergence_study(scenario, eps_ladder, t_eval=1.0):
         fld = tl.slice_at(t_eval)
         model = tl.model
         xs = spec_entry["initial"]["xs"]
-        span = float(model.lambda_fences[-1] - model.lambda_fences[0] + 1.0)
+        span = default_eta_bar(model) + 1.0
         lo = min(xs) - span * t_eval - 1.0
         hi = max(xs) + span * t_eval + 1.0
         oracle = spec_entry["oracle"](model, spec_entry["initial"])

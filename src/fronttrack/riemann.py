@@ -486,8 +486,6 @@ def _secant(model, a, b):
 
 
 def _classify_scalar(model, a, b, sigma):
-    if model.field_kind[0] == LD:
-        return "contact"
     if (model.fprime(a) >= sigma - CLASSIFY_TOL
             and sigma >= model.fprime(b) - CLASSIFY_TOL):
         return "shock"
@@ -511,9 +509,7 @@ def _split_curved(model, u_from, u_to, eps, fronts, front_cap):
     lam_a, lam_b = model.fprime(u_from), model.fprime(u_to)
     dlam = lam_b - lam_a
     if dlam <= 1e-12:
-        sigma = _secant(model, u_from, u_to)
-        kind = "contact" if model.field_kind[0] == LD else "rarefaction"
-        fronts.append((u_from, u_to, sigma, kind))
+        fronts.append((u_from, u_to, _secant(model, u_from, u_to), "rarefaction"))
         return
     n = _fan_count(dlam, eps, front_cap)
     lo, hi = (u_from, u_to) if u_from < u_to else (u_to, u_from)
@@ -535,7 +531,7 @@ def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf):
     curved pieces become rarefaction fans with opening <= eps, each of at
     most front_cap fronts (CapExceededError otherwise).
     """
-    if model.N != 1:
+    if not isinstance(model, fc.ScalarModel):
         raise RiemannError("scalar_envelope_fan needs a scalar model")
     uL = fc.as_state(uL, 1)
     uR = fc.as_state(uR, 1)
@@ -629,10 +625,10 @@ def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
     A fan of more than front_cap fronts raises CapExceededError before it
     is built.
     """
-    uL = fc.as_state(uL, model.N)
-    uR = fc.as_state(uR, model.N)
     if isinstance(model, fc.ScalarModel):
         return scalar_envelope_fan(model, uL, uR, eps, front_cap)
+    uL = fc.as_state(uL, model.N)
+    uR = fc.as_state(uR, model.N)
     model.require_inside(uL, "left state")
     model.require_inside(uR, "right state")
     dvec = [y - x for x, y in zip(uL, uR)]

@@ -446,6 +446,18 @@ def reference_split_jump_cont(field, i, curves):
 # ---------------------------------------------------------------------------
 
 
+def reference_positive_window(g_lo, g_hi, lo, hi):
+    """Subinterval of [lo, hi] where the affine function with endpoint values
+    g_lo, g_hi is positive; None when empty. diagnostics._positive_windows is
+    this elementwise."""
+    if g_lo <= 0.0 and g_hi <= 0.0:
+        return None
+    if g_lo > 0.0 and g_hi > 0.0:
+        return lo, hi
+    root = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    return (lo, root) if g_lo > 0.0 else (root, hi)
+
+
 def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
     best = None
     for g in fronts:

@@ -11,8 +11,9 @@ from fronttrack import riemann as rm
 from fronttrack import tracker as tk
 
 from conftest import (corpus_run, quick_run, reference_min_characteristic,
-                      reference_next_crossing, reference_region_balance_check,
-                      replay_frames, replay_slice_at)
+                      reference_next_crossing, reference_positive_window,
+                      reference_region_balance_check, replay_frames,
+                      replay_slice_at)
 
 
 def scan_position(curve, t):
@@ -45,14 +46,14 @@ def reference_triangle_states(timeline, a, b, eta, t_lo, t_hi):
                     xj, sj = xs[j - 1], speeds[j - 1]
                     gl = (b - eta * win[0]) - (xj + sj * (win[0] - fld.time))
                     gh = (b - eta * win[1]) - (xj + sj * (win[1] - fld.time))
-                    win = dg._positive_window(gl, gh, *win)
+                    win = reference_positive_window(gl, gh, *win)
                     if win is None:
                         continue
                 if j < len(xs):
                     xj, sj = xs[j], speeds[j]
                     gl = (xj + sj * (win[0] - fld.time)) - (a + eta * win[0])
                     gh = (xj + sj * (win[1] - fld.time)) - (a + eta * win[1])
-                    win = dg._positive_window(gl, gh, *win)
+                    win = reference_positive_window(gl, gh, *win)
                     if win is None:
                         continue
                 if win[1] - win[0] <= 1e-15:
@@ -651,7 +652,7 @@ class TestPositiveWindows:
         g_lo, g_hi, lo, hi = (np.array(c) for c in zip(*self.CASES))
         w_lo, w_hi, nonempty = dg._positive_windows(g_lo, g_hi, lo, hi)
         for n, case in enumerate(self.CASES):
-            win = dg._positive_window(*case)
+            win = reference_positive_window(*case)
             assert bool(nonempty[n]) == (win is not None), case
             if win is None:
                 continue
@@ -666,7 +667,7 @@ class TestPositiveWindows:
             np.array([1.0]), np.array([1.0]), np.array([0.0]),
             np.array([1e-15]))
         assert nonempty[0] and w_hi[0] - w_lo[0] == 1e-15
-        assert dg._positive_window(1.0, 1.0, 0.0, 1e-15) == (0.0, 1e-15)
+        assert reference_positive_window(1.0, 1.0, 0.0, 1e-15) == (0.0, 1e-15)
 
     def test_sweep_drops_windows_of_width_threshold(self):
         # a single shock from x = 0: each side's window is the whole frame,

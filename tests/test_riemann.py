@@ -209,6 +209,13 @@ class TestScalarEnvelopeFan:
         for f in fan:
             assert rh_residual(m, f.uL, f.uR, f.speed) <= 1e-14
 
+    def test_refuses_a_model_that_is_not_scalar(self):
+        # a 1x1 linear model has N = 1 but no scalar flux
+        m = fc.make_model("linear")
+        assert m.N == 1
+        with pytest.raises(RiemannError):
+            rm.scalar_envelope_fan(m, [0.0], [0.5], 0.2)
+
     def test_fan_opening_bound(self):
         m = fc.make_model("burgers")
         eps = 0.07
@@ -261,6 +268,21 @@ class TestSolveAccurate:
         with pytest.raises(CapExceededError) as info:
             rm.solve_accurate(m, uL, uR, 0.05, front_cap=n - 1)
         assert str(info.value) == f"a fan of {n} fronts exceeds the front cap {n - 1}"
+
+    @pytest.mark.parametrize("mid, uL, uR", [("burgers", [0.0], [1.0]),
+                                              ("cubic", [-1.0], 1.0)])
+    def test_scalar_states_converted_once(self, mid, uL, uR, monkeypatch):
+        # the envelope fan converts and box-checks both states itself
+        calls = []
+        as_state = fc.as_state
+
+        def counting(u, n):
+            calls.append(u)
+            return as_state(u, n)
+
+        monkeypatch.setattr(fc, "as_state", counting)
+        rm.solve_accurate(fc.make_model(mid), uL, uR, 0.25)
+        assert calls == [uL, uR]
 
     def test_burgers_coincides_with_envelope(self):
         m = fc.make_model("burgers")

@@ -1,13 +1,16 @@
 """The benchmark's traced pass wraps fronttrack functions by their names in
 perfbench/tracing.py SPANS; each must stay a module-level callable. The
-shipped audit and p-system scenarios are benchmark inputs, and README's
-library example runs as written."""
+shipped audit and p-system scenarios are benchmark inputs, README's
+library example runs as written, and the benchmark and README name the
+checks of cli.CHECKS."""
 
 import importlib
 import importlib.util
 import json
 import re
 from pathlib import Path
+
+from fronttrack import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -75,3 +78,15 @@ def test_readme_library_example_runs():
     led = namespace["led"]
     assert namespace["timeline"].events and namespace["fronts"]
     assert (namespace["upsilon"] == led.Upsilons).all()
+
+
+def test_check_lists_are_the_cli_table():
+    # cli.CHECKS is the one list and order of checks; the benchmark's copy
+    # and README's diagnostics.checks row must name the same
+    root, workloads = load_workloads()
+    assert workloads.ALL_CHECKS == list(cli.CHECKS)
+    readme = (root / "README.md").read_text()
+    (row,) = [line for line in readme.splitlines()
+              if line.startswith("| `diagnostics.checks` |")]
+    accepted = row.split("|")[3]
+    assert re.findall(r"`(\w+)`", accepted) == list(cli.CHECKS)

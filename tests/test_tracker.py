@@ -438,14 +438,14 @@ class TestFrontRecords:
         from fronttrack import cli
         tl = request.getfixturevalue(fixture)
         before = self.snapshot(tl)
-        plan = {"checks": list(cli._KNOWN_CHECKS),
+        plan = {"checks": list(cli.CHECKS),
                 "families": list(range(1, tl.model.N + 1)),
                 "seed": 0, "balance_regions": 5, "tame_triangles": 10,
                 "convergence": {"scenario": "burgers_shock",
                                 "ladder": [0.1, 0.05]}}
         cli._check_plan(plan, tl.model.N, tl.t_end)
         report, _ = cli.run_checks(tl, plan)
-        assert set(report["checks"]) == set(cli._KNOWN_CHECKS)
+        assert set(report["checks"]) == set(cli.CHECKS)
         cli._emit_artifacts(str(tmp_path / "out"), tl, plan, report)
         assert self.snapshot(tl) == before
 
