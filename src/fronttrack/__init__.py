@@ -7,13 +7,10 @@ decompositions, and audits decay and tame-oscillation estimates.
 """
 
 from .errors import (CapExceededError, ConfigError, CurveError, DomainError,
-                     FrontTrackError, InitialDataError, ModelAuditError,
-                     NearDegeneracyError, RiemannError, SolverError,
-                     UnknownModelError)
-from .flux_core import (EigenSystem, average_eigs, catalog_ids, eig_decompose,
-                        gnl_audit, jacobian, make_model)
-from .riemann import (CurvePoint, Front, elementary_curve,
-                      scalar_envelope_fan, solve_accurate, solve_crude,
+                     FrontTrackError, InitialDataError, NearDegeneracyError,
+                     RiemannError, SolverError, UnknownModelError)
+from .flux_core import EigenSystem, average_eigs, catalog_ids, make_model
+from .riemann import (Front, scalar_envelope_fan, solve_accurate, solve_crude,
                       solve_simplified)
 from .tracker import (FrontField, InteractionEvent, RunConfig, Timeline,
                       init_sample, next_collision, run, slice_at, step)
@@ -22,12 +19,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError", "ConfigError", "CurveError", "DomainError",
-    "FrontTrackError", "InitialDataError", "ModelAuditError",
-    "NearDegeneracyError", "RiemannError", "SolverError", "UnknownModelError",
-    "EigenSystem", "average_eigs", "catalog_ids", "eig_decompose", "gnl_audit",
-    "jacobian", "make_model",
-    "CurvePoint", "Front", "elementary_curve",
-    "scalar_envelope_fan", "solve_accurate", "solve_crude", "solve_simplified",
+    "FrontTrackError", "InitialDataError", "NearDegeneracyError",
+    "RiemannError", "SolverError", "UnknownModelError",
+    "EigenSystem", "average_eigs", "catalog_ids", "make_model",
+    "Front", "scalar_envelope_fan", "solve_accurate", "solve_crude",
+    "solve_simplified",
     "FrontField", "InteractionEvent", "RunConfig", "Timeline", "init_sample",
     "next_collision", "run", "slice_at", "step",
     "__version__",

@@ -132,10 +132,12 @@ def _check_plan(plan, n_families, t_end):
         _require(name in CHECKS,
                  "diagnostics.checks", f"unknown check {name!r}")
     fams = _default(plan, "families", list(range(1, n_families + 1)))
-    _require(isinstance(fams, list)
+    _require(isinstance(fams, list) and fams
              and all(integer("diagnostics.families", i) <= n_families
-                     for i in fams),
-             "diagnostics.families", f"must be integers in 1..{n_families}")
+                     for i in fams)
+             and len(set(fams)) == len(fams),
+             "diagnostics.families",
+             f"must be distinct integers in 1..{n_families}, at least one")
     integer("diagnostics.seed", _default(plan, "seed", 0), 0)
     for key in ("balance_regions", "tame_triangles"):
         integer(f"diagnostics.{key}", _default(plan, key, 20))

@@ -52,10 +52,6 @@ class CharCurve:
         (t0, x0), (t1, x1) = nodes[k - 1], nodes[k]
         return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
 
-    def segments(self):
-        for j in range(len(self.nodes) - 1):
-            yield self.nodes[j], self.nodes[j + 1], self.slopes[j]
-
 
 def _lambda_i(model, i, u):
     return model.point_eig(u).lambdas[i - 1]

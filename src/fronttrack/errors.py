@@ -61,10 +61,6 @@ class NearDegeneracyError(SolverError):
     """Eigenvalue gap fell below gap_tol; strict hyperbolicity not certifiable."""
 
 
-class ModelAuditError(SolverError):
-    """Declared field kind contradicts the measured nonlinearity rates."""
-
-
 class UnknownModelError(ConfigError):
     """Catalog lookup failed."""
 
@@ -73,7 +69,7 @@ class UnknownModelError(ConfigError):
 
 
 class CurveError(SolverError):
-    """Elementary-curve evaluation failed (bad branch, no convergence, radius)."""
+    """Elementary-curve evaluation failed (bad branch, no convergence)."""
 
 
 class RiemannError(SolverError):

@@ -1,10 +1,10 @@
 """Flux-model catalog: analytic Jacobians, eigensystems and averaged matrices.
 
-Every catalog model carries exact formulas for f, Df, the eigenvalue
-gradients and the point eigensystem; the averaged matrix between two states
-is always formed by fixed-order Gauss-Legendre quadrature (order 8, exact
-for polynomial fluxes up to degree 15) and then eigen-decomposed with the
-same per-model closed forms.
+Every catalog model carries exact formulas for f, Df and the point
+eigensystem; the averaged matrix between two states is always formed by
+fixed-order Gauss-Legendre quadrature (order 8, exact for polynomial fluxes
+up to degree 15) and then eigen-decomposed with the same per-model closed
+forms.
 
 A state is a tuple of Python floats, and an EigenSystem holds tuples of
 them; as_state makes one from any sequence of numbers at the public entry
@@ -15,11 +15,9 @@ and may fuse or reorder the products, and Python's builtin sum of floats
 compensates its rounding from 3.12 on, so their last bits would depend on
 the machine or the Python version.
 
-Two eigenvector normalizations coexist. Stored systems always carry unit
-right eigenvectors with biorthogonal left covectors (l_j . r_i = delta_ij);
-genuinely nonlinear fields additionally record the nonlinearity rate
-grad_lambda_i . r_i, and the curve layer rescales by that rate where the
-speed-parametrized curve is wanted. Orientation: rate > 0 for genuinely
+Eigensystems carry unit right eigenvectors with biorthogonal left
+covectors (l_j . r_i = delta_ij) and the nonlinearity rate
+grad lambda_i . r_i of each family. Orientation: rate > 0 for genuinely
 nonlinear fields, first nonzero component positive for linearly degenerate
 ones, r = sign(f'') for scalar fields.
 """
@@ -32,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, ModelAuditError,
-                     NearDegeneracyError, UnknownModelError, finite,
-                     refuse_unknown_keys)
+from .errors import (ConfigError, DomainError, NearDegeneracyError,
+                     UnknownModelError, finite, refuse_unknown_keys)
 
 GNL = "genuinely-nonlinear"
 LD = "linearly-degenerate"
@@ -59,7 +56,7 @@ class EigenSystem:
     lambdas: tuple
     right: tuple  # right[i] = r_{i+1}
     left: tuple  # left[i] = l_{i+1}
-    gnl_rates: tuple  # grad_lambda_i . r_i under the unit normalization
+    gnl_rates: tuple  # grad lambda_i . r_i under the unit normalization
 
 
 class FluxModel:
@@ -79,7 +76,6 @@ class FluxModel:
         field_kind: per-family tag among GNL / LD / GENERAL.
         lambda_fences: N+1 ascending speed fences bracketing each family.
         gap: declared minimal eigenvalue gap on the domain.
-        curve_radius: largest |s| elementary curves are defined for.
         riemann_radius: largest |uR - uL| solve_accurate accepts.
         tv_budget: small-BV budget for initial data.
     """
@@ -126,14 +122,6 @@ class FluxModel:
 
     def jacobian_rows(self, u):
         """Df(u) as a tuple of rows of Python floats; u a state."""
-        raise NotImplementedError
-
-    def jacobian_matrix(self, u):
-        """Df(u) as a new (N, N) array."""
-        return np.array(self.jacobian_rows(as_state(u, self.N)))
-
-    def grad_lambda(self, u):
-        """Rows are the gradients of lambda_i at u."""
         raise NotImplementedError
 
     def point_eig(self, u):
@@ -205,9 +193,6 @@ class ScalarModel(FluxModel):
     def jacobian_rows(self, u):
         return ((self.fprime(u[0]),),)
 
-    def grad_lambda(self, u):
-        return np.array([[self.fsecond(float(u[0]))]])
-
     def _orientation(self, u):
         if self.field_kind[0] == GNL:
             return 1.0 if self.fsecond(u) > 0 else -1.0
@@ -234,7 +219,6 @@ class Burgers(ScalarModel):
         self.field_kind = (GNL,)
         self.lambda_fences = np.array([-1.1 * radius, 1.1 * radius])
         self.gap = math.inf
-        self.curve_radius = radius
         self.riemann_radius = 2.0 * radius
         self.tv_budget = 8.0
 
@@ -259,7 +243,6 @@ class Cubic(ScalarModel):
         self.field_kind = (GENERAL,)
         self.lambda_fences = np.array([-0.1, 1.1 * radius * radius])
         self.gap = math.inf
-        self.curve_radius = radius
         self.riemann_radius = 2.0 * radius
         self.tv_budget = 8.0
 
@@ -298,7 +281,6 @@ class Remark2x2(FluxModel):
         lam2_max = 1.0 + 3.0 * radius
         self.lambda_fences = np.array([-0.5 * lam2_min, 0.5 * lam2_min, lam2_max + 0.1])
         self.gap = lam2_min
-        self.curve_radius = 2.0 * radius
         self.riemann_radius = 2.0 * radius
         self.tv_budget = 1.0
 
@@ -307,9 +289,6 @@ class Remark2x2(FluxModel):
 
     def jacobian_rows(self, u):
         return (0.0, 0.0), (u[1], 1.0 + u[0] + 2.0 * u[1])
-
-    def grad_lambda(self, u):
-        return np.array([[0.0, 0.0], [1.0, 2.0]])
 
     def _eig_at(self, uu, vv):
         a = 1.0 + uu + 2.0 * vv  # lambda_2, positive on the domain
@@ -355,7 +334,6 @@ class PSystem(FluxModel):
         self.field_kind = (GNL, GNL)
         self.lambda_fences = np.array([-1.05 * c_max, 0.0, 1.05 * c_max])
         self.gap = 2.0 * c_min
-        self.curve_radius = 0.6 * (v_max - v_min)
         self.riemann_radius = 0.8 * (v_max - v_min)
         self.tv_budget = 1.2
 
@@ -393,10 +371,6 @@ class PSystem(FluxModel):
         # scalar pow: numpy's array power differs from it in the last bit
         # on some states
         return (0.0, -1.0), (-self.sound(u[0]) ** 2, 0.0)
-
-    def grad_lambda(self, u):
-        cp = self.dsound(u[0])
-        return np.array([[-cp, 0.0], [cp, 0.0]])
 
     def _eig_for_sound(self, c, v_for_rate):
         n = math.hypot(1.0, c)
@@ -447,7 +421,6 @@ class Linear(FluxModel):
         fences += [0.5 * (lam[i] + lam[i + 1]) for i in range(self.N - 1)]
         fences.append(lam[-1] + 1.0)
         self.lambda_fences = np.array(fences)
-        self.curve_radius = 2.0 * radius
         self.riemann_radius = 2.0 * radius * math.sqrt(self.N)
         self.tv_budget = 8.0
 
@@ -483,9 +456,6 @@ class Linear(FluxModel):
     def jacobian_rows(self, u):
         return self._rows
 
-    def grad_lambda(self, u):
-        return np.zeros((self.N, self.N))
-
     def point_eig(self, u):
         return self._system
 
@@ -511,21 +481,6 @@ def make_model(model_id, params=None):
 # ---------------------------------------------------------------------------
 # module operations
 # ---------------------------------------------------------------------------
-
-
-def jacobian(model, u):
-    """Df(u); analytic for every catalog model."""
-    u = as_state(u, model.N)
-    model.require_inside(u)
-    return model.jacobian_matrix(u)
-
-
-def eig_decompose(model, u):
-    u = as_state(u, model.N)
-    model.require_inside(u)
-    sys = model.point_eig(u)
-    _check_gap(model, sys.lambdas)
-    return sys
 
 
 def _average_rows(model, a, b):
@@ -604,39 +559,3 @@ def total(xs):
     for x in xs:
         acc += x
     return acc
-
-
-def gnl_audit(model, grid_resolution=20):
-    """Scan grad_lambda_i . r_i over a domain grid and check field_kind tags.
-
-    Returns a report dict with per-family min/max rates and verdicts; raises
-    ModelAuditError when a declared kind is refuted.
-    """
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be >= 2 per dimension")
-    axes = [np.linspace(lo, hi, grid_resolution) for lo, hi in model.domain]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    rates = np.empty((pts.shape[0], model.N))
-    for row, u in enumerate(pts):
-        sys = model.point_eig(u)
-        grads = model.grad_lambda(u)
-        rates[row] = np.einsum("ij,ij->i", grads, sys.right)
-    report = {"model": model.id, "families": []}
-    for i in range(model.N):
-        lo, hi = float(rates[:, i].min()), float(rates[:, i].max())
-        kind = model.field_kind[i]
-        if kind == GNL:
-            ok = lo > 0.0 or hi < 0.0
-        elif kind == LD:
-            ok = max(abs(lo), abs(hi)) <= 1e-10
-        else:
-            ok = True
-        report["families"].append(
-            {"family": i + 1, "declared": kind, "rate_min": lo, "rate_max": hi,
-             "verdict": "pass" if ok else "fail"})
-        if not ok:
-            raise ModelAuditError(
-                f"{model.id}: family {i + 1} declared {kind} but rates span "
-                f"[{lo:.3e}, {hi:.3e}]")
-    return report

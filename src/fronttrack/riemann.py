@@ -2,10 +2,9 @@
 accurate / simplified / crude approximate solvers.
 
 Size conventions (see flux_core): every Front.size is the unit-normalized
-curve parameter s = l_k(base) . (T_s - base).  elementary_curve additionally
-exposes the speed-rescaled parameter on genuinely nonlinear fields, where the
-characteristic speed along the rarefaction branch satisfies
-lambda_k(T_s) = lambda_k(u) + s.
+curve parameter s = l_k(base) . (T_s - base). A system rarefaction fan puts
+its fronts at points equally spaced in the characteristic speed, where
+lambda_k(T_s) = lambda_k(base) + s along the rarefaction branch.
 
 Every solver returns its outgoing fronts as a plain list, ordered by speed
 and chained left to right (each front's uL is its left neighbour's uR).
@@ -24,7 +23,7 @@ import numpy as np
 from . import flux_core as fc
 from .errors import (CapExceededError, CurveError, DomainError, RiemannError,
                      SolverError)
-from .flux_core import GENERAL, GNL, LD
+from .flux_core import GNL, LD
 
 SIZE_FLOOR = 1e-13  # below this, a wave size is treated as absent
 NEWTON_TOL = 1e-12
@@ -73,13 +72,6 @@ class Front:
     def strength(self):
         """Euclidean norm of the jump; the bookkeeping size of nonphysical fronts."""
         return fc.norm(self.jump())
-
-
-@dataclass
-class CurvePoint:
-    s: float
-    state: tuple
-    sigma: float
 
 
 # ---------------------------------------------------------------------------
@@ -146,33 +138,14 @@ def brentq(fn, a, b, fa=None, fb=None):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_curve(model, u0, s, parametrization):
-    eig = model.point_eig((u0,))
-    r = eig.right[0][0]
-    rate = eig.gnl_rates[0]
-    if parametrization == "lambda" and model.field_kind[0] == GNL:
-        if s >= 0:
-            # rarefaction branch parametrized by speed: f'(w) = f'(u0) + s
-            target = model.fprime(u0) + s
-            w = u0 + (s / rate) * r  # exact when f' is affine (Burgers)
-            if abs(model.fprime(w) - target) > 1e-13 * max(1.0, abs(target)):
-                lo, hi = map(float, model.domain[0])
-                w = brentq(lambda x: model.fprime(x) - target, lo, hi)
-        else:
-            w = u0 + (s / rate) * r  # Hugoniot side: s = rate * l.(T - u)
-    else:
-        w = u0 + s * r
-    if s >= 0:
-        sigma = model.fprime(w)
-    else:
-        sigma = (model.f_scalar(w) - model.f_scalar(u0)) / (w - u0)
-    return (w,), sigma, None, None
+def _scalar_curve(model, u0, s):
+    r = model.point_eig((u0,)).right[0][0]
+    return (u0 + s * r,), None, None
 
 
 def _remark_curve(model, k, u0, s, parametrization):
     uu, vv = u0
     a0 = 1.0 + uu + 2.0 * vv
-    unit = parametrization == "unit"
     if k == 1:  # contact: (1+u+v)v stays constant, lambda_1 = 0
         n0 = math.hypot(a0, vv)
         wu = uu + s * a0 / n0
@@ -182,26 +155,19 @@ def _remark_curve(model, k, u0, s, parametrization):
             raise CurveError("remark-2x2 family-1 curve left its branch")
         root = math.sqrt(disc)
         wv = 0.5 * (-(1.0 + wu) + root)
-        if not unit:
-            return (wu, wv), 0.0, None, None
         # wu = uu + s a0/n0 with d(a0/n0) = vv (vv da0 - a0 dvv) / n0^3 and
         # da0 = du + 2 dv; wv moves with wu and with inv through the root
         n3 = n0 * n0 * n0
         wu_s, wu_u, wu_v = a0 / n0, 1.0 + s * vv * vv / n3, s * vv * (2.0 * vv - a0) / n3
         half = 0.5 * ((1.0 + wu) / root - 1.0)
-        return ((wu, wv), 0.0, (wu_s, half * wu_s),
+        return ((wu, wv), (wu_s, half * wu_s),
                 ((wu_u, wu_v),
                  (half * wu_u + vv / root, half * wu_v + a0 / root)))
-    # family 2: the locus is the vertical line u = const for both branches
-    dv = s if unit else 0.5 * s
-    wv = vv + dv
-    if s >= 0:
-        sigma = 1.0 + uu + 2.0 * wv
-    else:
-        sigma = 1.0 + uu + vv + wv  # Rankine-Hugoniot speed, = mean of lambda_2
-    if not unit:
-        return (uu, wv), sigma, None, None
-    return (uu, wv), sigma, (0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))
+    # family 2: the locus is the vertical line u = const for both branches,
+    # along which lambda_2 = 1 + u + 2v moves twice as far as v
+    if s >= 0 and parametrization == "lambda":
+        return (uu, vv + 0.5 * s), None, None
+    return (uu, vv + s), (0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))
 
 
 def _psystem_curve(model, k, u0, s, parametrization):
@@ -218,11 +184,11 @@ def _psystem_curve(model, k, u0, s, parametrization):
     l1 = 0.5 * n0 / c0
     # the 2-rarefaction keeps w + F(v), the 1-rarefaction w - F(v)
     orient = -1.0 if k == 2 else 1.0
-    unit = parametrization == "unit"
 
     if s >= 0:  # rarefaction branch
         F0 = model.sound_antiderivative(v0)
-        if not unit:
+        speed_spaced = parametrization == "lambda"
+        if speed_spaced:
             c_target = c0 + s if k == 2 else c0 - s
             if c_target <= 0:
                 raise CurveError("p-system rarefaction parameter too large")
@@ -240,29 +206,25 @@ def _psystem_curve(model, k, u0, s, parametrization):
                 raise CurveError("p-system rarefaction curve exits the domain")
             v = brentq(g, a, b, ga, gb)
         dF = model.sound_antiderivative(v) - F0
-        c = model.sound(v)
         state = (v, w0 + orient * dF)
-        if not unit:
-            return state, -orient * c, None, None
+        if speed_spaced:
+            return state, None, None
+        c = model.sound(v)
         # g = l0 (v - v0) + l1 orient (F(v) - F(v0)) - s, with l0 and l1
         # functions of v0 through c0
         dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
         g_v = l0 + l1 * orient * c
         g_v0 = dl0 * (v - v0) - l0 + orient * (dl1 * dF - l1 * c0)
         v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
-        return (state, -orient * c, (v_s, orient * c * v_s),
+        return (state, (v_s, orient * c * v_s),
                 ((v_v0, 0.0), (orient * (c * v_v0 - c0), 1.0)))
 
-    # shock branch; the lambda-parametrized side uses s = rate * l . (T - u)
-    target = s if unit else s / (-model.dsound(v0) / n0)
-    if abs(target) < 8.0 * math.ulp(v0) * n0:
+    # shock branch
+    if abs(s) < 8.0 * math.ulp(v0) * n0:
         # the root lies within 8 ulp of v0, nearer than a bracket can start;
         # there the Hugoniot locus is its tangent r_k to the last bit
         r = (orient / n0, c0 / n0)
-        state = (v0 + target * r[0], w0 + target * r[1])
-        if not unit:
-            return state, -orient * c0, None, None
-        return state, -orient * c0, r, ((1.0, 0.0), (0.0, 1.0))
+        return (v0 + s * r[0], w0 + s * r[1]), r, ((1.0, 0.0), (0.0, 1.0))
 
     def shock(v):
         # the chord slope of -p, its root sigma (signed by the family),
@@ -274,12 +236,12 @@ def _psystem_curve(model, k, u0, s, parametrization):
         return w0 - sig * (v - v0), sig, q
 
     def gsh(v):
-        return (l0 * (v - v0) + l1 * (shock(v)[0] - w0)) - target
+        return (l0 * (v - v0) + l1 * (shock(v)[0] - w0)) - s
 
-    # the bracket starts at most 1e-3 |target| away from v0, so that the
-    # root of a weak shock lies inside it, and at least 4 ulp away, so that
-    # its end is not v0
-    h = min(max(1e-12, 1e-9 * v0), max(4.0 * math.ulp(v0), 1e-3 * abs(target)))
+    # the bracket starts at most 1e-3 |s| away from v0, so that the root of
+    # a weak shock lies inside it, and at least 4 ulp away, so that its end
+    # is not v0
+    h = min(max(1e-12, 1e-9 * v0), max(4.0 * math.ulp(v0), 1e-3 * abs(s)))
     lo, hi = (v0 + h, v_hi) if k == 2 else (v_lo, v0 - h)
     if v0 == (v_hi if k == 2 else v_lo):  # the bracket would be empty
         raise CurveError("p-system Hugoniot curve starts on the box edge "
@@ -289,8 +251,6 @@ def _psystem_curve(model, k, u0, s, parametrization):
         raise CurveError("p-system Hugoniot parameter outside reachable range")
     v = brentq(gsh, lo, hi, glo, ghi)
     w, sigma, q = shock(v)
-    if not unit:
-        return (v, w), sigma, None, None
     # w - w0 = phi = -sigma (v - v0) with sigma^2 = q; dq/dv = (c^2 - q)/(v - v0)
     # and dq/dv0 = (q - c0^2)/(v - v0), so the (v - v0) factors cancel
     dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
@@ -299,7 +259,7 @@ def _psystem_curve(model, k, u0, s, parametrization):
     g_v = l0 + l1 * phi_v
     g_v0 = dl0 * (v - v0) - l0 + dl1 * (-sigma * (v - v0)) + l1 * phi_v0
     v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
-    return ((v, w), sigma, (v_s, phi_v * v_s),
+    return ((v, w), (v_s, phi_v * v_s),
             ((v_v0, 0.0), (phi_v * v_v0 + phi_v0, 1.0)))
 
 
@@ -312,60 +272,39 @@ def _psystem_dl(model, k, v0, c0, n0):
     return dl0, -0.5 * dc0 / (n0 * c0 * c0)
 
 
-def _linear_curve(model, k, u0, s, parametrization):
-    sys = model.point_eig(u0)
-    r = sys.right[k - 1]
+def _linear_curve(model, k, u0, s):
+    r = model.point_eig(u0).right[k - 1]
     state = tuple(x + s * y for x, y in zip(u0, r))
     identity = tuple(tuple(float(i == j) for j in range(model.N))
                      for i in range(model.N))
-    return state, sys.lambdas[k - 1], r, identity
+    return state, r, identity
 
 
 def _curve_point(model, k, u0, s, parametrization):
-    """Point on the k-th curve through the state u0: (T, sigma, dT/ds,
-    dT/du0) with T and dT/ds tuples of floats and dT/du0 a tuple of rows.
-    The derivatives are those of a system family in the unit
-    parametrization, None otherwise. No field-kind gate (scalar 'general'
-    allowed); DomainError when T leaves the box."""
+    """Point on the k-th curve through the state u0: (T, dT/ds, dT/du0),
+    with T and dT/ds tuples of floats and dT/du0 a tuple of rows.
+
+    parametrization "unit" takes s = l_k(u0) . (T - u0). "lambda" takes
+    lambda_k(T) = lambda_k(u0) + s, on the rarefaction branch (s >= 0) of a
+    genuinely nonlinear system family, the one a fan splits; any other
+    branch is in the unit parametrization. The derivatives are those of a
+    system family in the unit parametrization, None otherwise. No
+    field-kind gate (scalar 'general' allowed); DomainError when T leaves
+    the box."""
     if isinstance(model, fc.ScalarModel):
-        out = _scalar_curve(model, u0[0], s, parametrization)
+        out = _scalar_curve(model, u0[0], s)
     elif isinstance(model, fc.Remark2x2):
         out = _remark_curve(model, k, u0, s, parametrization)
     elif isinstance(model, fc.PSystem):
         out = _psystem_curve(model, k, u0, s, parametrization)
     elif isinstance(model, fc.Linear):
-        out = _linear_curve(model, k, u0, s, parametrization)
+        out = _linear_curve(model, k, u0, s)
     else:
         raise CurveError(f"no curve implementation for model {model.id!r}")
     if not model.contains(out[0]):
         raise DomainError(f"{model.id}: curve point {np.array(out[0])} left "
                           "the domain")
     return out
-
-
-def elementary_curve(model, k, u, s, parametrization="auto"):
-    """Point T_s on the k-th elementary curve through u, with its speed.
-
-    parametrization: "auto" picks "lambda" on genuinely nonlinear fields
-    (rarefaction branch satisfies lambda_k(T_s) = lambda_k(u) + s) and
-    "unit" (s = l_k(u).(T_s - u)) on linearly degenerate ones.
-    """
-    u = fc.as_state(u, model.N)
-    s = float(s)
-    model.require_inside(u)
-    if not 1 <= k <= model.N:
-        raise CurveError(f"family {k} out of range for N={model.N}")
-    kind = model.field_kind[k - 1]
-    if kind == GENERAL:
-        raise CurveError(
-            f"{model.id}: family {k} is neither genuinely nonlinear nor "
-            "linearly degenerate; use the scalar envelope solver")
-    if abs(s) > model.curve_radius:
-        raise CurveError(f"|s|={abs(s)} exceeds curve radius {model.curve_radius}")
-    if parametrization == "auto":
-        parametrization = "lambda" if kind == GNL else "unit"
-    state, sigma, _, _ = _curve_point(model, k, u, s, parametrization)
-    return CurvePoint(s=s, state=state, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +533,7 @@ def _system_front(model, k, uL, s, state=None):
     """Single physical front of family k with unit size s starting at uL;
     state, when given, is its curve point already found by the caller."""
     if state is None:
-        state, _, _, _ = _curve_point(model, k, uL, s, "unit")
+        state = _curve_point(model, k, uL, s, "unit")[0]
     kind_tag = model.field_kind[k - 1]
     speed, eigs = front_speed(model, k, uL, state)
     if isinstance(model, fc.ScalarModel):
@@ -688,7 +627,7 @@ def _solve_sizes(model, uL, uR):
         # leg and takes the curve's derivatives at s = 0
         omega, legs, jets = uL, [], []
         for k in range(1, n + 1):
-            point, _, ts, tu = _curve_point(model, k, omega, svec[k - 1], "unit")
+            point, ts, tu = _curve_point(model, k, omega, svec[k - 1], "unit")
             if svec[k - 1] != 0.0:
                 omega = point
             legs.append(omega)
@@ -763,7 +702,7 @@ def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
     parameter, so consecutive openings are exactly dlam/n <= eps. end, when
     given, is the fan's far state, already found by the caller."""
     if end is None:
-        end, _, _, _ = _curve_point(model, k, omega0, sk, "unit")
+        end = _curve_point(model, k, omega0, sk, "unit")[0]
     lam0 = model.point_eig(omega0).lambdas[k - 1]
     lam1 = model.point_eig(end).lambdas[k - 1]
     dlam = lam1 - lam0
@@ -777,7 +716,7 @@ def _emit_fan(model, k, omega0, sk, eps, fronts, front_cap, end=None):
         if m == n:
             nxt = end
         else:
-            nxt, _, _, _ = _curve_point(model, k, omega0, dlam * m / n, "lambda")
+            nxt = _curve_point(model, k, omega0, dlam * m / n, "lambda")[0]
         piece_size = fc.dot(model.point_eig(prev).left[k - 1],
                             [y - x for x, y in zip(prev, nxt)])
         speed, eigs = front_speed(model, k, prev, nxt)

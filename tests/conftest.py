@@ -615,13 +615,13 @@ def reference_solve_sizes(model, uL, uR):
 
 
 def reference_curve_state(model, k, u0, s, parametrization):
-    """(T, sigma) of riemann._curve_point on the reference p-system curve,
-    T an array."""
-    state, sigma = reference_psystem_curve(model, k, np.asarray(u0, dtype=float),
-                                           s, parametrization)
+    """T of riemann._curve_point on the reference p-system curve, as an
+    array."""
+    state = reference_psystem_curve(model, k, np.asarray(u0, dtype=float), s,
+                                    parametrization)[0]
     if not model.contains(state):
         raise DomainError(f"{model.id}: curve point {state} left the domain")
-    return state, sigma
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,8 @@ def test_criterion_08_remark_conformance():
     grid = np.linspace(model.domain[0][0], model.domain[0][1], 50)
     for uu in grid:
         for vv in np.linspace(model.domain[1][0], model.domain[1][1], 50):
-            w = np.sort(np.linalg.eigvals(model.jacobian_matrix(
-                np.array([uu, vv]))).real)
+            w = np.sort(np.linalg.eigvals(np.array(model.jacobian_rows(
+                (float(uu), float(vv))))).real)
             worst_eig = max(worst_eig, abs(w[0] - 0.0),
                             abs(w[1] - (1.0 + uu + 2.0 * vv)))
     ok &= worst_eig <= 1e-10

@@ -165,7 +165,9 @@ class TestParseConfig:
         ("diagnostics.positive_decay_s", -0.1),
         ("diagnostics.decay_t", 5.5),
         ("diagnostics.decay_tau", 0.0),
-        ("diagnostics.decay_tau", 4.0)])
+        ("diagnostics.decay_tau", 4.0),
+        ("diagnostics.families", []),  # no family to audit
+        ("diagnostics.families", [1, 1])])  # a family audited twice
     def test_malformed_plan_value_names_key(self, tmp_path, key, value,
                                             capsys):
         # each would crash or be ignored mid-run; check and run refuse it

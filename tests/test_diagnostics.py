@@ -151,14 +151,14 @@ class TestMinCharacteristic:
 
     def test_remark_family1_zero_slope(self, remark_timeline):
         c = dg.min_characteristic(remark_timeline, 1, 0.0, 0.37, 1.5)
-        for (t0, x0), (t1, x1), slope in c.segments():
+        for slope in c.slopes:
             assert abs(slope) <= 1e-10 or slope == 0.0
         assert c.position(1.5) == pytest.approx(0.37, abs=1e-9)
 
     def test_slopes_admissible_on_every_segment(self, sawtooth_timeline):
         tl = sawtooth_timeline
         c = dg.min_characteristic(tl, 1, 0.0, -0.4, 2.0)
-        for (t0, x0), (t1, x1), slope in c.segments():
+        for (t0, x0), (t1, _), slope in zip(c.nodes, c.nodes[1:], c.slopes):
             if t1 <= t0:
                 continue
             tm = 0.5 * (t0 + t1)

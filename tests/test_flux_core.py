@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fronttrack import flux_core as fc
-from fronttrack.errors import (ConfigError, DomainError, ModelAuditError,
-                               UnknownModelError)
+from fronttrack.errors import ConfigError, DomainError, UnknownModelError
 
 from conftest import (MODEL_IDS, random_state, reference_average_matrix,
                       reference_jacobian_matrix, same_bits)
@@ -14,41 +15,49 @@ def average_matrix(model, uL, uR):
     return np.array(fc._average_rows(model, uL.tolist(), uR.tolist()))
 
 
+def jacobian(model, u):
+    """Df(u) as an array, from the model's rows; u any sequence."""
+    return np.array(model.jacobian_rows(fc.as_state(u, model.N)))
+
+
 def dense_average_matrix(model, uL, uR, n=20000):
     """Riemann-sum oracle for the averaged Jacobian."""
     thetas = (np.arange(n) + 0.5) / n
     acc = np.zeros((model.N, model.N))
     for th in thetas:
-        acc += model.jacobian_matrix(th * uL + (1 - th) * uR)
+        acc += jacobian(model, th * uL + (1 - th) * uR)
     return acc / n
 
 
 class TestJacobian:
     def test_burgers_point(self):
         m = fc.make_model("burgers")
-        assert np.allclose(fc.jacobian(m, [0.7]), [[0.7]])
+        assert np.allclose(jacobian(m, [0.7]), [[0.7]])
 
     def test_remark_origin_hand_derivative(self):
         # d/d(u,v) of (0, (1+u+v)v) at the origin
         m = fc.make_model("remark-2x2")
-        assert np.allclose(fc.jacobian(m, [0.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(jacobian(m, [0.0, 0.0]), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_linear_constant(self):
         mat = [[0.0, 2.0], [0.5, 0.0]]
         m = fc.make_model("linear", {"matrix": mat})
         for u in ([0.0, 0.0], [0.3, -0.1]):
-            assert np.allclose(fc.jacobian(m, u), mat)
+            assert np.allclose(jacobian(m, u), mat)
 
     def test_out_of_domain_rejected(self):
+        # the public entry point that evaluates Df refuses a state outside
+        # the box, on either side
         m = fc.make_model("burgers")
-        with pytest.raises(DomainError):
-            fc.jacobian(m, [5.0])
+        for uL, uR in (([5.0], [0.0]), ([0.0], [5.0])):
+            with pytest.raises(DomainError):
+                fc.average_eigs(m, uL, uR)
 
 
 class TestEigDecompose:
     def test_burgers_scalar(self):
         m = fc.make_model("burgers")
-        sys = fc.eig_decompose(m, [0.3])
+        sys = m.point_eig([0.3])
         assert sys.lambdas == pytest.approx([0.3])
         assert np.allclose(sys.right, [[1.0]])
         assert np.allclose(sys.left, [[1.0]])
@@ -56,7 +65,7 @@ class TestEigDecompose:
 
     def test_remark_lambda2_and_gradient(self):
         m = fc.make_model("remark-2x2")
-        sys = fc.eig_decompose(m, [0.1, 0.2])
+        sys = m.point_eig([0.1, 0.2])
         assert sys.lambdas == pytest.approx([0.0, 1.5], abs=1e-14)
         # finite-difference oracle for the lambda_2 gradient (1, 2)
         h = 1e-7
@@ -65,13 +74,13 @@ class TestEigDecompose:
             um = up.copy()
             up[k] += h
             um[k] -= h
-            fd = (fc.eig_decompose(m, up).lambdas[1]
-                  - fc.eig_decompose(m, um).lambdas[1]) / (2 * h)
+            fd = (m.point_eig(up).lambdas[1]
+                  - m.point_eig(um).lambdas[1]) / (2 * h)
             assert fd == pytest.approx(expect, rel=1e-6)
 
     def test_remark_origin_eigvectors(self):
         m = fc.make_model("remark-2x2")
-        sys = fc.eig_decompose(m, [0.0, 0.0])
+        sys = m.point_eig([0.0, 0.0])
         assert sys.right[1] == pytest.approx([0.0, 1.0])
         assert sys.left[1] == pytest.approx([0.0, 1.0])
         assert sys.gnl_rates[1] == pytest.approx(2.0)
@@ -112,7 +121,7 @@ class TestAverageEigs:
         for _ in range(20):
             u = random_state(model, rng)
             a = fc.average_eigs(model, u, u)
-            b = fc.eig_decompose(model, u)
+            b = model.point_eig(u)
             assert np.allclose(a.lambdas, b.lambdas, atol=1e-12)
             assert np.allclose(a.right, b.right, atol=1e-12)
 
@@ -172,7 +181,7 @@ class TestStackedQuadrature:
             uL, uR = random_state(model, rng, 0.0), random_state(model, rng, 0.0)
             assert same_bits(average_matrix(model, uL, uR),
                              reference_average_matrix(model, uL, uR))
-            assert same_bits(model.jacobian_matrix(uL),
+            assert same_bits(jacobian(model, uL),
                              reference_jacobian_matrix(model, uL))
 
     def test_psystem_pairs_that_defeat_array_power(self):
@@ -193,47 +202,80 @@ class TestStackedQuadrature:
 
     @pytest.mark.parametrize("mid,params", CATALOG)
     def test_jacobian_matrices_fresh_arrays(self, mid, params):
-        # each jacobian_matrix call returns a new array: writing to one
-        # changes neither the state, the model nor the next call's matrix
+        # jacobian_rows hands back rows of Python floats in tuples, which no
+        # caller can write to: the state, the model and the next call's
+        # rows stay as they were
         model = fc.make_model(mid, params)
-        u = random_state(model, np.random.default_rng(3))
-        before = u.copy()
-        jac = model.jacobian_matrix(u)
-        jac += 1.0
-        assert same_bits(u, before)
-        assert same_bits(model.jacobian_matrix(u),
-                         reference_jacobian_matrix(model, u))
+        u = fc.as_state(random_state(model, np.random.default_rng(3)), model.N)
+        rows = model.jacobian_rows(u)
+        assert type(rows) is tuple and len(rows) == model.N
+        for row in rows:
+            assert type(row) is tuple and len(row) == model.N
+            assert all(type(x) is float for x in row)
+        assert same_bits(model.jacobian_rows(u), rows)
+        assert same_bits(np.array(rows), reference_jacobian_matrix(model, u))
+
+
+def audit_field_kinds(model, n):
+    """The nonlinearity rates point_eig reports on an n-point grid per axis
+    of the model's box, as an array (point, family). Asserts that each
+    family's rates fit its declared field kind (GNL: one strict sign; LD:
+    |rate| <= 1e-10; GENERAL: both signs) and that every rate matches a
+    centred difference of lambda_i along r_i within 1e-6 relative."""
+    h = 1e-5
+    axes = [np.linspace(lo, hi, n) for lo, hi in model.domain]
+    rates = []
+    for u in itertools.product(*axes):
+        sys = model.point_eig(u)
+        for i, (rate, r) in enumerate(zip(sys.gnl_rates, sys.right)):
+            ahead = [x + h * y for x, y in zip(u, r)]
+            behind = [x - h * y for x, y in zip(u, r)]
+            diff = (model.point_eig(ahead).lambdas[i]
+                    - model.point_eig(behind).lambdas[i]) / (2.0 * h)
+            assert abs(rate - diff) <= 1e-6 * max(1.0, abs(rate)), (u, i)
+        rates.append(sys.gnl_rates)
+    rates = np.array(rates)
+    for i, kind in enumerate(model.field_kind):
+        lo, hi = rates[:, i].min(), rates[:, i].max()
+        fits = {fc.GNL: lo > 0.0 or hi < 0.0,
+                fc.LD: max(abs(lo), abs(hi)) <= 1e-10,
+                fc.GENERAL: lo < 0.0 < hi}[kind]
+        assert fits, f"{model.id}: family {i + 1} declared {kind} but " \
+            f"rates span [{lo:.3e}, {hi:.3e}]"
+    return rates
 
 
 class TestGnlAudit:
+    """Each catalog model's declared field kinds against the nonlinearity
+    rates its eigensystems carry."""
+
+    @pytest.mark.parametrize("mid,params", CATALOG)
+    def test_catalog_field_kinds(self, mid, params):
+        audit_field_kinds(fc.make_model(mid, params), 12)
+
     def test_burgers_rate_one(self):
-        rep = fc.gnl_audit(fc.make_model("burgers"), 16)
-        fam = rep["families"][0]
-        assert fam["declared"] == fc.GNL
-        assert fam["rate_min"] == pytest.approx(1.0)
-        assert fam["rate_max"] == pytest.approx(1.0)
+        rates = audit_field_kinds(fc.make_model("burgers"), 16)
+        assert rates.min() == pytest.approx(1.0)
+        assert rates.max() == pytest.approx(1.0)
 
     def test_remark_hand_rates(self):
         # family 1: r1 prop (1+u+2v, -v) with grad lambda_1 = 0; family 2 rate 2
-        rep = fc.gnl_audit(fc.make_model("remark-2x2"), 12)
-        assert rep["families"][0]["declared"] == fc.LD
-        assert abs(rep["families"][0]["rate_max"]) <= 1e-10
-        assert rep["families"][1]["rate_min"] == pytest.approx(2.0)
+        model = fc.make_model("remark-2x2")
+        assert model.field_kind == (fc.LD, fc.GNL)
+        rates = audit_field_kinds(model, 12)
+        assert np.abs(rates[:, 0]).max() <= 1e-10
+        assert rates[:, 1].min() == pytest.approx(2.0)
 
     def test_linear_all_degenerate(self):
-        rep = fc.gnl_audit(fc.make_model("linear", {"matrix": [[0.0, 1.0], [1.0, 0.0]]}), 6)
-        assert all(f["declared"] == fc.LD and f["verdict"] == "pass"
-                   for f in rep["families"])
+        model = fc.make_model("linear", {"matrix": [[0.0, 1.0], [1.0, 0.0]]})
+        assert model.field_kind == (fc.LD, fc.LD)
+        audit_field_kinds(model, 6)
 
     def test_mismatch_raises(self):
         model = fc.make_model("remark-2x2")
         model.field_kind = (fc.GNL, fc.GNL)  # family 1 is really degenerate
-        with pytest.raises(ModelAuditError):
-            fc.gnl_audit(model, 6)
-
-    def test_grid_resolution_validated(self):
-        with pytest.raises(ValueError):
-            fc.gnl_audit(fc.make_model("burgers"), 1)
+        with pytest.raises(AssertionError, match="family 1 declared"):
+            audit_field_kinds(model, 6)
 
 
 class TestCatalog:

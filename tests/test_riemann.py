@@ -56,42 +56,47 @@ def fan_closure_defect(fan, uL, uR):
 
 
 def curve_state(model, k, u0, s, parametrization="unit"):
-    """(T, sigma) of riemann._curve_point from any sequence u0."""
+    """T of riemann._curve_point from any sequence u0."""
     return rm._curve_point(model, k, fc.as_state(u0, model.N), s,
-                           parametrization)[:2]
+                           parametrization)[0]
 
 
 class TestElementaryCurve:
+    """riemann._curve_point: the unit parametrization s = l_k(u0) . (T - u0)
+    on every branch, and the lambda one on a genuinely nonlinear system
+    family's rarefaction branch."""
+
     def test_burgers_rarefaction_branch(self):
         m = fc.make_model("burgers")
-        cp = rm.elementary_curve(m, 1, [0.0], 0.4)
-        assert cp.state[0] == pytest.approx(0.4, abs=1e-12)
-        assert cp.sigma == pytest.approx(0.4, abs=1e-12)
+        (w,) = curve_state(m, 1, [0.0], 0.4)
+        assert w == pytest.approx(0.4, abs=1e-12)
+        assert m.point_eig((w,)).lambdas[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_burgers_shock_branch(self):
         m = fc.make_model("burgers")
-        cp = rm.elementary_curve(m, 1, [1.0], -1.0)
-        assert cp.state[0] == pytest.approx(0.0, abs=1e-12)
-        assert cp.sigma == pytest.approx(0.5, abs=1e-12)  # (f(1)-f(0))/1
+        (w,) = curve_state(m, 1, [1.0], -1.0)
+        assert w == pytest.approx(0.0, abs=1e-12)
+        # the front's speed is the secant (f(1) - f(0)) / 1
+        assert rm.front_speed(m, 1, (1.0,), (w,))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_remark_family1_contact_curve(self):
         m = fc.make_model("remark-2x2")
-        cp = rm.elementary_curve(m, 1, [0.0, 0.0], 0.3)
+        state = curve_state(m, 1, [0.0, 0.0], 0.3)
         # integral curve of r1 keeps v = 0 from v = 0 and lambda_1 = 0
-        assert cp.state == pytest.approx([0.3, 0.0], abs=1e-12)
-        assert cp.sigma == 0.0
-        assert fc.eig_decompose(m, cp.state).lambdas[0] == 0.0
+        assert state == pytest.approx([0.3, 0.0], abs=1e-12)
+        assert m.point_eig(state).lambdas[0] == 0.0
+        assert rm.front_speed(m, 1, (0.0, 0.0), state)[0] == 0.0
 
     def test_remark_family1_matches_rk4_oracle(self):
         m = fc.make_model("remark-2x2")
         u0 = np.array([0.05, 0.1])
-        target = rm.elementary_curve(m, 1, u0, 0.2, "unit").state
+        target = curve_state(m, 1, u0, 0.2)
         # the arclength RK4 curve traces the same locus; compare via the
         # contact invariants (1+u+v)v and lambda_1 rather than the parameter
         inv0 = (1 + u0[0] + u0[1]) * u0[1]
         inv1 = (1 + target[0] + target[1]) * target[1]
         assert inv1 == pytest.approx(inv0, abs=1e-12)
-        l1 = fc.eig_decompose(m, u0).left[0]
+        l1 = m.point_eig(u0).left[0]
         proj = float(l1 @ np.subtract(target, u0))
         assert proj == pytest.approx(0.2, abs=1e-12)
 
@@ -99,9 +104,9 @@ class TestElementaryCurve:
         m = fc.make_model("remark-2x2")
         u0 = np.array([0.1, -0.05])
         for s in (0.05, 0.21):
-            cp = rm.elementary_curve(m, 2, u0, s, "lambda")
-            lam0 = fc.eig_decompose(m, u0).lambdas[1]
-            lam1 = fc.eig_decompose(m, cp.state).lambdas[1]
+            state = curve_state(m, 2, u0, s, "lambda")
+            lam0 = m.point_eig(u0).lambdas[1]
+            lam1 = m.point_eig(state).lambdas[1]
             assert lam1 - lam0 == pytest.approx(s, abs=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -109,22 +114,42 @@ class TestElementaryCurve:
         m = fc.make_model("p-system")
         u0 = np.array([1.2, 0.1])
         s = 0.15
-        cp = rm.elementary_curve(m, k, u0, s, "lambda")
+        state = curve_state(m, k, u0, s, "lambda")
         oracle = rk4_integral_curve(m, k, u0, s, rescale=True)
-        assert np.max(np.abs(np.subtract(cp.state, oracle))) <= 1e-10
-        lam0 = fc.eig_decompose(m, u0).lambdas[k - 1]
-        lam1 = fc.eig_decompose(m, cp.state).lambdas[k - 1]
+        assert np.max(np.abs(np.subtract(state, oracle))) <= 1e-10
+        lam0 = m.point_eig(u0).lambdas[k - 1]
+        lam1 = m.point_eig(state).lambdas[k - 1]
         assert lam1 - lam0 == pytest.approx(s, abs=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_psystem_hugoniot_branch(self, k):
+        # sigma from the two states alone, sigma^2 = -[p]/[v], negative for
+        # family 1: Rankine-Hugoniot holds on both components, and Lax's
+        # inequalities against the point eigenvalues
         m = fc.make_model("p-system")
-        u0 = np.array([1.0, 0.0])
-        cp = rm.elementary_curve(m, k, u0, -0.25, "unit")
-        assert rh_residual(m, u0, cp.state, cp.sigma) <= 1e-10
-        lam_l = fc.eig_decompose(m, u0).lambdas[k - 1]
-        lam_r = fc.eig_decompose(m, cp.state).lambdas[k - 1]
-        assert lam_r < cp.sigma < lam_l  # Lax inequalities
+        rng = np.random.default_rng(8)
+        shocks = 0
+        for u0 in [np.array([1.0, 0.0])] + [random_state(m, rng, 0.25)
+                                            for _ in range(10)]:
+            for s in (-0.25, -0.05, -1e-4):
+                try:
+                    state = curve_state(m, k, u0, s)
+                except (CurveError, DomainError):
+                    continue
+                shocks += 1
+                dv = state[0] - u0[0]
+                sigma = math.sqrt(-(m.pressure(state[0]) - m.pressure(u0[0])) / dv)
+                if k == 1:
+                    sigma = -sigma
+                assert rh_residual(m, u0, state, sigma) <= 1e-10
+                lam_l = m.point_eig(u0).lambdas
+                lam_r = m.point_eig(state).lambdas
+                assert lam_r[k - 1] < sigma < lam_l[k - 1]
+                if k == 1:
+                    assert sigma < lam_r[1]
+                else:
+                    assert lam_l[0] < sigma
+        assert shocks >= 25
 
     def test_unit_parametrization_is_left_projection(self):
         rng = np.random.default_rng(4)
@@ -135,20 +160,12 @@ class TestElementaryCurve:
                 for k in range(1, 3):
                     for s in (-0.05, 0.07):
                         try:
-                            cp = rm.elementary_curve(m, k, u0, s, "unit")
+                            state = curve_state(m, k, u0, s)
                         except (CurveError, DomainError):
                             continue
-                        proj = float(fc.eig_decompose(m, u0).left[k - 1]
-                                     @ np.subtract(cp.state, u0))
+                        proj = float(m.point_eig(u0).left[k - 1]
+                                     @ np.subtract(state, u0))
                         assert proj == pytest.approx(s, abs=1e-12)
-
-    def test_general_scalar_field_refused(self):
-        with pytest.raises(CurveError):
-            rm.elementary_curve(fc.make_model("cubic"), 1, [0.5], 0.1)
-
-    def test_curve_radius_enforced(self):
-        with pytest.raises(CurveError):
-            rm.elementary_curve(fc.make_model("burgers"), 1, [0.0], 5.0)
 
 
 class TestScalarEnvelopeFan:
@@ -239,8 +256,8 @@ class TestSolveAccurate:
         assert sizes[1] == pytest.approx(0.2, abs=1e-12)
         assert all(f.family == 2 and f.kind == "rarefaction" for f in fan)
         # oracle: uR already lies on the family-2 curve through uL
-        cp = rm.elementary_curve(m, 2, [0.0, 0.0], 0.2, "unit")
-        assert np.allclose(cp.state, [0.0, 0.2], atol=1e-12)
+        assert np.allclose(curve_state(m, 2, [0.0, 0.0], 0.2), [0.0, 0.2],
+                           atol=1e-12)
 
     @pytest.mark.parametrize("mid, uL, uR", [
         ("burgers", [0.0], [1.0]),  # the envelope's curved piece
@@ -505,9 +522,10 @@ def curve_outcome(curve, k, u0, s, parametrization):
 
 class TestFloatPsystemCurve:
     """riemann._psystem_curve on Python floats against the numpy reference:
-    the same refusals, and otherwise state and sigma within 1e-13 (the
-    contraction rounds differently, and Brent may stop on another iterate
-    inside BRENT_XTOL)."""
+    the same refusals, and otherwise states within 1e-13 (the contraction
+    rounds differently, and Brent may stop on another iterate inside
+    BRENT_XTOL). The lambda parametrization holds on the rarefaction branch
+    only: a Hugoniot point is the unit one either way."""
 
     @pytest.mark.parametrize("parametrization", ["unit", "lambda"])
     @pytest.mark.parametrize("branch", [-1.0, 1.0])  # Hugoniot, rarefaction
@@ -521,7 +539,8 @@ class TestFloatPsystemCurve:
         s = 0.0 if magnitude == 0.0 else branch * 10.0 ** magnitude
         u0 = (v, w)
         got = curve_outcome(curve_state, k, u0, s, parametrization)
-        ref = curve_outcome(reference_curve_state, k, u0, s, parametrization)
+        ref = curve_outcome(reference_curve_state, k, u0, s,
+                            parametrization if s >= 0 else "unit")
         if ref is FloatingPointError:
             # a Hugoniot curve from the box edge it would leave by: the
             # reference divided 0 by 0 and returned a point off the curve
@@ -531,8 +550,7 @@ class TestFloatPsystemCurve:
         if isinstance(ref, type) or isinstance(got, type):
             assert got is ref
             return
-        assert np.max(np.abs(np.subtract(got[0], ref[0]))) <= 1e-13
-        assert abs(got[1] - ref[1]) <= 1e-13
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-13
 
     def test_brentq_takes_the_bracket_ends_once(self, monkeypatch):
         # the curve's sign test has fn at both ends; brentq does not call fn
@@ -614,7 +632,7 @@ class TestAccurateSolverProperties:
         omega = uL
         for k in range(1, model.N + 1):
             if sizes[k - 1] != 0.0:
-                omega, _ = curve_state(model, k, omega, sizes[k - 1])
+                omega = curve_state(model, k, omega, sizes[k - 1])
             assert same_bits(omega, legs[k - 1])
         fronts = rm.solve_accurate(model, uL, uR, self.EPS)
         if not fronts:
@@ -659,7 +677,7 @@ class TestAccurateSolverProperties:
         k = data.draw(st.sampled_from([1, 2]))
         s = data.draw(st.floats(-0.1, 0.1))
         try:
-            uR = curve_state(model, k, uL, s)[0]
+            uR = curve_state(model, k, uL, s)
         except (CurveError, DomainError):
             return
         self.check(model, uL, uR)
@@ -682,9 +700,9 @@ class TestAccurateSolverProperties:
             # a 1-wave under SIZE_FLOOR (a rarefaction: a p-system shock
             # this weak is refused, see test_weak_psystem_shock), then a 2-wave
             tiny = float(rng.uniform(2e-14, 9e-14))
-            mid_state = curve_state(model, 1, uL, tiny)[0]
+            mid_state = curve_state(model, 1, uL, tiny)
             pairs.append((fc.as_state(uL, 2), curve_state(
-                model, 2, mid_state, float(rng.uniform(-0.1, 0.1)))[0]))
+                model, 2, mid_state, float(rng.uniform(-0.1, 0.1)))))
 
         def outcome(uL, uR):
             try:
@@ -743,7 +761,7 @@ class TestExactNewtonJacobian:
         u0 = (lo + (hi - lo) * frac).tolist()
         s = 0.0 if magnitude is None else branch * 10.0 ** magnitude
         try:
-            _, _, ts, tu = rm._curve_point(model, k, u0, s, "unit")
+            _, ts, tu = rm._curve_point(model, k, u0, s, "unit")
         except (CurveError, DomainError):
             return
         h = self.STEP * max(1.0, abs(s))

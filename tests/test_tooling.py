@@ -1,15 +1,18 @@
 """The benchmark's traced pass wraps fronttrack functions by their names in
 perfbench/tracing.py SPANS; each must stay a module-level callable. The
 shipped audit and p-system scenarios are benchmark inputs, README's
-library example runs as written, and the benchmark and README name the
-checks of cli.CHECKS."""
+library example runs as written, the benchmark and README name the checks
+of cli.CHECKS, and the package exports only what the program itself
+uses."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import re
 from pathlib import Path
 
+import fronttrack
 from fronttrack import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -90,3 +93,21 @@ def test_check_lists_are_the_cli_table():
               if line.startswith("| `diagnostics.checks` |")]
     accepted = row.split("|")[3]
     assert re.findall(r"`(\w+)`", accepted) == list(cli.CHECKS)
+
+
+def test_every_export_is_used_by_the_program():
+    # a name in fronttrack.__all__ must appear as a Name or an Attribute in
+    # some module of the package other than __init__.py: an export that
+    # only tests call is public API nothing calls
+    src = Path(fronttrack.__file__).resolve().parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = set(fronttrack.__all__) - {"__version__"}
+    assert sorted(exported - used) == []

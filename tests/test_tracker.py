@@ -679,14 +679,9 @@ class TestOneStateRepresentation:
         n = model.N
         # numpy input, np.float64 components included, comes back as floats
         a, b = np.array(uL), np.array(uR)
-        self.assert_eigs(fc.eig_decompose(model, a), n)
+        self.assert_eigs(model.point_eig(a), n)
         self.assert_eigs(fc.average_eigs(model, a, a), n)
         self.assert_eigs(fc.average_eigs(model, a, b), n)
         fronts = rm.solve_accurate(model, a, b, 0.05)
         assert fronts
         self.assert_fronts(fronts, n)
-        for k, kind in enumerate(model.field_kind, start=1):
-            if kind != fc.GENERAL:
-                cp = rm.elementary_curve(model, k, a, np.float64(0.01))
-                self.assert_state(cp.state, n)
-                assert type(cp.sigma) is float
