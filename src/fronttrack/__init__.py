@@ -9,7 +9,7 @@ decompositions, and audits decay and tame-oscillation estimates.
 from .errors import (CapExceededError, ConfigError, CurveError, DomainError,
                      FrontTrackError, InitialDataError, NearDegeneracyError,
                      RiemannError, SolverError, UnknownModelError)
-from .flux_core import EigenSystem, average_eigs, catalog_ids, make_model
+from .flux_core import EigenSystem, catalog_ids, make_model
 from .riemann import (Front, scalar_envelope_fan, solve_accurate, solve_crude,
                       solve_simplified)
 from .tracker import (FrontField, InteractionEvent, RunConfig, Timeline,
@@ -21,7 +21,7 @@ __all__ = [
     "CapExceededError", "ConfigError", "CurveError", "DomainError",
     "FrontTrackError", "InitialDataError", "NearDegeneracyError",
     "RiemannError", "SolverError", "UnknownModelError",
-    "EigenSystem", "average_eigs", "catalog_ids", "make_model",
+    "EigenSystem", "catalog_ids", "make_model",
     "Front", "scalar_envelope_fan", "solve_accurate", "solve_crude",
     "solve_simplified",
     "FrontField", "InteractionEvent", "RunConfig", "Timeline", "init_sample",

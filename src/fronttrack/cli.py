@@ -64,16 +64,11 @@ def parse_config(path):
     if not isinstance(initial, dict):
         raise ConfigError("initial", "missing initial-data section")
 
-    # numerics reach RunConfig as given, by dotted key, and it checks each
-    num = _section(doc, "numerics")
-    given = {f"numerics.{k}": v for k, v in num.items() if k != "tolerances"}
-    given |= {f"numerics.tolerances.{k}": v for k, v in
-              _section(num, "tolerances", key="numerics.tolerances").items()}
-    refuse_unknown_keys("", given, tk.NUMERICS_KEYS.values())
+    # numerics reach RunConfig as given, by field name, and it checks each
+    num = _section(doc, "numerics", tk.NUMERICS)
     settings = {"model_id": model_id, "model_params": model_params,
                 "initial": initial}
-    settings |= {field: given[key] for field, key in tk.NUMERICS_KEYS.items()
-                 if given.get(key) is not None}
+    settings |= {name: v for name, v in num.items() if v is not None}
     if "epsilon" not in settings:
         raise ConfigError("numerics.epsilon", "missing accuracy parameter")
     cfg = tk.RunConfig(**settings)
@@ -237,8 +232,7 @@ def _all_finite_C(families):
 def _monotonicity(timeline, plan, rng, window):
     led = timeline.ledger
     ups0 = led.upsilon0()
-    monotone, strict = led.verdicts([ev.amount_I for ev in timeline.events],
-                                    timeline.config.audit_rel_tol)
+    monotone, strict = led.verdicts([ev.amount_I for ev in timeline.events])
     dups = led.dUps
     bad = [{"t": float(led.ts[k + 1]), "dUpsilon": float(dups[k]),
             "monotone": bool(monotone[k]), "strict": bool(strict[k]),

@@ -506,11 +506,8 @@ def _average_rows(model, a, b):
 
 def average_eigs(model, uL, uR):
     """EigenSystem of the averaged matrix A(uL, uR); gnl_rates use the
-    segment midpoint gradient, and uL == uR gives the point system."""
-    uL = as_state(uL, model.N)
-    uR = as_state(uR, model.N)
-    model.require_inside(uL, "left state")
-    model.require_inside(uR, "right state")
+    segment midpoint gradient, and uL == uR gives the point system. The
+    states are tuples of floats inside the box, as the solvers make them."""
     if uL == uR:
         return model.point_eig(uL)
     sys = model.eig_of_average(_average_rows(model, uL, uR),

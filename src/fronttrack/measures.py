@@ -269,17 +269,18 @@ def interaction_amount(f1, f2):
 
 
 C0_MAX_DOUBLINGS = 20  # calibrate_c0 gives up above 2**20
+AUDIT_REL_TOL = 1e-12  # largest rise of Upsilon, relative to Upsilon0
 
 
-def calibrate_c0(dVs, dQs, v0, q0, rel_tol=1e-12):
+def calibrate_c0(dVs, dQs, v0, q0):
     """Smallest power-of-two constant making V + C0*Q nonincreasing over the
     recorded events; returns (C0, calibrated_ok)."""
     dVs = np.asarray(dVs)
     dQs = np.asarray(dQs)
     c0 = 1.0
     for _ in range(C0_MAX_DOUBLINGS + 1):
-        ups0 = v0 + c0 * q0
-        if len(dVs) == 0 or float((dVs + c0 * dQs).max()) <= rel_tol * max(ups0, 1e-30):
+        slack = AUDIT_REL_TOL * max(v0 + c0 * q0, 1e-30)
+        if len(dVs) == 0 or float((dVs + c0 * dQs).max()) <= slack:
             return c0, True
         c0 *= 2.0
     return c0, False
@@ -310,14 +311,14 @@ class GlimmLedger:
     def upsilon0(self):
         return float(self.Upsilons[0])
 
-    def verdicts(self, amounts, rel_tol=1e-12):
+    def verdicts(self, amounts):
         """Per-event audit of Upsilon as two boolean arrays (monotone,
         strict), given each event's interaction amount I. monotone: dUpsilon
-        is at most rel_tol * Upsilon0. strict: where Q strictly decreases at
-        a genuine interaction, Upsilon strictly decreases too (fails when C0
-        is forced to 0)."""
+        is at most AUDIT_REL_TOL * Upsilon0. strict: where Q strictly
+        decreases at a genuine interaction, Upsilon strictly decreases too
+        (fails at C0 = 0)."""
         dups = self.dUps
-        monotone = dups <= rel_tol * max(self.upsilon0(), 1e-30)
+        monotone = dups <= AUDIT_REL_TOL * max(self.upsilon0(), 1e-30)
         strict = ~((np.asarray(amounts, dtype=float) > 1e-12)
                    & (self.dQs < -1e-12) & (dups >= 0.0))
         return monotone, strict

@@ -138,11 +138,6 @@ def brentq(fn, a, b, fa=None, fb=None):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_curve(model, u0, s):
-    r = model.point_eig((u0,)).right[0][0]
-    return (u0 + s * r,), None, None
-
-
 def _remark_curve(model, k, u0, s, parametrization):
     uu, vv = u0
     a0 = 1.0 + uu + 2.0 * vv
@@ -287,17 +282,16 @@ def _curve_point(model, k, u0, s, parametrization):
     parametrization "unit" takes s = l_k(u0) . (T - u0). "lambda" takes
     lambda_k(T) = lambda_k(u0) + s, on the rarefaction branch (s >= 0) of a
     genuinely nonlinear system family, the one a fan splits; any other
-    branch is in the unit parametrization. The derivatives are those of a
-    system family in the unit parametrization, None otherwise. No
-    field-kind gate (scalar 'general' allowed); DomainError when T leaves
-    the box."""
-    if isinstance(model, fc.ScalarModel):
-        out = _scalar_curve(model, u0[0], s)
-    elif isinstance(model, fc.Remark2x2):
+    branch is in the unit parametrization. The derivatives are those in the
+    unit parametrization, None on a "lambda" branch; a scalar model's
+    straight line u0 + s*r(u0) returns them too, though no caller reads
+    them. No field-kind gate (scalar 'general' allowed); DomainError when
+    T leaves the box."""
+    if isinstance(model, fc.Remark2x2):
         out = _remark_curve(model, k, u0, s, parametrization)
     elif isinstance(model, fc.PSystem):
         out = _psystem_curve(model, k, u0, s, parametrization)
-    elif isinstance(model, fc.Linear):
+    elif isinstance(model, (fc.ScalarModel, fc.Linear)):
         out = _linear_curve(model, k, u0, s)
     else:
         raise CurveError(f"no curve implementation for model {model.id!r}")

@@ -13,7 +13,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -94,20 +94,18 @@ class InteractionEvent:
     dQ: float  # are the ledger's
 
 
-# each RunConfig field a scenario sets, and its scenario key
-NUMERICS_KEYS = {name: f"numerics.{name}" for name in (
-    "epsilon", "t_end", "rho", "eps0", "eps1", "event_cap", "front_cap")}
-NUMERICS_KEYS |= {"c0": "numerics.C0",
-                  "tie_tol_factor": "numerics.tolerances.tie_tol_factor",
-                  "audit_rel_tol": "numerics.tolerances.audit_rel"}
+# each RunConfig field a scenario sets, as numerics.<field>
+NUMERICS = ("epsilon", "t_end", "rho", "eps0", "eps1", "event_cap", "front_cap")
+TIE_TOL_FACTOR = 1e-13  # collision times within this * max(1, t_end) tie
 
 
 @dataclass
 class RunConfig:
     """Run parameters with their one set of defaults and checks, which a
     scenario's numerics (cli.parse_config) and library callers share. Each
-    value is checked under its NUMERICS_KEYS key; all but the caps are
-    stored as floats."""
+    value is checked under its key numerics.<field>; all but the caps are
+    stored as floats. audit_rel_tol, the Glimm audit's slack, is a class
+    constant that no caller sets."""
 
     model_id: str
     initial: dict
@@ -117,24 +115,19 @@ class RunConfig:
     rho: float | None = None  # default epsilon**3
     eps0: float | None = None
     eps1: float | None = None
-    c0: object = "auto"
-    tie_tol_factor: float = 1e-13
     event_cap: int = 200000
     front_cap: int = 20000
-    audit_rel_tol: float = 1e-12
+    audit_rel_tol: ClassVar[float] = ms.AUDIT_REL_TOL
 
     def __post_init__(self):
-        for name, key in NUMERICS_KEYS.items():
-            value = getattr(self, name)
+        for name in NUMERICS:
+            key, value = f"numerics.{name}", getattr(self, name)
             if name in ("event_cap", "front_cap"):
                 integer(key, value)
-            elif not (value is None and name in ("rho", "eps0", "eps1")
-                      or name == "c0" and value == "auto"):
+            elif not (value is None and name in ("rho", "eps0", "eps1")):
                 value = finite(key, value)
                 if name in ("epsilon", "t_end") and value <= 0:
                     raise ConfigError(key, "must be positive")
-                if name in ("c0", "tie_tol_factor", "audit_rel_tol") and value < 0:
-                    raise ConfigError(key, "must be >= 0")
                 setattr(self, name, value)
         if self.rho is None:
             try:
@@ -538,7 +531,7 @@ def run(config):
     q0 = ms.glimm_Q(fld)
     events = []
     while True:
-        col = next_collision(fld, tie_tol=config.tie_tol_factor * max(1.0, config.t_end))
+        col = next_collision(fld, tie_tol=TIE_TOL_FACTOR * max(1.0, config.t_end))
         if col is None or col.t > config.t_end:
             break
         if len(events) >= config.event_cap:
@@ -559,11 +552,7 @@ def run(config):
 
     dVs = np.array([e.dV for e in events])
     dQs = np.array([e.dQ for e in events])
-    if config.c0 == "auto":
-        c0, calibrated = ms.calibrate_c0(dVs, dQs, v0, q0,
-                                         rel_tol=config.audit_rel_tol)
-    else:
-        c0, calibrated = float(config.c0), True
+    c0, calibrated = ms.calibrate_c0(dVs, dQs, v0, q0)
     # the running sums are sequential, V_k+1 = V_k + dV_k, to the last bit
     ledger = ms.GlimmLedger(
         ts=np.concatenate([[0.0], [e.t for e in events]]),

@@ -343,7 +343,7 @@ def reference_events(config):
     the run, from the reference loop on a field of lists."""
     model = fc.make_model(config.model_id, config.model_params)
     fld = tk.init_sample(model, config.initial, config.epsilon)
-    tie_tol = config.tie_tol_factor * max(1.0, config.t_end)
+    tie_tol = tk.TIE_TOL_FACTOR * max(1.0, config.t_end)
     next_id = max((f.id for f in fld.fronts), default=-1) + 1
     events = []
     while True:
@@ -503,7 +503,6 @@ def reference_psystem_curve(model, k, u0, s, parametrization):
         lvec = np.array([-0.5 * n0, 0.5 * n0 / c0])
     else:
         lvec = np.array([0.5 * n0, 0.5 * n0 / c0])
-    rate0 = -model.dsound(v0) / n0
     s_unit_target = s if parametrization == "unit" else None
 
     def rare_state(v):
@@ -538,8 +537,8 @@ def reference_psystem_curve(model, k, u0, s, parametrization):
         sigma = model.sound(v) * (1.0 if k == 2 else -1.0)
         return state, sigma
 
-    # shock branch; the lambda-parametrized side uses s = rate * l . (T - u)
-    target = s if parametrization == "unit" else s / rate0
+    # shock branch, always in the unit parametrization
+    target = s
 
     def gsh(v):
         st, _ = shock_state(v)

@@ -310,7 +310,7 @@ def test_criterion_08_remark_conformance():
     worst_l = 0.0
     for uu in np.linspace(-0.25, 0.25, 9):
         for vv in np.linspace(-0.25, 0.25, 9):
-            state = np.array([uu, vv])
+            state = (float(uu), float(vv))
             l2 = fc.average_eigs(model, state, state).left[1]
             hand = np.array([vv / (1.0 + uu + 2.0 * vv), 1.0])
             worst_l = max(worst_l, float(np.max(np.abs(np.subtract(l2, hand)))))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from fronttrack import cli
 from fronttrack import diagnostics as dg
 from fronttrack import fileio as io
 from fronttrack import flux_core as fc
+from fronttrack import measures as ms
 from fronttrack import tracker as tk
 from fronttrack.errors import ConfigError
 
@@ -42,7 +44,7 @@ class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         cfg, plan = cli.parse_config(write_scenario(tmp_path, MINIMAL))
         assert cfg.rho == pytest.approx(0.1 ** 3)  # rho = eps^3 default
-        assert cfg.c0 == "auto"
+        assert cfg.audit_rel_tol == 1e-12
         assert cfg.eps0 == 0.1 and cfg.eps1 == pytest.approx(0.4)
         assert "monotonicity" in plan["checks"]
 
@@ -117,10 +119,7 @@ class TestParseConfig:
         ("numerics.t_end", float("inf")),
         ("numerics.rho", float("inf")),
         ("numerics.eps0", float("nan")),
-        ("numerics.eps1", float("inf")),
-        ("numerics.C0", float("inf")),
-        ("numerics.tolerances.tie_tol_factor", float("inf")),
-        ("numerics.tolerances.audit_rel", float("nan"))])
+        ("numerics.eps1", float("inf"))])
     def test_non_finite_value_names_key(self, tmp_path, key, value, capsys):
         # json reads Infinity and NaN; each must be refused under its own key
         # before a run can pass or fail an audit on it
@@ -197,9 +196,7 @@ class TestParseConfig:
         ("numerics.rho", "small"),
         ("numerics.eps0", {}),
         ("numerics.event_cap", "x"),
-        ("numerics.front_cap", float("inf")),
-        ("numerics.tolerances.tie_tol_factor", "x"),
-        ("numerics.tolerances.audit_rel", [1e-12])])
+        ("numerics.front_cap", float("inf"))])
     def test_unconvertible_numerics_names_key(self, tmp_path, key, value,
                                               capsys):
         # float() or int() refuses each value; check and run name the key
@@ -268,7 +265,7 @@ class TestParseConfig:
 
     def test_well_formed_study_values_accepted(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
-        doc["numerics"].update({"event_cap": 500, "tolerances": {}})
+        doc["numerics"].update({"event_cap": 500})
         doc["diagnostics"] = {
             "checks": ["convergence"],
             "convergence": {"scenario": "burgers_shock", "ladder": [0.2],
@@ -284,9 +281,7 @@ class TestNullNumerics:
     @pytest.mark.parametrize("key, field", [
         ("numerics.t_end", "t_end"),
         ("numerics.event_cap", "event_cap"),
-        ("numerics.front_cap", "front_cap"),
-        ("numerics.tolerances.tie_tol_factor", "tie_tol_factor"),
-        ("numerics.tolerances.audit_rel", "audit_rel_tol")])
+        ("numerics.front_cap", "front_cap")])
     def test_null_means_absent(self, tmp_path, key, field):
         # a null value takes RunConfig's default; check and run both pass
         doc = json.loads(json.dumps(MINIMAL))
@@ -391,8 +386,10 @@ class TestCheckAgreesWithRun:
         ("numerics.epsilom", "numerics.epsilom", 0.05, False),
         # the deleted ladder knob, which would now quietly change meaning
         ("numerics.rho_rule", "numerics.rho_rule", "fixed", False),
-        ("numerics.tolerances.audit_relative",
-         "numerics.tolerances.audit_relative", 1e-9, False),
+        # the deleted audit settings: C0 is calibrated on every run, and the
+        # audit's slack and the tie tolerance are constants
+        ("numerics.tolerances", "numerics.tolerances", {"audit_rel": 1e-3},
+         False),
         ("diagnostics.chekcs", "diagnostics.chekcs", ["balance"], False),
         ("diagnostics.outputs", "diagnostics.outputs", {"dir": "x"}, False),
         ("outputs.slice_time", "outputs.slice_time", [1.0], False),
@@ -402,14 +399,10 @@ class TestCheckAgreesWithRun:
         ("numerics.epsilon", "numerics.epsilon", "0.05", False),
         ("numerics.epsilon", "numerics.epsilon", True, False),
         ("numerics.t_end", "numerics.t_end", True, False),
-        ("numerics.tolerances.audit_rel", "numerics.tolerances.audit_rel",
-         "1e-9", False),
-        # a negative tie tolerance empties the tie group; a negative audit
-        # tolerance fails a correct ledger
-        ("numerics.tolerances.tie_tol_factor",
-         "numerics.tolerances.tie_tol_factor", -1, False),
-        ("numerics.tolerances.audit_rel", "numerics.tolerances.audit_rel",
-         -1, False),
+        ("numerics.C0", "numerics.C0", "auto", False),
+        ("numerics.C0", "numerics.C0", 0, False),
+        ("numerics.tolerances", "numerics.tolerances",
+         {"tie_tol_factor": 0.0}, False),
         # model parameters: a malformed value names its parameter, a set
         # the model cannot use names model.params
         ("model.params.radius", "model",
@@ -494,10 +487,10 @@ class TestCheckAgreesWithRun:
 
 class TestMonotonicityCheck:
     def test_zero_c0_fails_strict_clause(self):
-        # dQ < 0 carries the merge's decrease; with C0 forced to 0 the
+        # dQ < 0 carries the merge's decrease; with C0 set to 0 the
         # functional stays flat, so the event is monotone but not strict
-        tl = quick_run("burgers", MINIMAL["initial"], epsilon=0.1, t_end=5.0,
-                       c0=0.0)
+        tl = quick_run("burgers", MINIMAL["initial"], epsilon=0.1, t_end=5.0)
+        tl.ledger = dataclasses.replace(tl.ledger, C0=0.0)
         plan = {"checks": ["monotonicity"]}
         cli._check_plan(plan, tl.model.N, tl.t_end)
         report, failed = cli.run_checks(tl, plan)
@@ -545,9 +538,12 @@ class TestOrchestrate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"]
 
-    def test_forced_zero_c0_fails_audit(self, tmp_path):
+    def test_forced_zero_c0_fails_audit(self, tmp_path, monkeypatch):
+        # no scenario sets C0; with the calibration forced to 0 the merge's
+        # strict decrease goes unmet, and orchestrate exits with the
+        # audit's code
+        monkeypatch.setattr(ms, "calibrate_c0", lambda *args: (0.0, True))
         doc = json.loads(json.dumps(MINIMAL))
-        doc["numerics"]["C0"] = 0
         doc["outputs"] = {"dir": str(tmp_path / "out_c0")}
         cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
         assert cli.orchestrate(cfg, plan) == cli.EXIT_AUDIT

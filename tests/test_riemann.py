@@ -473,7 +473,7 @@ class TestStoredEigensystem:
         assert len(fronts) == 2 and len(calls) == speeds
         last = fronts[-1]
         assert same_bits(last.uR, uR)
-        speed, eigs = front_speed(model, last.family, last.uL, uR)
+        speed, eigs = front_speed(model, last.family, last.uL, last.uR)
         assert last.speed == speed and same_eigs(last.eigs, eigs)
 
     @pytest.mark.parametrize("mid", ["remark-2x2", "p-system"])

@@ -1,9 +1,10 @@
 """The benchmark's traced pass wraps fronttrack functions by their names in
 perfbench/tracing.py SPANS; each must stay a module-level callable. The
 shipped audit and p-system scenarios are benchmark inputs, README's
-library example runs as written, the benchmark and README name the checks
-of cli.CHECKS, and the package exports only what the program itself
-uses."""
+library example runs as written and its example scenario passes check,
+the benchmark and README name the checks of cli.CHECKS, README's numerics
+rows are the settings of tracker.NUMERICS, and the package exports only
+what the program itself uses."""
 
 import ast
 import importlib
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import fronttrack
 from fronttrack import cli
+from fronttrack import tracker as tk
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_tracing():
@@ -93,6 +96,25 @@ def test_check_lists_are_the_cli_table():
               if line.startswith("| `diagnostics.checks` |")]
     accepted = row.split("|")[3]
     assert re.findall(r"`(\w+)`", accepted) == list(cli.CHECKS)
+
+
+def test_readme_example_scenario_passes_check(tmp_path):
+    # the JSON block under "Scenario files" is a scenario check accepts
+    section = README.read_text().split("### Scenario files", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(block)
+    assert cli.main(["check", str(path)]) == cli.EXIT_OK
+
+
+def test_readme_numerics_rows_are_the_run_settings():
+    # README's key table names numerics.<name> for each setting a scenario
+    # gives RunConfig, and no other numerics key
+    keys = set()
+    for line in README.read_text().splitlines():
+        if line.startswith("| `numerics."):
+            keys |= set(re.findall(r"`(numerics\.[\w.]+)`", line.split("|")[1]))
+    assert keys == {f"numerics.{name}" for name in tk.NUMERICS}
 
 
 def test_every_export_is_used_by_the_program():

@@ -667,6 +667,22 @@ class TestOneStateRepresentation:
             for x in fld.xs:
                 self.assert_state(fld.state_at(x), n)
 
+    def test_states_converted_where_they_enter(self, monkeypatch):
+        # p-system/8 reaches all three solvers; as_state runs on each
+        # initial value and on the two ends of each accurate solve, and
+        # never on the tuples the solvers hand on
+        calls = []
+        as_state, solve_accurate = fc.as_state, rm.solve_accurate
+        monkeypatch.setattr(fc, "as_state", lambda *args: calls.append(
+            "as_state") or as_state(*args))
+        monkeypatch.setattr(rm, "solve_accurate", lambda *args: calls.append(
+            "solve") or solve_accurate(*args))
+        tl = corpus_run("p-system", 8)
+        assert {e.solver for e in tl.events} == {"accurate", "simplified",
+                                                 "crude"}
+        assert calls.count("as_state") == (2 * calls.count("solve")
+                                           + len(tl.config.initial["values"]))
+
     @pytest.mark.parametrize("mid,params,uL,uR", [
         ("p-system", {}, [1.0, 0.0], [1.1, -0.05]),
         ("remark-2x2", {}, [0.0, 0.0], [0.05, 0.1]),
@@ -680,8 +696,6 @@ class TestOneStateRepresentation:
         # numpy input, np.float64 components included, comes back as floats
         a, b = np.array(uL), np.array(uR)
         self.assert_eigs(model.point_eig(a), n)
-        self.assert_eigs(fc.average_eigs(model, a, a), n)
-        self.assert_eigs(fc.average_eigs(model, a, b), n)
         fronts = rm.solve_accurate(model, a, b, 0.05)
         assert fronts
         self.assert_fronts(fronts, n)
