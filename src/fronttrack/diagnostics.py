@@ -486,79 +486,164 @@ def _positive_windows(g_lo, g_hi, lo, hi):
             ~((g_lo <= 0.0) & (g_hi <= 0.0)))
 
 
+# the tame sweep's cells, one (frame, triangle, region) each, per array
+# pass. A pass's front table holds the fronts of its frames: at most this
+# many, plus those of the two end frames it may share with other passes
+CHUNK = 2 ** 12
+
+
 def _triangle_states(timeline, tris):
     """Distinct states met by each triangle (a, b, tau, eta, t_hi) between
     tau and t_hi, in first-met order.
 
-    One sweep over the event times serves every triangle: between two event
-    times the front order is fixed (order_at the frame's start) and each
-    front moves on its closed form, so each frame is one array pass over
-    triangles x regions. States are keyed on themselves, so 0.0 and -0.0
+    One sweep serves every triangle. Between two event times the front
+    order is fixed and each front moves on its closed form, so each (frame,
+    triangle, region) is a cell, and _sweep takes the cells, by frame, then
+    triangle, then region, through the window formulas in array passes of
+    at most CHUNK cells. The first cell of each (triangle, region) pair
+    names the state met. States are keyed on themselves, so 0.0 and -0.0
     components are one state.
     """
     seen = [{} for _ in tris]
     live = [k for k, tri in enumerate(tris) if tri[4] > tri[2]]
     if not live:
         return [[] for _ in tris]
-    t_stop = max(tris[k][4] for k in live)
     left_state = timeline.initial_field.left_state
     records = timeline.front_records
-    cols = timeline.record_columns()
-    # met[k, 0]: triangle k met the region left of every front; met[k, id + 1]:
-    # it met the region right of front id (one byte per triangle and front
-    # record). A region's state is that of its left front (or left_state)
-    # for the front's whole life, so a pair met in an earlier frame adds no
-    # new state
-    met = np.zeros((len(tris), len(records) + 1), dtype=bool)
-
-    def visit(frame_lo, frame_hi):
-        rows = []
-        for k in live:
-            a, b, t_lo, eta, t_hi = tris[k]
-            lo = max(frame_lo, t_lo)
-            hi = min(frame_hi, t_hi)
-            if not hi <= lo:
-                rows.append((k, a, b, eta, lo, hi))
-        if not rows:
-            return
-        ks, a, b, eta, lo, hi = zip(*rows)
-        a, b, eta, lo, hi = (np.array(c)[:, None] for c in (a, b, eta, lo, hi))
-        idx = timeline.order_at(frame_lo)
-        m = len(idx)
-        # region j lives between front j-1 and front j (x_{-1} = -inf,
-        # x_m = +inf); it meets the shrinking triangle iff its left edge
-        # stays under b - eta t and its right edge above a + eta t on a
-        # subinterval of [lo, hi]
-        w_lo = np.repeat(lo, m + 1, axis=1)
-        w_hi = np.repeat(hi, m + 1, axis=1)
-        ok = np.ones(w_lo.shape, dtype=bool)
-        if m:
-            xj, sj, tj = cols.born_x[idx], cols.speed[idx], cols.born_t[idx]
-            # left edges: front j-1 under b - eta t, regions 1..m
-            gl = (b - eta * lo) - (xj + sj * (lo - tj))
-            gh = (b - eta * hi) - (xj + sj * (hi - tj))
-            w_lo[:, 1:], w_hi[:, 1:], ok[:, 1:] = _positive_windows(
-                gl, gh, lo, hi)
-            # right edges: front j above a + eta t, regions 0..m-1
-            wl, wh = w_lo[:, :-1], w_hi[:, :-1]
-            gl = (xj + sj * (wl - tj)) - (a + eta * wl)
-            gh = (xj + sj * (wh - tj)) - (a + eta * wh)
-            new_lo, new_hi, nonempty = _positive_windows(gl, gh, wl, wh)
-            w_lo[:, :-1], w_hi[:, :-1] = new_lo, new_hi
-            ok[:, :-1] &= nonempty
-        ok &= ~(w_hi - w_lo <= 1e-15)
-        region_ids = np.concatenate(([0], idx + 1))
-        cells = np.ix_(ks, region_ids)
-        new = ok & ~met[cells]
-        met[cells] |= ok
-        for r, j in zip(*new.nonzero()):  # by triangle, then region
-            u = left_state if j == 0 else records[int(idx[j - 1])].uR
-            seen[ks[r]].setdefault(u)
-
-    ts = sorted({t for t in timeline.event_times() if 0.0 < t <= t_stop})
-    for frame_lo, frame_hi in zip([0.0, *ts], [*ts, t_stop]):
-        visit(frame_lo, frame_hi)
+    n = len(records)
+    # met[k * (n + 1)]: live triangle k met the region left of every front;
+    # met[k * (n + 1) + id + 1]: it met the region right of front id. A
+    # region's state is that of its left front (or left_state) for the
+    # front's whole life, so a pair met in an earlier cell adds no new state
+    met = np.zeros(len(live) * (n + 1), dtype=bool)
+    for keys in _sweep(timeline, [tris[k] for k in live]):
+        keys = keys[~met[keys]]
+        if not len(keys):
+            continue
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        met[keys] = True
+        for key in keys.tolist():
+            k, region = divmod(key, n + 1)
+            seen[live[k]].setdefault(
+                left_state if region == 0 else records[region - 1].uR)
     return [list(states) for states in seen]
+
+
+def _sweep(timeline, tris):
+    """For each array pass, the keys k * (n + 1) + region of its cells where
+    triangle k meets the region, in cell order (region 0 lies left of every
+    front, region id + 1 right of front id).
+
+    Frame f runs from frame_lo[f] (0 or an event time) to the next event
+    time, and holds the fronts alive at its start by rank. Cell (f, k, j)
+    is region j of the frame, between its fronts j-1 and j (x_{-1} = -inf,
+    x_m = +inf): it meets triangle k iff the region's left edge stays under
+    b - eta t and its right edge above a + eta t on a subinterval of the
+    triangle's window in the frame, with the float operations of the
+    scalar reference in tests/test_diagnostics.py. No array is sized
+    frames x fronts: rows are built for blocks of frames, and each pass
+    builds the front table of its own frames.
+    """
+    t_stop = max(tri[4] for tri in tris)
+    ts = sorted({t for t in timeline.event_times() if 0.0 < t <= t_stop})
+    frame_lo, frame_hi = np.array([0.0, *ts]), np.array([*ts, t_stop])
+    a, b, t_lo, eta, t_hi = np.array(tris).T
+    cols = timeline.record_columns()
+    n = len(cols.rank)
+    # front c is alive in frames start[c] <= f < stop[c] (born_t <= frame_lo
+    # < died_t), so frame f holds n_alive[f] fronts
+    start = np.searchsorted(frame_lo, cols.born_t)
+    stop = np.searchsorted(frame_lo, cols.died_t)
+    n_alive = np.cumsum(np.bincount(start, minlength=len(frame_lo) + 1)
+                        - np.bincount(stop, minlength=len(frame_lo) + 1))
+    by_start = np.argsort(start, kind="stable")
+    starts = start[by_start]
+    alive, taken = by_start[:0], 0  # alive at the pass's first frame
+    block = max(1, CHUNK // len(tris))
+    for f0 in range(0, len(frame_lo), block):
+        # rows: the (frame, k) pairs of a block of frames whose window,
+        # lo = max(frame_lo, t_lo) to hi = min(frame_hi, t_hi), is not empty
+        flo = frame_lo[f0:f0 + block, None]
+        fhi = frame_hi[f0:f0 + block, None]
+        lo = np.where(t_lo > flo, t_lo, flo)
+        hi = np.where(t_hi < fhi, t_hi, fhi)
+        fr, kr = (~(hi <= lo)).nonzero()
+        if not len(fr):
+            continue
+        lo, hi = lo[fr, kr], hi[fr, kr]
+        b_lo, b_hi = b[kr] - eta[kr] * lo, b[kr] - eta[kr] * hi
+        fr += f0
+        # row r's cells are the regions of its frame, ends[r] - width[r] to
+        # ends[r] in cell order
+        width = n_alive[fr] + 1
+        ends = np.cumsum(width)
+        for c0 in range(0, int(ends[-1]), CHUNK):
+            c1 = min(c0 + CHUNK, int(ends[-1]))
+            r0 = int(np.searchsorted(ends, c0, side="right"))
+            r1 = int(np.searchsorted(ends, c1 - 1, side="right")) + 1
+            row = np.repeat(np.arange(r0, r1),
+                            np.minimum(ends[r0:r1], c1)
+                            - np.maximum(ends[r0:r1] - width[r0:r1], c0))
+            j = np.arange(c0, c1) - (ends - width)[row]
+            frames = fr[r0:r1]  # sorted
+            frames = frames[np.concatenate(([True], frames[1:] != frames[:-1]))]
+            upto = np.searchsorted(starts, frames[0], side="right")
+            alive = np.concatenate((alive, by_start[taken:upto]))
+            alive = alive[stop[alive] > frames[0]]
+            taken = upto
+            born = by_start[taken:np.searchsorted(starts, frames[-1],
+                                                  side="right")]
+            table = _front_table(frames, np.concatenate((alive, born)),
+                                 start, stop, cols.rank)
+            # cell c's region lies between table[pos[c] - 1] and table[pos[c]]
+            offset = np.cumsum(n_alive[frames]) - n_alive[frames]
+            pos = offset[np.searchsorted(frames, fr[r0:r1])][row - r0] + j
+            k, lo_c, hi_c = kr[row], lo[row], hi[row]
+            w_lo, w_hi = lo_c, hi_c
+            ok = np.ones(len(row), dtype=bool)
+            region = np.zeros(len(row), dtype=np.int64)
+            if len(table):
+                has_left, has_right = j > 0, j < width[row] - 1
+                left = table.take(pos - 1, mode="clip")
+                right = table.take(pos, mode="clip")
+                # left edges: front j-1 under b - eta t, regions 1..m;
+                # region 0 keeps the whole window
+                xj, sj, tj = (cols.born_x[left], cols.speed[left],
+                              cols.born_t[left])
+                gl = b_lo[row] - (xj + sj * (lo_c - tj))
+                gh = b_hi[row] - (xj + sj * (hi_c - tj))
+                new_lo, new_hi, nonempty = _positive_windows(gl, gh, lo_c,
+                                                             hi_c)
+                w_lo = np.where(has_left, new_lo, lo_c)
+                w_hi = np.where(has_left, new_hi, hi_c)
+                ok = nonempty | ~has_left
+                # right edges: front j above a + eta t, regions 0..m-1;
+                # region m has none, and its stand-in gets the whole window
+                wl = np.where(has_right, w_lo, lo_c)
+                wh = np.where(has_right, w_hi, hi_c)
+                xj, sj, tj = (cols.born_x[right], cols.speed[right],
+                              cols.born_t[right])
+                gl = (xj + sj * (wl - tj)) - (a[k] + eta[k] * wl)
+                gh = (xj + sj * (wh - tj)) - (a[k] + eta[k] * wh)
+                new_lo, new_hi, nonempty = _positive_windows(gl, gh, wl, wh)
+                w_lo = np.where(has_right, new_lo, w_lo)
+                w_hi = np.where(has_right, new_hi, w_hi)
+                ok &= nonempty | ~has_right
+                region = np.where(has_left, left + 1, 0)
+            ok &= ~(w_hi - w_lo <= 1e-15)
+            yield (k * (n + 1) + region)[ok]
+
+
+def _front_table(frames, fids, start, stop, rank):
+    """The fronts fids alive in each of the sorted frames, frame after frame
+    and by rank within a frame, which is order_at at the frame's start;
+    front c is alive in frames start[c] <= f < stop[c]."""
+    first = np.searchsorted(frames, start[fids])
+    count = np.searchsorted(frames, stop[fids]) - first
+    fids = np.repeat(fids, count)
+    slot = np.arange(len(fids)) + np.repeat(first - np.cumsum(count) + count,
+                                            count)
+    return fids[np.lexsort((rank[fids], slot))]
 
 
 def _diameter(states):

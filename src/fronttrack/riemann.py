@@ -457,19 +457,20 @@ def _split_curved(model, u_from, u_to, eps, fronts, front_cap):
         prev = nxt
 
 
-def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf):
+def scalar_envelope_fan(model, uL, uR, eps, front_cap=math.inf, *,
+                        checked=False):
     """Riemann fan for general scalar flux via the convex/concave envelope.
 
     Affine envelope pieces become single shocks at their secant speed;
     curved pieces become rarefaction fans with opening <= eps, each of at
-    most front_cap fronts (CapExceededError otherwise).
+    most front_cap fronts (CapExceededError otherwise). uL and uR are
+    converted and box-checked unless checked says they are states inside
+    the box already.
     """
     if not isinstance(model, fc.ScalarModel):
         raise RiemannError("scalar_envelope_fan needs a scalar model")
-    uL = fc.as_state(uL, 1)
-    uR = fc.as_state(uR, 1)
-    model.require_inside(uL, "left state")
-    model.require_inside(uR, "right state")
+    if not checked:
+        uL, uR = _checked_ends(model, uL, uR)
     (a,), (b,) = uL, uR
     if a == b:
         return []
@@ -549,21 +550,29 @@ def _nonphysical_front(model, uL, uR):
 # ---------------------------------------------------------------------------
 
 
-def solve_accurate(model, uL, uR, eps, front_cap=math.inf):
+def _checked_ends(model, uL, uR):
+    """uL and uR as states, each refused outside the model's box."""
+    uL = fc.as_state(uL, model.N)
+    uR = fc.as_state(uR, model.N)
+    model.require_inside(uL, "left state")
+    model.require_inside(uR, "right state")
+    return uL, uR
+
+
+def solve_accurate(model, uL, uR, eps, front_cap=math.inf, *, checked=False):
     """Full approximate Riemann solution between uL and uR.
 
     Scalar models go through the envelope construction; systems solve the
     composed curve map by damped Newton and emit one shock or a rarefaction
     fan per genuinely nonlinear family and one contact per degenerate family.
     A fan of more than front_cap fronts raises CapExceededError before it
-    is built.
+    is built. uL and uR are converted and box-checked unless checked says
+    they are states inside the box already, as the tracker's are.
     """
+    if not checked:
+        uL, uR = _checked_ends(model, uL, uR)
     if isinstance(model, fc.ScalarModel):
-        return scalar_envelope_fan(model, uL, uR, eps, front_cap)
-    uL = fc.as_state(uL, model.N)
-    uR = fc.as_state(uR, model.N)
-    model.require_inside(uL, "left state")
-    model.require_inside(uR, "right state")
+        return scalar_envelope_fan(model, uL, uR, eps, front_cap, checked=True)
     dvec = [y - x for x, y in zip(uL, uR)]
     dist = fc.norm(dvec)
     if dist < 1e-14:

@@ -382,7 +382,8 @@ def init_sample(model, data_spec, eps, front_cap=math.inf):
             continue
         # the accurate solver emits no nonphysical fronts and its chain is
         # exact, so every fan front is spliced as-is
-        for f in rm.solve_accurate(model, va, vb, eps, front_cap):
+        for f in rm.solve_accurate(model, va, vb, eps, front_cap,
+                                   checked=True):
             f.born_x = float(x)
             f.id = next_id
             next_id += 1
@@ -463,7 +464,7 @@ def step(fld, config, next_id, event_index, col):
         fronts = rm.solve_crude(model, f_left, f_right)
     elif solver == "accurate":
         fronts = rm.solve_accurate(model, f_left.uL, f_right.uR, config.epsilon,
-                                   config.front_cap)
+                                   config.front_cap, checked=True)
     else:
         fronts = rm.solve_simplified(model, f_left, f_right)
     kept = _select_outgoing(model, fronts, f_left, f_right)

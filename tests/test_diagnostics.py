@@ -385,6 +385,112 @@ class TestTameMatchesReference:
         assert all(u is v for u, v in zip(states, ref))
 
 
+def assert_states_match_reference(tl, tris):
+    got = dg._triangle_states(tl, tris)
+    assert len(got) == len(tris)
+    for (a, b, t_lo, eta, t_hi), states in zip(tris, got):
+        ref = reference_triangle_states(tl, a, b, eta, t_lo, t_hi)
+        assert len(states) == len(ref)
+        assert all(u is v for u, v in zip(states, ref))
+    return got
+
+
+def random_triangles(tl, seed, count):
+    eta = dg.default_eta_bar(tl.model)
+    rng = np.random.default_rng(seed)
+    tris = []
+    for _ in range(count):
+        a = float(rng.uniform(-2.0, 1.0))
+        b = a + float(rng.uniform(0.2, 3.0))
+        t_hi = min((b - a) / (2.0 * eta), tl.t_end)
+        tris.append((a, b, float(rng.uniform(0.0, 0.6)) * t_hi, eta, t_hi))
+    return tris
+
+
+class TestBatchedSweep:
+    """The sweep's array passes of at most CHUNK cells list each
+    triangle's states in the replay's order, object for object, however
+    the cells fall into passes."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "tie_timeline"])
+    def test_frames_split_across_passes(self, fixture, chunk, request,
+                                        monkeypatch):
+        tl = request.getfixturevalue(fixture)
+        # some frame's rows are longer than a pass: more than chunk regions
+        assert max(len(tl.order_at(t))
+                   for t in [0.0, *tl.event_times()]) + 1 > chunk
+        monkeypatch.setattr(dg, "CHUNK", chunk)
+        got = assert_states_match_reference(tl, random_triangles(tl, 41, 8))
+        assert sum(len(states) > 1 for states in got) >= 4
+
+    def test_apex_below_tau(self, remark_timeline):
+        tl = remark_timeline
+        eta = dg.default_eta_bar(tl.model)
+        tris = random_triangles(tl, 43, 4)
+        # apex (b - a) / (2 eta) below tau, between triangles that meet
+        # states, and one whose apex is tau exactly
+        tris.insert(1, (0.0, 0.05, 0.5, eta, min(0.05 / (2.0 * eta), tl.t_end)))
+        tris.append((-1.0, 1.0, 1.0 / eta, eta, 1.0 / eta))
+        got = assert_states_match_reference(tl, tris)
+        assert got[1] == [] and got[-1] == []
+        assert all(got[k] for k in (0, 2, 3, 4))
+
+    def test_no_fronts(self):
+        tl = quick_run("burgers", {"kind": "breakpoints", "xs": [0.0],
+                                   "values": [[0.4], [0.4]]}, 0.1, 2.0)
+        assert tl.front_records == {} and tl.events == []
+        eta = dg.default_eta_bar(tl.model)
+        tris = [(-1.0, 1.0, 0.0, eta, min(1.0 / eta, 2.0)),
+                (0.0, 0.05, 0.5, eta, 0.05 / (2.0 * eta))]
+        got = assert_states_match_reference(tl, tris)
+        assert got == [[tl.initial_field.left_state], []]
+        assert got[0][0] is tl.initial_field.left_state
+
+    def test_three_shock_tie(self, tie_timeline):
+        # the tied events share one time, so one frame ends at both
+        tl = tie_timeline
+        assert len({ev.t for ev in tl.events}) < len(tl.events)
+        eta = dg.default_eta_bar(tl.model)
+        tris = [(-2.0, 2.0, 0.0, eta, min(2.0 / eta, tl.t_end)),
+                (0.5, 2.5, 0.3, eta, min(1.0 / eta, tl.t_end)),
+                (1.0, 2.0, 0.375, eta, min(0.5 / eta, tl.t_end))]
+        tris += random_triangles(tl, 47, 6)
+        got = assert_states_match_reference(tl, tris)
+        assert len(got[0]) >= 3
+
+    def test_memory_bounded_on_640_samples(self, monkeypatch):
+        # a 640-sample sawtooth: 640 fronts at t = 0 and 539 frames; the
+        # sweep holds the arrays of one pass, not of all its cells
+        import tracemalloc
+
+        tl = quick_run("burgers", {"kind": "profile", "name": "sawtooth",
+                                   "samples": 640,
+                                   "params": {"teeth": 6, "amplitude": 0.3}},
+                       epsilon=0.02, t_end=2.0)
+        tris = random_triangles(tl, 53, 20)
+        tris.append((-1.5, 1.5, 0.0, tris[0][3], tl.t_end))
+        tl.record_columns()
+        tl.event_times()
+        passes = []
+        sweep = dg._sweep
+
+        def counted(*args):
+            for keys in sweep(*args):
+                passes.append(len(keys))
+                yield keys
+
+        monkeypatch.setattr(dg, "_sweep", counted)
+        tracemalloc.start()
+        try:
+            dg._triangle_states(tl, tris)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(passes) >= 10
+        assert peak < 2 * 2 ** 20, f"sweep peak {peak / 2 ** 20:.2f} MiB"
+
+
 @pytest.fixture(scope="module")
 def psystem_corpus_timeline():
     return corpus_run("p-system", 0)

@@ -263,8 +263,8 @@ class TestFrontCap:
         # expansion at the jump that passes it, not after 10,000 fronts
         solved, solve = [], rm.solve_accurate
 
-        def counted(*args):
-            solved.append(solve(*args))
+        def counted(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
             return solved[-1]
 
         monkeypatch.setattr(rm, "solve_accurate", counted)
@@ -668,20 +668,26 @@ class TestOneStateRepresentation:
                 self.assert_state(fld.state_at(x), n)
 
     def test_states_converted_where_they_enter(self, monkeypatch):
-        # p-system/8 reaches all three solvers; as_state runs on each
-        # initial value and on the two ends of each accurate solve, and
-        # never on the tuples the solvers hand on
+        # p-system/8 reaches all three solvers; as_state runs once on each
+        # initial value, and neither it nor the box check runs again on the
+        # checked tuples the tracker hands the accurate solver
         calls = []
         as_state, solve_accurate = fc.as_state, rm.solve_accurate
+        require_inside = fc.FluxModel.require_inside
         monkeypatch.setattr(fc, "as_state", lambda *args: calls.append(
             "as_state") or as_state(*args))
-        monkeypatch.setattr(rm, "solve_accurate", lambda *args: calls.append(
-            "solve") or solve_accurate(*args))
+        monkeypatch.setattr(fc.FluxModel, "require_inside",
+                            lambda *args: calls.append("inside")
+                            or require_inside(*args))
+        monkeypatch.setattr(rm, "solve_accurate",
+                            lambda *args, **kwargs: calls.append("solve")
+                            or solve_accurate(*args, **kwargs))
         tl = corpus_run("p-system", 8)
         assert {e.solver for e in tl.events} == {"accurate", "simplified",
                                                  "crude"}
-        assert calls.count("as_state") == (2 * calls.count("solve")
-                                           + len(tl.config.initial["values"]))
+        assert calls.count("solve") > len(tl.config.initial["values"])
+        assert calls.count("as_state") == len(tl.config.initial["values"])
+        assert calls.count("inside") == 0
 
     @pytest.mark.parametrize("mid,params,uL,uR", [
         ("p-system", {}, [1.0, 0.0], [1.1, -0.05]),
