@@ -710,26 +710,16 @@ def tame_oscillation_check(timeline, triangles):
 # ---------------------------------------------------------------------------
 
 
-def sbv_atom_report(timeline, i, threshold, times=()):
-    """Exceptional times: where mu_ICJ's time-slice mass exceeds threshold.
-    For scalar runs also returns the atom spectrum of D(f'(u(t)))."""
+def sbv_atom_report(timeline, i, threshold):
+    """Exceptional times: where mu_ICJ's time-slice mass exceeds threshold."""
     curves = timeline.curves(i)
     icj = ms.mu_ICJ(timeline, i, curves)
     # t = 0 carries the initial datum's initiation atoms, not interaction
     # products; candidate times live strictly after it
     exceptional = [t for t in icj.times_with_mass_above(threshold) if t > 0.0]
-    report = {"family": i, "threshold": threshold,
-              "exceptional_times": exceptional,
-              "icj_total_mass": icj.total_mass()}
-    if isinstance(timeline.model, fc.ScalarModel) and times:
-        spectra = {}
-        for t in times:
-            fld = timeline.slice_at(t)
-            spectra[t] = [(x, timeline.model.fprime(f.uR[0])
-                           - timeline.model.fprime(f.uL[0]))
-                          for f, x in zip(fld.fronts, fld.xs)]
-        report["fprime_atom_spectra"] = spectra
-    return report
+    return {"family": i, "threshold": threshold,
+            "exceptional_times": exceptional,
+            "icj_total_mass": icj.total_mass()}
 
 
 CONVERGENCE_SCENARIOS = {

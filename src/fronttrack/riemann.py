@@ -1,5 +1,6 @@
-"""Riemann machinery: elementary curves, scalar envelope fans, and the
-accurate / simplified / crude approximate solvers.
+"""Riemann machinery: scalar envelope fans and the accurate / simplified /
+crude approximate solvers. The solvers walk each model's own wave curves
+(FluxModel.wave_curve) through _curve_point, which lends them brentq.
 
 Size conventions (see flux_core): every Front.size is the unit-normalized
 curve parameter s = l_k(base) . (T_s - base). A system rarefaction fan puts
@@ -75,7 +76,7 @@ class Front:
 
 
 # ---------------------------------------------------------------------------
-# robust scalar root solving (Brent)
+# robust scalar root solving (Brent), lent to the models' wave curves
 # ---------------------------------------------------------------------------
 
 
@@ -133,168 +134,12 @@ def brentq(fn, a, b, fa=None, fb=None):
     raise SolverError("brentq: no convergence")
 
 
-# ---------------------------------------------------------------------------
-# elementary curves (closed forms per catalog model)
-# ---------------------------------------------------------------------------
-
-
-def _remark_curve(model, k, u0, s, parametrization):
-    uu, vv = u0
-    a0 = 1.0 + uu + 2.0 * vv
-    if k == 1:  # contact: (1+u+v)v stays constant, lambda_1 = 0
-        n0 = math.hypot(a0, vv)
-        wu = uu + s * a0 / n0
-        inv = (1.0 + uu + vv) * vv
-        disc = (1.0 + wu) ** 2 + 4.0 * inv
-        if disc <= 0:
-            raise CurveError("remark-2x2 family-1 curve left its branch")
-        root = math.sqrt(disc)
-        wv = 0.5 * (-(1.0 + wu) + root)
-        # wu = uu + s a0/n0 with d(a0/n0) = vv (vv da0 - a0 dvv) / n0^3 and
-        # da0 = du + 2 dv; wv moves with wu and with inv through the root
-        n3 = n0 * n0 * n0
-        wu_s, wu_u, wu_v = a0 / n0, 1.0 + s * vv * vv / n3, s * vv * (2.0 * vv - a0) / n3
-        half = 0.5 * ((1.0 + wu) / root - 1.0)
-        return ((wu, wv), (wu_s, half * wu_s),
-                ((wu_u, wu_v),
-                 (half * wu_u + vv / root, half * wu_v + a0 / root)))
-    # family 2: the locus is the vertical line u = const for both branches,
-    # along which lambda_2 = 1 + u + 2v moves twice as far as v
-    if s >= 0 and parametrization == "lambda":
-        return (uu, vv + 0.5 * s), None, None
-    return (uu, vv + s), (0.0, 1.0), ((1.0, 0.0), (0.0, 1.0))
-
-
-def _psystem_curve(model, k, u0, s, parametrization):
-    """Both branches on Python floats; the contraction l . (T - u0) is
-    l0*dv + l1*dw, each product rounded. The unit parametrization's
-    derivatives come from differentiating the residual that fixes v (g on
-    the rarefaction, gsh on the shock) implicitly; at s = 0 they give the
-    tangent r_k and the identity."""
-    v0, w0 = u0
-    c0 = model.sound(v0)
-    n0 = math.hypot(1.0, c0)
-    v_lo, v_hi = float(model.domain[0, 0]), float(model.domain[0, 1])
-    l0 = -0.5 * n0 if k == 2 else 0.5 * n0
-    l1 = 0.5 * n0 / c0
-    # the 2-rarefaction keeps w + F(v), the 1-rarefaction w - F(v)
-    orient = -1.0 if k == 2 else 1.0
-
-    if s >= 0:  # rarefaction branch
-        F0 = model.sound_antiderivative(v0)
-        speed_spaced = parametrization == "lambda"
-        if speed_spaced:
-            c_target = c0 + s if k == 2 else c0 - s
-            if c_target <= 0:
-                raise CurveError("p-system rarefaction parameter too large")
-            v = model.sound_inv(c_target)
-        elif s == 0:
-            v = v0
-        else:
-            def g(v):
-                dw = (w0 + orient * (model.sound_antiderivative(v) - F0)) - w0
-                return (l0 * (v - v0) + l1 * dw) - s
-
-            a, b = (v_lo, v0) if k == 2 else (v0, v_hi)
-            ga, gb = g(a), g(b)
-            if ga * gb > 0:
-                raise CurveError("p-system rarefaction curve exits the domain")
-            v = brentq(g, a, b, ga, gb)
-        dF = model.sound_antiderivative(v) - F0
-        state = (v, w0 + orient * dF)
-        if speed_spaced:
-            return state, None, None
-        c = model.sound(v)
-        # g = l0 (v - v0) + l1 orient (F(v) - F(v0)) - s, with l0 and l1
-        # functions of v0 through c0
-        dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
-        g_v = l0 + l1 * orient * c
-        g_v0 = dl0 * (v - v0) - l0 + orient * (dl1 * dF - l1 * c0)
-        v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
-        return (state, (v_s, orient * c * v_s),
-                ((v_v0, 0.0), (orient * (c * v_v0 - c0), 1.0)))
-
-    # shock branch
-    if abs(s) < 8.0 * math.ulp(v0) * n0:
-        # the root lies within 8 ulp of v0, nearer than a bracket can start;
-        # there the Hugoniot locus is its tangent r_k to the last bit
-        r = (orient / n0, c0 / n0)
-        return (v0 + s * r[0], w0 + s * r[1]), r, ((1.0, 0.0), (0.0, 1.0))
-
-    def shock(v):
-        # the chord slope of -p, its root sigma (signed by the family),
-        # and w on the Hugoniot locus
-        q = model.chord_sound_sq(v0, v)
-        sig = math.sqrt(q)
-        if k == 1:
-            sig = -sig
-        return w0 - sig * (v - v0), sig, q
-
-    def gsh(v):
-        return (l0 * (v - v0) + l1 * (shock(v)[0] - w0)) - s
-
-    # the bracket starts at most 1e-3 |s| away from v0, so that the root of
-    # a weak shock lies inside it, and at least 4 ulp away, so that its end
-    # is not v0
-    h = min(max(1e-12, 1e-9 * v0), max(4.0 * math.ulp(v0), 1e-3 * abs(s)))
-    lo, hi = (v0 + h, v_hi) if k == 2 else (v_lo, v0 - h)
-    if v0 == (v_hi if k == 2 else v_lo):  # the bracket would be empty
-        raise CurveError("p-system Hugoniot curve starts on the box edge "
-                         "it leaves by")
-    glo, ghi = gsh(lo), gsh(hi)
-    if glo * ghi > 0:
-        raise CurveError("p-system Hugoniot parameter outside reachable range")
-    v = brentq(gsh, lo, hi, glo, ghi)
-    w, sigma, q = shock(v)
-    # w - w0 = phi = -sigma (v - v0) with sigma^2 = q; dq/dv = (c^2 - q)/(v - v0)
-    # and dq/dv0 = (q - c0^2)/(v - v0), so the (v - v0) factors cancel
-    dl0, dl1 = _psystem_dl(model, k, v0, c0, n0)
-    phi_v = -sigma - (model.sound(v) ** 2 - q) / (2.0 * sigma)
-    phi_v0 = sigma - (q - c0 * c0) / (2.0 * sigma)
-    g_v = l0 + l1 * phi_v
-    g_v0 = dl0 * (v - v0) - l0 + dl1 * (-sigma * (v - v0)) + l1 * phi_v0
-    v_s, v_v0 = 1.0 / g_v, -g_v0 / g_v
-    return ((v, w), (v_s, phi_v * v_s),
-            ((v_v0, 0.0), (phi_v * v_v0 + phi_v0, 1.0)))
-
-
-def _psystem_dl(model, k, v0, c0, n0):
-    """d l0/d v0 and d l1/d v0 for l = (-+0.5 n0, 0.5 n0/c0), n0 =
-    hypot(1, c0)."""
-    dc0 = model.dsound(v0)
-    dn0 = c0 * dc0 / n0
-    dl0 = -0.5 * dn0 if k == 2 else 0.5 * dn0
-    return dl0, -0.5 * dc0 / (n0 * c0 * c0)
-
-
-def _linear_curve(model, k, u0, s):
-    r = model.point_eig(u0).right[k - 1]
-    state = tuple(x + s * y for x, y in zip(u0, r))
-    identity = tuple(tuple(float(i == j) for j in range(model.N))
-                     for i in range(model.N))
-    return state, r, identity
-
-
 def _curve_point(model, k, u0, s, parametrization):
-    """Point on the k-th curve through the state u0: (T, dT/ds, dT/du0),
-    with T and dT/ds tuples of floats and dT/du0 a tuple of rows.
-
-    parametrization "unit" takes s = l_k(u0) . (T - u0). "lambda" takes
-    lambda_k(T) = lambda_k(u0) + s, on the rarefaction branch (s >= 0) of a
-    genuinely nonlinear system family, the one a fan splits; any other
-    branch is in the unit parametrization. The derivatives are those in the
-    unit parametrization, None on a "lambda" branch; a scalar model's
-    straight line u0 + s*r(u0) returns them too, though no caller reads
-    them. No field-kind gate (scalar 'general' allowed); DomainError when
-    T leaves the box."""
-    if isinstance(model, fc.Remark2x2):
-        out = _remark_curve(model, k, u0, s, parametrization)
-    elif isinstance(model, fc.PSystem):
-        out = _psystem_curve(model, k, u0, s, parametrization)
-    elif isinstance(model, (fc.ScalarModel, fc.Linear)):
-        out = _linear_curve(model, k, u0, s)
-    else:
-        raise CurveError(f"no curve implementation for model {model.id!r}")
+    """model.wave_curve's (T, dT/ds, dT/du0) through u0, with brentq as its
+    root finder; DomainError when T leaves the box. brentq is read from this
+    module at each call, so a wrapper set on riemann.brentq sees every root
+    a curve takes."""
+    out = model.wave_curve(k, u0, s, parametrization, brentq)
     if not model.contains(out[0]):
         raise DomainError(f"{model.id}: curve point {np.array(out[0])} left "
                           "the domain")

@@ -486,7 +486,7 @@ def reference_next_crossing(fronts, t, x, slope, t_hi, skip):
 # ---------------------------------------------------------------------------
 # Reference p-system curve: each residual builds the state as a numpy
 # 2-vector and contracts it with numpy's dot, which may fuse the second
-# product into the sum. riemann._psystem_curve works on Python floats and
+# product into the sum. PSystem.wave_curve works on Python floats and
 # rounds each product; tests hold the two within roundoff. Both take the
 # chord slope of -p from PSystem.chord_sound_sq and start the Hugoniot
 # bracket at the same target-scaled distance from v0.

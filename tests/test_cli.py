@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fronttrack import cli
-from fronttrack import diagnostics as dg
 from fronttrack import fileio as io
 from fronttrack import flux_core as fc
 from fronttrack import measures as ms
@@ -950,6 +949,3 @@ class TestSystemScenarios:
         timeline = tk.run(cfg)
         (front,) = timeline.initial_field.fronts
         assert (front.kind, front.speed) == ("contact", 1.0)
-        # f' atom spectra belong to scalar fluxes only
-        report = dg.sbv_atom_report(timeline, 1, 1e-8, times=(0.5,))
-        assert "fprime_atom_spectra" not in report

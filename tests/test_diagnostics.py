@@ -820,12 +820,6 @@ class TestSbvAtomReport:
             assert rep["exceptional_times"], "no exceptional times found"
             assert 0.9 <= min(rep["exceptional_times"]) <= 1.1
 
-    def test_scalar_spectrum_reported(self, burgers_merge_timeline):
-        rep = dg.sbv_atom_report(burgers_merge_timeline, 1, 1e-8, times=(3.0,))
-        atoms = rep["fprime_atom_spectra"][3.0]
-        assert len(atoms) == 1
-        assert atoms[0][1] == pytest.approx(-1.0)  # f' = u jumps by -1
-
 
 class TestConvergence:
     def test_burgers_shock_exact(self):

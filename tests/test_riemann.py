@@ -509,6 +509,68 @@ def test_one_by_one_linear_is_one_contact():
     assert front_speeds_inside_fences(model, [front])
 
 
+class DecoupledPair(fc.FluxModel):
+    """f(u, v) = (u^2/2, v^2/2 + 3v) on [-1, 1]^2: Burgers in u, and Burgers
+    shifted by 3 in v. Both families are GNL with r = e_1, e_2 and rate 1.
+    The model lives in this file only, outside the catalog, and keeps the
+    base class's straight-line wave curve."""
+
+    id = "decoupled-pair"
+    N = 2
+
+    def _setup(self):
+        self.domain = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        self.field_kind = (fc.GNL, fc.GNL)
+        self.lambda_fences = np.array([-1.5, 1.5, 4.5])
+        self.gap = 1.0
+        self.riemann_radius = 2.0 * math.sqrt(2.0)
+        self.tv_budget = 8.0
+
+    def f(self, u):
+        return np.array([0.5 * u[0] * u[0], 0.5 * u[1] * u[1] + 3.0 * u[1]])
+
+    def jacobian_rows(self, u):
+        return (u[0], 0.0), (0.0, u[1] + 3.0)
+
+    @staticmethod
+    def _eig(lam1, lam2):
+        unit = ((1.0, 0.0), (0.0, 1.0))
+        return fc.EigenSystem(lambdas=(lam1, lam2), right=unit, left=unit,
+                              gnl_rates=(1.0, 1.0))
+
+    def point_eig(self, u):
+        return self._eig(u[0], u[1] + 3.0)
+
+    def eig_of_average(self, amat, mid):
+        return self._eig(amat[0][0], amat[1][1])
+
+
+@pytest.mark.parametrize("k, shift", [(1, 0.0), (2, 3.0)])
+@pytest.mark.parametrize("a, b", [(-0.8, 0.6), (0.7, -0.5), (0.1, 0.3),
+                                  (-0.2, -0.9), (0.0, 1.0)])
+def test_model_defined_in_tests_solves(k, shift, a, b):
+    # the accurate solver takes a model it has never heard of, through the
+    # inherited wave curve: family k's fronts are Burgers' fronts on the
+    # moving component, with speeds shifted by 3 in family 2. A fan's inner
+    # states agree to roundoff only: Burgers cuts it where brentq finds
+    # f' = target, the pair at v0 + s on its straight line, with the
+    # opening of family 2 taken from lambda_2 = v + 3
+    model = DecoupledPair()
+    assert model.id not in fc.catalog_ids()
+    rest = 0.25  # the other component, the same on both sides
+    uL, uR = [rest, rest], [rest, rest]
+    uL[k - 1], uR[k - 1] = a, b
+    fronts = rm.solve_accurate(model, uL, uR, 0.1)
+    ref = rm.solve_accurate(fc.make_model("burgers"), [a], [b], 0.1)
+    assert [(f.family, f.kind) for f in fronts] == [(k, g.kind) for g in ref]
+    assert (fronts[0].uL[k - 1], fronts[-1].uR[k - 1]) == (a, b)
+    for f, g in zip(fronts, ref):
+        assert abs(f.uR[k - 1] - g.uR[0]) <= 1e-15
+        assert f.uL[2 - k] == f.uR[2 - k] == rest
+        assert abs(f.speed - (g.speed + shift)) <= 1e-12
+    assert front_speeds_inside_fences(model, fronts)
+
+
 PSYSTEM = fc.make_model("p-system")
 
 
@@ -521,7 +583,7 @@ def curve_outcome(curve, k, u0, s, parametrization):
 
 
 class TestFloatPsystemCurve:
-    """riemann._psystem_curve on Python floats against the numpy reference:
+    """PSystem.wave_curve on Python floats against the numpy reference:
     the same refusals, and otherwise states within 1e-13 (the contraction
     rounds differently, and Brent may stop on another iterate inside
     BRENT_XTOL). The lambda parametrization holds on the rarefaction branch
@@ -818,13 +880,13 @@ def test_psystem_curve_calls_per_run(monkeypatch):
     # fan's far state again took 227
     doc = json.loads((SCENARIOS / "psystem_waves.json").read_text())
     calls = []
-    curve = rm._psystem_curve
+    curve = fc.PSystem.wave_curve
 
     def counted(*args):
         calls.append(args)
         return curve(*args)
 
-    monkeypatch.setattr(rm, "_psystem_curve", counted)
+    monkeypatch.setattr(fc.PSystem, "wave_curve", counted)
     tl = tk.run(tk.RunConfig(model_id="p-system", initial=doc["initial"],
                              **doc["numerics"]))
     assert len(tl.events) == 11 and tl.ledger.calibrated

@@ -3,8 +3,8 @@ perfbench/tracing.py SPANS; each must stay a module-level callable. The
 shipped audit and p-system scenarios are benchmark inputs, README's
 library example runs as written and its example scenario passes check,
 the benchmark and README name the checks of cli.CHECKS, README's numerics
-rows are the settings of tracker.NUMERICS, and the package exports only
-what the program itself uses."""
+rows are the settings of tracker.NUMERICS, the package exports only
+what the program itself uses, and the solvers name no catalog model."""
 
 import ast
 import importlib
@@ -133,3 +133,26 @@ def test_every_export_is_used_by_the_program():
                 used.add(node.attr)
     exported = set(fronttrack.__all__) - {"__version__"}
     assert sorted(exported - used) == []
+
+
+def test_solvers_name_no_catalog_model():
+    # each model owns its wave curve, so riemann.py names no catalog model
+    # class (ScalarModel, the envelope path's base, is not one), and
+    # flux_core.py, which the solvers lend brentq, does not import riemann
+    src = Path(fronttrack.__file__).resolve().parent
+    names = set()
+    for node in ast.walk(ast.parse((src / "riemann.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "ScalarModel" in names
+    assert not names & {"Burgers", "Cubic", "Remark2x2", "PSystem", "Linear"}
+    imported = set()
+    for node in ast.walk(ast.parse((src / "flux_core.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported |= {alias.name for alias in node.names}
+    assert "riemann" not in imported
