@@ -29,11 +29,14 @@ EXIT_RUNTIME = 4
 
 DEFAULT_CHECKS = ("monotonicity", "interaction_estimates", "conservation")
 
+# nonphysical_budget passes iff the nonphysical fronts alive at t_end have
+# total strength at most NP_BUDGET_K * epsilon: front tracking keeps them
+# O(epsilon) (Bressan 2000, ch. 7)
+NP_BUDGET_K = 1.0
 
-_DIAGNOSTICS = ("checks", "families", "seed", "balance_regions", "tame_triangles",
-                "np_budget_K", "sbv_threshold", "positive_decay_t",
-                "positive_decay_s", "decay_t", "decay_tau", "positive_decay_sets",
-                "decay_sets", "convergence", "epsilon_ladder")
+
+_DIAGNOSTICS = ("checks", "families", "seed", "sbv_threshold", "convergence",
+                "epsilon_ladder")
 
 
 def parse_config(path):
@@ -92,17 +95,6 @@ def _section(doc, name, keys=None, key=None):
     return dict(sec or {})
 
 
-def _is_interval_unions(sets, key):
-    """A list of finite unions of closed intervals [[a, b], ...], a <= b;
-    an end that is not a finite number is refused under key."""
-    return isinstance(sets, list) and all(
-        isinstance(union, list) and all(
-            isinstance(iv, list) and len(iv) == 2
-            and finite(key, iv[0]) <= finite(key, iv[1])
-            for iv in union)
-        for union in sets)
-
-
 def _require(ok, key, message):
     if not ok:
         raise ConfigError(key, message)
@@ -119,7 +111,7 @@ def _check_plan(plan, n_families, t_end):
     """Complete a diagnostics plan in place: set each absent or null
     diagnostics and outputs value to its default, and refuse a value the
     checks cannot use, naming the key. Values the checks take as floats are
-    stored as floats; None decay sets are drawn by run_checks."""
+    stored as floats."""
     checks = _default(plan, "checks", list(DEFAULT_CHECKS))
     _require(isinstance(checks, list),
              "diagnostics.checks", "must be a list of check names")
@@ -134,14 +126,10 @@ def _check_plan(plan, n_families, t_end):
              "diagnostics.families",
              f"must be distinct integers in 1..{n_families}, at least one")
     integer("diagnostics.seed", _default(plan, "seed", 0), 0)
-    for key in ("balance_regions", "tame_triangles"):
-        integer(f"diagnostics.{key}", _default(plan, key, 20))
-    # without np_budget_K the nonphysical budget check only reports
-    for key, value in (("np_budget_K", None), ("sbv_threshold", 1e-8)):
-        v = _default(plan, key, value)
-        if v is not None:
-            plan[key] = finite(f"diagnostics.{key}", v)
-            _require(plan[key] >= 0, f"diagnostics.{key}", "must be nonnegative")
+    plan["sbv_threshold"] = finite("diagnostics.sbv_threshold",
+                                   _default(plan, "sbv_threshold", 1e-8))
+    _require(plan["sbv_threshold"] >= 0, "diagnostics.sbv_threshold",
+             "must be nonnegative")
     outputs = plan["outputs"] = _section(plan, "outputs", ("dir", "slice_times"))
     times = _default(outputs, "slice_times", [0.0, 0.5 * t_end, t_end])
     _require(isinstance(times, list)
@@ -151,25 +139,8 @@ def _check_plan(plan, n_families, t_end):
     outdir = _default(outputs, "dir", "out")
     _require(isinstance(outdir, str) and outdir,
              "outputs.dir", "must be a nonempty string")
-    t = _default(plan, "positive_decay_t", 0.75 * t_end)
-    _require(0 < finite("diagnostics.positive_decay_t", t) <= t_end,
-             "diagnostics.positive_decay_t", f"must lie in (0, {t_end:g}]")
-    s = _default(plan, "positive_decay_s", 0.0)
-    _require(0 <= finite("diagnostics.positive_decay_s", s) < t,
-             "diagnostics.positive_decay_s", f"must lie in [0, {t:g})")
-    t = _default(plan, "decay_t", 0.75 * t_end)
-    _require(0 < finite("diagnostics.decay_t", t) <= t_end,
-             "diagnostics.decay_t", f"must lie in (0, {t_end:g}]")
-    tau = _default(plan, "decay_tau", 0.5 * t)
-    _require(0 < finite("diagnostics.decay_tau", tau) < t,
-             "diagnostics.decay_tau", f"must lie in (0, {t:g})")
-    for key in ("positive_decay_sets", "decay_sets"):
-        sets = _default(plan, key, None)
-        _require(sets is None or _is_interval_unions(sets, f"diagnostics.{key}"),
-                 f"diagnostics.{key}", "must be a list of interval unions "
-                 "[[a, b], ...] with finite a <= b")
     conv = plan["convergence"] = _section(plan, "convergence",
-                                          ("scenario", "ladder", "t_eval"),
+                                          ("scenario", "ladder"),
                                           "diagnostics.convergence")
     scenario = conv.get("scenario")
     if scenario is not None or "convergence" in checks:
@@ -181,10 +152,6 @@ def _check_plan(plan, n_families, t_end):
                                     "diagnostics.convergence.ladder")
     _require(conv["ladder"], "diagnostics.convergence.ladder",
              "must be a nonempty list of finite positive numbers")
-    conv["t_eval"] = finite("diagnostics.convergence.t_eval",
-                            _default(conv, "t_eval", 1.0))
-    _require(conv["t_eval"] > 0,
-             "diagnostics.convergence.t_eval", "must be finite and positive")
     ladder = plan["epsilon_ladder"] = _positive_list(
         plan, "epsilon_ladder", [], "diagnostics.epsilon_ladder")
     _require(len({_member_dir(e) for e in ladder}) == len(ladder),
@@ -214,9 +181,16 @@ def _member_dir(eps):
 
 
 def _domain_window(timeline):
+    """The initial breakpoints padded by (eta_bar + 1) t_end, widened about
+    its middle to width 1.0 when narrower, as the seeded draws need: lo is
+    then exactly hi - 1.0, the bound _default_sets draws below."""
     xs = timeline.initial_field.xs or [0.0]
     pad = (dg.default_eta_bar(timeline.model) + 1.0) * timeline.t_end
-    return min(xs) - pad, max(xs) + pad
+    lo, hi = min(xs) - pad, max(xs) + pad
+    if hi - lo < 1.0:
+        hi = 0.5 * (lo + hi) + 0.5
+        lo = hi - 1.0
+    return lo, hi
 
 
 def _by_family(plan, keys, check):
@@ -272,8 +246,7 @@ def _conservation(timeline, plan, rng, window):
 
 def _nonphysical_budget(timeline, plan, rng, window):
     total = ms.nonphysical_total_strength(timeline.slice_at(timeline.t_end))
-    k_budget = plan["np_budget_K"]
-    ok = True if k_budget is None else total <= k_budget * timeline.config.epsilon
+    ok = total <= NP_BUDGET_K * timeline.config.epsilon
     return {"pass": bool(ok), "total_strength": total,
             "strength_over_epsilon": total / timeline.config.epsilon}
 
@@ -283,7 +256,7 @@ def _balance(timeline, plan, rng, window):
     ok = True
     lo, hi = window
     for i in plan["families"]:
-        for _ in range(plan["balance_regions"]):
+        for _ in range(20):
             t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
             tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
             a = float(rng.uniform(lo, hi - 0.5))
@@ -308,27 +281,27 @@ def _balance(timeline, plan, rng, window):
 
 
 def _positive_decay(timeline, plan, rng, window):
-    sets = plan["positive_decay_sets"] or _default_sets(window, rng)
+    sets = _default_sets(window, rng)
+    t = 0.75 * timeline.t_end
     families = _by_family(plan, ("C_required", "q_drop"),
                           lambda i: dg.positive_decay_check(
-                              timeline, i, plan["positive_decay_s"],
-                              plan["positive_decay_t"], sets))
+                              timeline, i, 0.0, t, sets))
     return {"families": families, "pass": _all_finite_C(families)}
 
 
 def _decay(timeline, plan, rng, window):
-    sets = plan["decay_sets"] or _default_sets(window, rng)
+    sets = _default_sets(window, rng)
+    t = 0.75 * timeline.t_end
     families = _by_family(plan, ("C_required", "icj_window_mass"),
                           lambda i: dg.decay_estimate_check(
-                              timeline, i, plan["decay_t"], plan["decay_tau"],
-                              sets))
+                              timeline, i, t, 0.5 * t, sets))
     return {"families": families, "pass": _all_finite_C(families)}
 
 
 def _tame_oscillation(timeline, plan, rng, window):
     lo, hi = window
     tris = []
-    for _ in range(plan["tame_triangles"]):
+    for _ in range(20):
         a = float(rng.uniform(lo, hi - 0.1))
         b = float(rng.uniform(a + 0.1, hi))
         tau = float(rng.uniform(0.0, 0.8)) * timeline.t_end
@@ -347,8 +320,7 @@ def _sbv_atoms(timeline, plan, rng, window):
 
 def _convergence(timeline, plan, rng, window):
     conv = plan["convergence"]
-    rep = dg.convergence_study(conv["scenario"], conv["ladder"],
-                               t_eval=conv["t_eval"])
+    rep = dg.convergence_study(conv["scenario"], conv["ladder"])
     rep["pass"] = all(math.isfinite(r["l1_error"]) for r in rep["rows"])
     return rep
 
@@ -366,8 +338,8 @@ def _default_sets(window, rng):
 
 
 # The one list of checks. Its order is the order they run in, which fixes the
-# draws each gets from diagnostics.seed: balance regions, then the default
-# sets of positive_decay and decay, then tame triangles.
+# draws each gets from diagnostics.seed: balance regions, then the sets of
+# positive_decay and decay, then tame triangles.
 CHECKS = {"monotonicity": _monotonicity,
           "interaction_estimates": _interaction_estimates,
           "conservation": _conservation,

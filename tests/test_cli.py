@@ -148,6 +148,7 @@ class TestParseConfig:
         ("diagnostics.seed", "x"),
         ("diagnostics.seed", -1),
         ("diagnostics.seed", True),
+        # a key deleted from the plan is refused as unknown, under its name
         ("diagnostics.balance_regions", "many"),
         ("diagnostics.tame_triangles", -3),
         ("diagnostics.tame_triangles", 2.5),
@@ -157,9 +158,9 @@ class TestParseConfig:
         ("outputs", "out"),
         ("outputs.slice_times", [0.0, 6.0]),
         ("outputs.slice_times", [-0.5]),
-        ("diagnostics.positive_decay_t", 9.0),
+        ("diagnostics.positive_decay_t", 9.0),  # deleted, as above
         ("diagnostics.positive_decay_t", 0.0),
-        ("diagnostics.positive_decay_s", 3.75),  # not below t = 0.75 t_end
+        ("diagnostics.positive_decay_s", 3.75),
         ("diagnostics.positive_decay_s", -0.1),
         ("diagnostics.decay_t", 5.5),
         ("diagnostics.decay_tau", 0.0),
@@ -224,6 +225,7 @@ class TestParseConfig:
         ("diagnostics.convergence.ladder", []),
         ("diagnostics.convergence.ladder", [0.1, -0.05]),
         ("diagnostics.convergence.ladder", [0.1, "fine"]),
+        # a key deleted from the plan is refused as unknown, under its name
         ("diagnostics.convergence.t_eval", "late"),
         ("diagnostics.convergence.t_eval", -1.0),
         ("diagnostics.positive_decay_sets", [[1, 2]]),
@@ -267,13 +269,39 @@ class TestParseConfig:
         doc["numerics"].update({"event_cap": 500})
         doc["diagnostics"] = {
             "checks": ["convergence"],
-            "convergence": {"scenario": "burgers_shock", "ladder": [0.2],
-                            "t_eval": 0.5},
-            "positive_decay_sets": [[[-1.0, 0.0], [0.5, 0.5]], []],
-            "decay_sets": []}
+            "convergence": {"scenario": "burgers_shock", "ladder": [0.2]}}
         cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
         assert cfg.event_cap == 500
-        assert plan["positive_decay_sets"][0] == [[-1.0, 0.0], [0.5, 0.5]]
+        assert plan["convergence"] == {"scenario": "burgers_shock",
+                                       "ladder": [0.2]}
+
+    @pytest.mark.parametrize("key, value", [
+        ("diagnostics.balance_regions", 20),
+        ("diagnostics.tame_triangles", 20),
+        ("diagnostics.np_budget_K", 1.0),
+        ("diagnostics.positive_decay_t", 3.75),
+        ("diagnostics.positive_decay_s", 0.0),
+        ("diagnostics.decay_t", 3.75),
+        ("diagnostics.decay_tau", 1.875),
+        ("diagnostics.positive_decay_sets", [[[-1.0, 0.0]]]),
+        ("diagnostics.decay_sets", []),
+        ("diagnostics.convergence.t_eval", 1.0)])
+    def test_audit_placement_keys_refused(self, tmp_path, key, value, capsys):
+        # no scenario places, counts or bounds its own audit: each key that
+        # once did is unknown, even at the value the check now fixes
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["outputs"] = {"dir": str(tmp_path / "out")}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[leaf] = value
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["check", path]) == cli.EXIT_CONFIG
+        assert cli.main(["run", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {key}: unknown key\n") == 2
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestNullNumerics:
@@ -519,6 +547,28 @@ class TestMonotonicityCheck:
         assert all(v["dUpsilon"] > 0.0 for v in mono["violations"])
 
 
+class TestNonphysicalBudgetCheck:
+    def test_fails_above_the_budget(self, remark_timeline, monkeypatch):
+        # the same fronts against an epsilon below their total strength
+        # break the bound NP_BUDGET_K * epsilon
+        tl = remark_timeline
+        plan = {"checks": ["nonphysical_budget"]}
+        cli._check_plan(plan, tl.model.N, tl.t_end)
+        report, failed = cli.run_checks(tl, plan)
+        entry = report["checks"]["nonphysical_budget"]
+        assert not failed and entry["pass"]
+        total = entry["total_strength"]
+        assert 0.0 < total <= cli.NP_BUDGET_K * tl.config.epsilon
+        monkeypatch.setattr(tl, "config", dataclasses.replace(
+            tl.config, epsilon=0.5 * total / cli.NP_BUDGET_K))
+        report, failed = cli.run_checks(tl, plan)
+        entry = report["checks"]["nonphysical_budget"]
+        assert failed and not entry["pass"]
+        assert entry["total_strength"] == total
+        assert entry["strength_over_epsilon"] == pytest.approx(
+            2.0 * cli.NP_BUDGET_K)
+
+
 class TestOrchestrate:
     def test_merge_scenario_exit_zero(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
@@ -536,6 +586,26 @@ class TestOrchestrate:
         assert events[0]["I"] == pytest.approx(0.125)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"]
+
+    def test_narrow_window_runs_every_check(self, tmp_path):
+        # padded to t_end = 0.01 the window is 0.108 wide, too narrow for
+        # the seeded draws; it widens to 1.0 about its middle
+        doc = {"model": {"id": "burgers"},
+               "initial": {"kind": "breakpoints", "xs": [0.0],
+                           "values": [[1.0], [0.0]]},
+               "numerics": {"epsilon": 0.1, "t_end": 0.01},
+               "outputs": {"dir": str(tmp_path / "out")},
+               "diagnostics": {"checks": [c for c in cli.CHECKS
+                                          if c != "convergence"]}}
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["check", path]) == cli.EXIT_OK
+        assert cli.main(["run", path]) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {"complete": True, "error": None, "members": []}
+        rep = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert set(rep["checks"]) == set(cli.CHECKS) - {"convergence"}
+        tl = quick_run("burgers", doc["initial"], epsilon=0.1, t_end=0.01)
+        assert cli._domain_window(tl) == (-0.5, 0.5)
 
     def test_forced_zero_c0_fails_audit(self, tmp_path, monkeypatch):
         # no scenario sets C0; with the calibration forced to 0 the merge's
@@ -677,8 +747,7 @@ class TestOrchestrate:
         doc["outputs"] = {"dir": str(tmp_path / "out_conv")}
         doc["diagnostics"] = {"checks": ["monotonicity", "convergence"],
                               "convergence": {"scenario": "burgers_rarefaction",
-                                              "ladder": [0.1, 0.05],
-                                              "t_eval": 1.0}}
+                                              "ladder": [0.1, 0.05]}}
         cfg, plan = cli.parse_config(write_scenario(tmp_path, doc))
         assert cli.orchestrate(cfg, plan) == cli.EXIT_OK
         rep = json.loads((tmp_path / "out_conv" / "diagnostics.json").read_text())

@@ -3,7 +3,8 @@ perfbench/tracing.py SPANS; each must stay a module-level callable. The
 shipped audit and p-system scenarios are benchmark inputs, README's
 library example runs as written and its example scenario passes check,
 the benchmark and README name the checks of cli.CHECKS, README's numerics
-rows are the settings of tracker.NUMERICS, the package exports only
+rows are the settings of tracker.NUMERICS and its diagnostics rows the
+keys of cli._DIAGNOSTICS, the package exports only
 what the program itself uses, and the solvers name no catalog model."""
 
 import ast
@@ -115,6 +116,21 @@ def test_readme_numerics_rows_are_the_run_settings():
         if line.startswith("| `numerics."):
             keys |= set(re.findall(r"`(numerics\.[\w.]+)`", line.split("|")[1]))
     assert keys == {f"numerics.{name}" for name in tk.NUMERICS}
+
+
+def test_readme_diagnostics_rows_are_the_plan_keys():
+    # README's key table names diagnostics.<name> for each key of
+    # cli._DIAGNOSTICS (the convergence section by its two keys), and no
+    # other diagnostics key: no row documents a key the plan refuses
+    keys = set()
+    for line in README.read_text().splitlines():
+        if line.startswith("| `diagnostics."):
+            keys |= set(re.findall(r"`(diagnostics\.[\w.]+)`",
+                                   line.split("|")[1]))
+    assert keys == ({f"diagnostics.{name}" for name in cli._DIAGNOSTICS
+                     if name != "convergence"}
+                    | {"diagnostics.convergence.scenario",
+                       "diagnostics.convergence.ladder"})
 
 
 def test_every_export_is_used_by_the_program():

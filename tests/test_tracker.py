@@ -440,7 +440,7 @@ class TestFrontRecords:
         before = self.snapshot(tl)
         plan = {"checks": list(cli.CHECKS),
                 "families": list(range(1, tl.model.N + 1)),
-                "seed": 0, "balance_regions": 5, "tame_triangles": 10,
+                "seed": 0,
                 "convergence": {"scenario": "burgers_shock",
                                 "ladder": [0.1, 0.05]}}
         cli._check_plan(plan, tl.model.N, tl.t_end)
