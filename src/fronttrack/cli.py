@@ -255,27 +255,32 @@ def _balance(timeline, plan, rng, window):
     out = {"regions": [], "C_required_signed": 0.0, "C_required_split": 0.0}
     ok = True
     lo, hi = window
+    specs = []
     for i in plan["families"]:
         for _ in range(20):
             t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
             tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
             a = float(rng.uniform(lo, hi - 0.5))
             w = float(rng.uniform(0.3, 0.6)) * (hi - a)
-            try:
-                region = dg.make_region(timeline, i, t0, tau, [(a, a + w)])
-                rep = dg.region_balance_check(timeline, region)
-            except SolverError:
-                continue
-            out["regions"].append({"family": i, "t0": t0, "tau": tau,
-                                   "a": a, "b": a + w,
-                                   "ratio_signed": rep["ratio_signed"],
-                                   "ratio_split": rep["ratio_split"]})
-            if math.isinf(rep["ratio_signed"]) or math.isinf(rep["ratio_split"]):
-                ok = False
-            out["C_required_signed"] = max(out["C_required_signed"],
-                                           min(rep["ratio_signed"], 1e18))
-            out["C_required_split"] = max(out["C_required_split"],
-                                          min(rep["ratio_split"], 1e18))
+            specs.append((i, t0, tau, [(a, a + w)]))
+    for (i, t0, tau, [(a, b)]), region in zip(
+            specs, dg.make_regions(timeline, specs)):
+        if isinstance(region, SolverError):
+            continue
+        try:
+            rep = dg.region_balance_check(timeline, region)
+        except SolverError:
+            continue
+        out["regions"].append({"family": i, "t0": t0, "tau": tau,
+                               "a": a, "b": b,
+                               "ratio_signed": rep["ratio_signed"],
+                               "ratio_split": rep["ratio_split"]})
+        if math.isinf(rep["ratio_signed"]) or math.isinf(rep["ratio_split"]):
+            ok = False
+        out["C_required_signed"] = max(out["C_required_signed"],
+                                       min(rep["ratio_signed"], 1e18))
+        out["C_required_split"] = max(out["C_required_split"],
+                                      min(rep["ratio_split"], 1e18))
     out["pass"] = ok
     return out
 

@@ -10,6 +10,7 @@ dict; fitted constants are reported, never asserted against universal values.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,8 @@ class CharCurve:
     rode: list = field(default_factory=list)
     _ts: list = field(default_factory=list, init=False, repr=False,
                       compare=False)  # node times, refreshed when nodes grow
+    _arrays: tuple = field(default=(), init=False, repr=False,
+                           compare=False)  # node_arrays(), likewise
 
     def position(self, t):
         nodes = self.nodes
@@ -51,6 +54,29 @@ class CharCurve:
             return nodes[-1][1]
         (t0, x0), (t1, x1) = nodes[k - 1], nodes[k]
         return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
+
+    def node_arrays(self):
+        """The node times and positions as float64 arrays."""
+        nodes = self.nodes
+        if not self._arrays or len(self._arrays[0]) != len(nodes):
+            flat = np.fromiter(itertools.chain.from_iterable(nodes), float,
+                               2 * len(nodes))
+            self._arrays = tuple(flat.reshape(-1, 2).T.copy())
+        return self._arrays
+
+    def positions(self, ts):
+        """position at each time of the float64 array ts: the segment that
+        position takes, found by searchsorted on the node times, and its
+        float operations."""
+        nt, nx = self.node_arrays()
+        last = len(nt) - 1
+        k = nt.searchsorted(ts, side="left")
+        out = nx.take(np.minimum(k, last))  # t <= nt[0], or past the end
+        mid = (k > 0) & (k <= last)  # nt[k - 1] < t <= nt[k]
+        k, t = k[mid], ts[mid]
+        t0, x0 = nt.take(k - 1), nx.take(k - 1)
+        out[mid] = x0 + (nx.take(k) - x0) * (t - t0) / (nt.take(k) - t0)
+        return out
 
 
 def _lambda_i(model, i, u):
@@ -90,72 +116,148 @@ def _resolve_at_point(model, i, left_state, group):
 
 
 def min_characteristic(timeline, i, t0, x0, t1):
-    """Minimal generalized i-characteristic from (t0, x0) up to t1.
-
-    The front order follows the events; every front position is its record's
-    closed form.
-    """
-    if not (0.0 <= t0 < t1 <= timeline.t_end):
-        raise SolverError("characteristic needs 0 <= t0 < t1 <= t_end")
-    model = timeline.model
-    fld = timeline.slice_at(t0)
-    fronts = fld.fronts
-    pending = timeline.events_between(t0, t1)
-    curve = CharCurve(family=i, nodes=[(t0, x0)])
-    t, x = t0, x0
-    mode, carrier = _initial_anchor(model, i, fld, x0)
-
-    def push(t_new, x_new, slope, rode_id):
-        curve.nodes.append((t_new, x_new))
-        curve.slopes.append(slope)
-        curve.rode.append(rode_id)
-
-    ev_idx = 0
-    crossed = set()
-    while t < t1:
-        t_next = pending[ev_idx].t if ev_idx < len(pending) else t1
-        t_next = min(t_next, t1)
-        if mode == "ride":
-            slope = carrier.speed
-            if carrier not in fronts:
-                raise SolverError("characteristic lost its carrier front")
-            x_new = carrier.position(t_next)
-            push(t_next, x_new, slope, carrier.id)
-            t, x = t_next, x_new
-        else:
-            slope = carrier
-            hit = _next_crossing(fronts, t, x, slope, t_next, crossed)
-            if hit is not None:
-                tc, xc, g = hit
-                push(tc, xc, slope, None)
-                t, x = tc, xc
-                crossed.add(g.id)
-                kind, payload = _resolve_at_point(model, i, g.uL, [g])
-                mode, carrier = kind, payload
-                continue
-            x_new = x + slope * (t_next - t)
-            push(t_next, x_new, slope, None)
-            t, x = t_next, x_new
-        if ev_idx < len(pending) and t == pending[ev_idx].t:
-            # drain all events at this time; re-anchor when one lands on us
-            drain_start = ev_idx
-            while ev_idx < len(pending) and pending[ev_idx].t == t:
-                ev = pending[ev_idx]
-                consumed = mode == "ride" and carrier.id in (
-                    ev.incoming[0].id, ev.incoming[1].id)
-                at_node = consumed or (mode == "free" and abs(ev.x - x) <= 1e-12)
-                tk.apply_event(fronts, ev)
-                if at_node:
-                    x = ev.x
-                    group = _fan_group(timeline, ev,
-                                       pending[drain_start:ev_idx + 1])
-                    left_state = group[0].uL if group else tk.field_at(
-                        model, fld.left_state, fronts, t).state_at(ev.x - 1e-12)
-                    kind, payload = _resolve_at_point(model, i, left_state, group)
-                    mode, carrier = kind, payload
-                ev_idx += 1
-            crossed = set()
+    """Minimal generalized i-characteristic from (t0, x0) up to t1."""
+    (curve,) = min_characteristics(timeline, [(i, t0, x0, t1)])
+    if isinstance(curve, SolverError):
+        raise curve
     return curve
+
+
+class _Walk:
+    """One characteristic on min_characteristics' walk: its start's index
+    k and family i, its curve up to its last node (t, x), its end time t1,
+    its anchor (mode, carrier), and the field's positions at t when its
+    next advance starts there."""
+
+    __slots__ = ("k", "i", "curve", "t", "x", "t1", "mode", "carrier", "pos")
+
+    def __init__(self, k, i, t0, x0, t1, anchor, pos):
+        self.k, self.i, self.t, self.x, self.t1 = k, i, t0, x0, t1
+        self.curve = CharCurve(family=i, nodes=[(t0, x0)])
+        self.mode, self.carrier = anchor
+        self.pos = pos
+
+    def advance(self, model, fronts, alive, t_next):
+        """Run on the field fronts (ids alive) from an event time or t0 up
+        to t_next, at most the next event time, through every front crossed
+        on the way."""
+        curve = self.curve
+        t, x = self.t, self.x
+        pos, self.pos = self.pos, None  # at t only
+        crossed = ()
+        while t < t_next:
+            if self.mode == "ride":
+                g = self.carrier
+                if g.id not in alive:
+                    raise SolverError("characteristic lost its carrier front")
+                t, x, slope, rode = t_next, g.position(t_next), g.speed, g.id
+            else:
+                slope = self.carrier
+                if pos is None:
+                    pos = [g.born_x + g.speed * (t - g.born_t) for g in fronts]
+                hit = _next_crossing(fronts, pos, t, x, slope, t_next, crossed)
+                rode = None
+                if hit is None:
+                    t, x = t_next, x + slope * (t_next - t)
+                else:
+                    t, x, g = hit
+                    pos = None
+                    crossed = {*crossed, g.id}
+                    self.mode, self.carrier = _resolve_at_point(
+                        model, self.i, g.uL, [g])
+            curve.nodes.append((t, x))
+            curve.slopes.append(slope)
+            curve.rode.append(rode)
+        self.t, self.x = t, x
+
+
+def min_characteristics(timeline, starts):
+    """Minimal generalized characteristics from starts (i, t0, x0, t1): per
+    start, its CharCurve from (t0, x0) up to t1, or the SolverError it
+    raised.
+
+    One walk of the events serves every start. It splices each event once
+    onto one field, which holds the fronts of the slice at each time in
+    their order, each at its record's closed-form position. A
+    characteristic joins when the walk passes its t0, on the slice at t0
+    (the right limit at an event time). The positions at an event time
+    serve every free characteristic there, and a crossing takes them fresh.
+    """
+    out = [None] * len(starts)
+    todo = []
+    for k, (_, t0, _, t1) in enumerate(starts):
+        if 0.0 <= t0 < t1 <= timeline.t_end:
+            todo.append(k)
+        else:
+            out[k] = SolverError("characteristic needs 0 <= t0 < t1 <= t_end")
+    if not todo:
+        return out
+    todo.sort(key=lambda k: starts[k][1])
+    model = timeline.model
+    left_state = timeline.initial_field.left_state
+    events = timeline.events
+    t_ev = starts[todo[0]][1]
+    fronts = timeline.slice_at(t_ev).fronts
+    alive = {f.id for f in fronts}
+    e = timeline.events_upto(t_ev)
+    e_stop = timeline.events_upto(max(starts[k][3] for k in todo))
+    walks = []  # joined, short of t1, by start time
+    joined = 0
+    while joined < len(todo) or walks:
+        t_last, t_ev = t_ev, events[e].t if e < e_stop else math.inf
+        while joined < len(todo) and starts[todo[joined]][1] < t_ev:
+            k = todo[joined]
+            joined += 1
+            i, t0, x0, t1 = starts[k]
+            try:
+                fld = tk.field_at(model, left_state, fronts, t0)
+                walks.append(_Walk(k, i, t0, x0, t1,
+                                   _initial_anchor(model, i, fld, x0), fld.xs))
+            except SolverError as exc:
+                out[k] = exc
+        pos = None  # at t_last, for the walks there
+        going = []
+        for w in walks:
+            t_next = w.t1 if w.t1 < t_ev else t_ev
+            if w.pos is None and w.mode == "free" and w.t < t_next:
+                if pos is None:
+                    pos = [g.born_x + g.speed * (t_last - g.born_t)
+                           for g in fronts]
+                w.pos = pos
+            try:
+                w.advance(model, fronts, alive, t_next)
+            except SolverError as exc:
+                out[w.k] = exc
+                continue
+            if w.t1 < t_ev:
+                out[w.k] = w.curve
+            else:
+                going.append(w)
+        walks = going
+        # splice every event at t_ev; re-anchor a walk one lands on
+        drain = e
+        while e < e_stop and events[e].t == t_ev:
+            ev = events[e]
+            tk.apply_event(fronts, ev)
+            ids = (ev.incoming[0].id, ev.incoming[1].id)
+            alive.difference_update(ids)
+            alive.update(f.id for f in ev.outgoing)
+            e += 1
+            fan = None
+            for w in [w for w in walks if (
+                    w.carrier.id in ids if w.mode == "ride"
+                    else abs(ev.x - w.x) <= 1e-12)]:
+                w.x = ev.x
+                if fan is None:
+                    fan = _fan_group(timeline, ev, events[drain:e])
+                try:
+                    left = fan[0].uL if fan else tk.field_at(
+                        model, left_state, fronts, t_ev).state_at(ev.x - 1e-12)
+                    w.mode, w.carrier = _resolve_at_point(model, w.i, left, fan)
+                except SolverError as exc:
+                    out[w.k] = exc
+                    walks = [v for v in walks if v is not w]
+    return out
 
 
 def _fan_group(timeline, ev, applied):
@@ -179,36 +281,29 @@ def _initial_anchor(model, i, fld, x0):
     return "free", _lambda_i(model, i, fld.state_at(x0))
 
 
-def _next_crossing(fronts, t, x, slope, t_hi, skip):
-    """Earliest strict crossing of the free characteristic with a front in
-    (t, t_hi); returns (tc, xc, front) or None.
+def _next_crossing(fronts, pos, t, x, slope, t_hi, skip):
+    """Earliest strict crossing of the free characteristic at (t, x) with a
+    front in (t, t_hi); pos holds the fronts' positions at t. Returns (tc,
+    xc, front) or None.
 
     t_hi is at most the next event time, and until then the fronts keep their
     order and do not meet, so a front is crossed only after every front
     between it and the characteristic. Only the nearest front on each side
     that is not in skip and not at x (those cannot be crossed) is tested.
     """
-    # bisect_right on the positions at t, with Front.position's float
-    # operations inlined: no Python frame per probe
-    lo, hi = 0, len(fronts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        g = fronts[mid]
-        if x < g.born_x + g.speed * (t - g.born_t):
-            hi = mid
-        else:
-            lo = mid + 1
+    n = len(fronts)
+    lo = bisect.bisect_right(pos, x)
     best = None
-    for side in (range(lo - 1, -1, -1), range(lo, len(fronts))):
-        for j in side:
+    for j, step in ((lo - 1, -1), (lo, 1)):
+        while 0 <= j < n:
             g = fronts[j]
-            xg = g.born_x + g.speed * (t - g.born_t)
+            xg = pos[j]
             if g.id in skip or xg == x:
+                j += step
                 continue
             rel = slope - g.speed
-            dx = xg - x
             if rel != 0.0:
-                dt = dx / rel
+                dt = (xg - x) / rel
                 tc = t + dt
                 if dt > 0.0 and tc < t_hi and (best is None
                                                or (tc, g.id) < best[0]):
@@ -247,18 +342,53 @@ class Region:
 
 
 def make_region(timeline, i, t0, tau, intervals):
-    region = Region(family=i, t0=t0, tau=tau, intervals=sorted(intervals))
-    t1 = min(t0 + tau, timeline.t_end)
-    region.tau = t1 - t0
-    for a, b in region.intervals:
-        if b <= a:
-            raise SolverError("region intervals must be nondegenerate")
-        region.left_curves.append(min_characteristic(timeline, i, t0, a, t1))
-        region.right_curves.append(min_characteristic(timeline, i, t0, b, t1))
-    for lc, rc in zip(region.left_curves, region.right_curves):
-        for t in sorted({n[0] for n in lc.nodes} | {n[0] for n in rc.nodes}):
-            if lc.position(t) > rc.position(t) + 1e-10:
-                raise SolverError("region bounding characteristics crossed")
+    (region,) = make_regions(timeline, [(i, t0, tau, intervals)])
+    if isinstance(region, SolverError):
+        raise region
+    return region
+
+
+def make_regions(timeline, specs):
+    """The regions of specs (i, t0, tau, intervals): per spec, its Region,
+    or the SolverError that a degenerate interval, a bounding
+    characteristic, or two crossed ones raised (the first, interval by
+    interval). One min_characteristics walk builds every boundary."""
+    regions, starts, cut = [], [], []
+    for i, t0, tau, intervals in specs:
+        region = Region(family=i, t0=t0, tau=tau, intervals=sorted(intervals))
+        t1 = min(t0 + tau, timeline.t_end)
+        region.tau = t1 - t0
+        # the characteristics of the intervals before the first degenerate
+        cut.append(next((m for m, (a, b) in enumerate(region.intervals)
+                         if b <= a), len(region.intervals)))
+        for a, b in region.intervals[:cut[-1]]:
+            starts += [(i, t0, a, t1), (i, t0, b, t1)]
+        regions.append(region)
+    curves = iter(min_characteristics(timeline, starts))
+    out = []
+    for region, n in zip(regions, cut):
+        pairs = [(next(curves), next(curves)) for _ in range(n)]
+        out.append(_bound(region, pairs, n < len(region.intervals)))
+    return out
+
+
+def _bound(region, pairs, degenerate):
+    """region bounded by the (left, right) curve pairs of its first
+    intervals, or the first SolverError among its intervals: a degenerate
+    one after the pairs, a failed characteristic, or a pair whose left
+    curve passes its right one at a node time of either."""
+    for lc, rc in pairs:
+        for curve in (lc, rc):
+            if isinstance(curve, SolverError):
+                return curve
+        region.left_curves.append(lc)
+        region.right_curves.append(rc)
+    if degenerate:
+        return SolverError("region intervals must be nondegenerate")
+    for lc, rc in pairs:
+        ts = np.concatenate((lc.node_arrays()[0], rc.node_arrays()[0]))
+        if (lc.positions(ts) > rc.positions(ts) + 1e-10).any():
+            return SolverError("region bounding characteristics crossed")
     return region
 
 
@@ -278,6 +408,7 @@ def _boundary_transitions(rec, lo, hi, curve, inward_sign):
     robust to crossings that land exactly on refraction nodes and to fronts
     the boundary characteristic captures and rides (sign settles at ~0).
     Returns a list of booleans: True = entered, False = exited.
+    _side_changes takes the same samples for many fronts at once.
     """
     ts = {lo, hi}
     for t, _ in curve.nodes:
@@ -296,6 +427,60 @@ def _boundary_transitions(rec, lo, hi, curve, inward_sign):
     return out
 
 
+def _in_sections(xs, sections):
+    """Whether each of the positions xs lies in some section, within
+    _ON_TOL."""
+    hit = np.zeros(len(xs), dtype=bool)
+    for a, b in sections:
+        hit |= (a - _ON_TOL <= xs) & (xs <= b + _ON_TOL)
+    return hit
+
+
+def _side_changes(curve, inward_sign, born_x, speed, born_t, lo, hi):
+    """_boundary_transitions for fronts k (born_x[k], speed[k], born_t[k])
+    over [lo[k], hi[k]], lo < hi, in array passes of at most about CHUNK
+    samples: the k of each side change, by front and then time, and whether
+    it entered.
+
+    Front k's times E run through lo[k], the distinct node times strictly
+    inside, and hi[k]; its samples are E[0], the midpoints of consecutive
+    E, and E[-1], each 0.5 * (E[j - 1] + E[j]) with j - 1 and j clipped to
+    E (0.5 * (e + e) is e), as in the scalar loop.
+    """
+    nt = curve.node_arrays()[0]
+    nt = nt[np.concatenate(([True], nt[1:] != nt[:-1]))]
+    first = nt.searchsorted(lo, side="right")
+    n_e = nt.searchsorted(hi, side="left") - first + 2
+    ends = (n_e + 1).cumsum()
+    owners, entered = [], []
+    k0 = 0
+    while k0 < len(lo):
+        k1 = max(k0 + 1, int(ends.searchsorted(ends[k0] - n_e[k0] - 1 + CHUNK,
+                                               side="right")))
+        n = n_e[k0:k1]
+        e_end = n.cumsum()
+        e_start = e_end - n
+        e = nt.take(np.arange(e_end[-1])
+                    + (first[k0:k1] - 1 - e_start).repeat(n), mode="clip")
+        e[e_start] = lo[k0:k1]
+        e[e_end - 1] = hi[k0:k1]
+        # sample i of the pass is sample i - e_start[k] - k of front k
+        owner = np.arange(k1 - k0).repeat(n + 1)
+        i = np.arange(len(owner)) - owner
+        tm = 0.5 * (e.take(np.maximum(i - 1, e_start.repeat(n + 1)))
+                    + e.take(np.minimum(i, (e_end - 1).repeat(n + 1))))
+        owner += k0
+        front_x = born_x.take(owner) + speed.take(owner) * (
+            tm - born_t.take(owner))
+        now_in = (front_x - curve.positions(tm)) * inward_sign >= -_ON_TOL
+        change = ((now_in[1:] != now_in[:-1])
+                  & (owner[1:] == owner[:-1])).nonzero()[0] + 1
+        owners.append(owner.take(change))
+        entered.append(now_in.take(change))
+        k0 = k1
+    return np.concatenate(owners), np.concatenate(entered)
+
+
 def region_balance_check(timeline, region):
     """Audit the i-wave balance across a region boundary: signed difference
     against mu_I, sign-split differences against mu_IC (with the boundary
@@ -307,39 +492,29 @@ def region_balance_check(timeline, region):
 
     Fronts whose path over [t0, t1] stays outside the bounding box of the
     region's base and boundary curves are screened out in one array pass
-    over the record columns before any wave content is taken.
+    over the record columns before any wave content is taken. The edge
+    tests, the side changes against each boundary curve and the events'
+    places run as array passes; every sum runs through fc.total in the
+    order of a loop over the fronts (base, top, then each boundary curve in
+    turn) and over the events.
     """
     i = region.family
     t0, t1 = region.t0, region.t1
-    in_pos = in_neg = out_pos = out_neg = 0.0
-
-    def add(w, entering):
-        nonlocal in_pos, in_neg, out_pos, out_neg
-        if entering:
-            if w > 0:
-                in_pos += w
-            else:
-                in_neg += -w
-        else:
-            if w > 0:
-                out_pos += w
-            else:
-                out_neg += -w
-
     base_sections = region.intervals
     top_sections = region.sections(t1)
+    curves = [c for pair in zip(region.left_curves, region.right_curves)
+              for c in pair]
     bboxes = []
-    for m in range(len(region.intervals)):
-        for curve in (region.left_curves[m], region.right_curves[m]):
-            xs_c = [x for _, x in curve.nodes]
-            bboxes.append((min(xs_c) - _ON_TOL, max(xs_c) + _ON_TOL))
+    for curve in curves:
+        xs_c = curve.node_arrays()[1]
+        bboxes.append((xs_c.min() - _ON_TOL, xs_c.max() + _ON_TOL))
     box_lo = min([lo for lo, _ in bboxes]
                  + [a - _ON_TOL for a, _ in base_sections])
     box_hi = max([hi for _, hi in bboxes]
                  + [b + _ON_TOL for _, b in base_sections])
 
-    # the per-front tests below, on every record at once: alive at some time
-    # in [t0, t1], and the path over that time within 1e-6 of the box
+    # the fronts alive at some time in [t0, t1] whose path over that time
+    # comes within 1e-6 of the box
     cols = timeline.record_columns()
     born_t, died_t = cols.born_t, cols.died_t
     t_lo, t_hi = np.maximum(born_t, t0), np.minimum(died_t, t1)
@@ -348,51 +523,64 @@ def region_balance_check(timeline, region):
     near = ((born_t <= t1) & (died_t > t0)
             & (np.maximum(xa, xb) + 1e-6 >= box_lo)
             & (np.minimum(xa, xb) - 1e-6 <= box_hi))
-
     fids = near.nonzero()[0]
-    for fid, born, died, lo, hi, x_a, x_b in zip(
-            fids.tolist(), *(c[fids].tolist()
-                             for c in (born_t, died_t, t_lo, t_hi, xa, xb))):
-        w = timeline.wave_content(fid, i)
-        if w == 0.0:
-            continue
-        rec = timeline.front_records[fid]
-        if born <= t0 and _region_membership(rec, t0, base_sections):
-            add(w, True)  # bottom edge
-        if died > t1 and _region_membership(rec, t1, top_sections):
-            add(w, False)  # top edge
-        if hi - lo <= 0:
-            continue
-        rec_lo, rec_hi = min(x_a, x_b) - 1e-6, max(x_a, x_b) + 1e-6
-        for m in range(len(region.intervals)):
-            for b_idx, (curve, inward_sign) in enumerate(
-                    ((region.left_curves[m], 1.0),
-                     (region.right_curves[m], -1.0))):
-                blo, bhi = bboxes[2 * m + b_idx]
-                if rec_hi < blo or rec_lo > bhi:
-                    continue
-                for entered in _boundary_transitions(rec, lo, hi, curve,
-                                                     inward_sign):
-                    add(w, entered)
+    w = np.array([timeline.wave_content(fid, i) for fid in fids.tolist()],
+                 dtype=float)
+    fids = fids[w != 0.0]
+    w = w[w != 0.0]
+    born, died, lo, hi, xa, xb, bx, sp = (
+        c[fids] for c in (born_t, died_t, t_lo, t_hi, xa, xb, cols.born_x,
+                          cols.speed))
 
-    mu_i_mass = 0.0
-    mu_ic_mass = 0.0
-    p_sum = 0.0
-    boundary_events = []
-    for ev in timeline.events_between(t0, t1):
-        if not box_lo - 1e-6 <= ev.x <= box_hi + 1e-6:
-            continue  # outside every section
-        sections = region.sections(ev.t)
-        if any(a - _ON_TOL <= ev.x <= b + _ON_TOL for a, b in sections):
-            mu_i_mass += ev.amount_I
-            mu_ic_mass += ev.amount_I + ev.cancellation
-            w_out = fc.total(timeline.wave_content(f.id, i) for f in ev.outgoing)
-            w_in = fc.total(timeline.wave_content(f.id, i) for f in ev.incoming)
-            p_sum += w_out - w_in
-            for a, b in sections:
-                if abs(ev.x - a) <= 1e-8 or abs(ev.x - b) <= 1e-8:
-                    boundary_events.append((ev.t, ev.x))
-                    break
+    # each crossing of the boundary, keyed by front, then slot (0 base, 1
+    # top, 2 + q boundary curve q), then time
+    slots = 2 + len(curves)
+    ks = np.arange(len(fids))
+    base = ks[(born <= t0) & _in_sections(bx + sp * (t0 - born), base_sections)]
+    top = ks[(died > t1) & _in_sections(bx + sp * (t1 - born), top_sections)]
+    keys, owners = [base * slots, top * slots + 1], [base, top]
+    entered = [np.ones(len(base), dtype=bool), np.zeros(len(top), dtype=bool)]
+    rec_lo, rec_hi = np.minimum(xa, xb) - 1e-6, np.maximum(xa, xb) + 1e-6
+    moving = ~(hi - lo <= 0)
+    for q, (curve, (blo, bhi)) in enumerate(zip(curves, bboxes)):
+        sel = ks[moving & ~((rec_hi < blo) | (rec_lo > bhi))]
+        if not len(sel):
+            continue
+        k, into = _side_changes(curve, 1.0 if q % 2 == 0 else -1.0, bx[sel],
+                                sp[sel], born[sel], lo[sel], hi[sel])
+        keys.append(sel[k] * slots + 2 + q)
+        owners.append(sel[k])
+        entered.append(into)
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    into = np.concatenate(entered)[order]
+    wk = w[np.concatenate(owners)[order]]
+    pos = wk > 0
+    in_pos = fc.total(wk[into & pos].tolist())
+    in_neg = fc.total((-wk[into & ~pos]).tolist())
+    out_pos = fc.total(wk[~into & pos].tolist())
+    out_neg = fc.total((-wk[~into & ~pos]).tolist())
+
+    # the events in the box, then those in a section at their time
+    evs = timeline.events_between(t0, t1)
+    ex = np.array([ev.x for ev in evs], dtype=float)
+    boxed = ((box_lo - 1e-6 <= ex) & (ex <= box_hi + 1e-6)).nonzero()[0]
+    ex = ex[boxed]
+    et = np.array([evs[k].t for k in boxed.tolist()], dtype=float)
+    inside = np.zeros(len(boxed), dtype=bool)
+    on_edge = np.zeros(len(boxed), dtype=bool)
+    for lc, rc in zip(region.left_curves, region.right_curves):
+        a, b = lc.positions(et), rc.positions(et)
+        inside |= (a - _ON_TOL <= ex) & (ex <= b + _ON_TOL)
+        on_edge |= (abs(ex - a) <= 1e-8) | (abs(ex - b) <= 1e-8)
+    hits = [evs[k] for k in boxed[inside].tolist()]
+    mu_i_mass = fc.total(ev.amount_I for ev in hits)
+    mu_ic_mass = fc.total(ev.amount_I + ev.cancellation for ev in hits)
+    content = timeline.wave_content
+    p_sum = fc.total([fc.total([content(f.id, i) for f in ev.outgoing])
+                      - fc.total([content(f.id, i) for f in ev.incoming])
+                      for ev in hits])
+    boundary_events = [(ev.t, ev.x) for ev, edge
+                       in zip(hits, on_edge[inside].tolist()) if edge]
     w_in_signed = in_pos - in_neg
     w_out_signed = out_pos - out_neg
     diff_signed = abs(w_out_signed - w_in_signed)

@@ -140,33 +140,56 @@ class TestParseConfig:
             cli.parse_config(str(path))
 
     @pytest.mark.parametrize("key, value", [
-        ("diagnostics", ["monotonicity"]),
-        ("diagnostics.checks", 5),
-        ("diagnostics.families", ["a"]),
-        ("diagnostics.families", [2]),  # the model is scalar
-        ("diagnostics.families", [0]),
-        ("diagnostics.seed", "x"),
-        ("diagnostics.seed", -1),
-        ("diagnostics.seed", True),
+        pytest.param("diagnostics", ["monotonicity"], id="diagnostics-value0"),
+        pytest.param("diagnostics.checks", 5, id="diagnostics.checks-5"),
+        pytest.param("diagnostics.families", ["a"],
+                     id="diagnostics.families-value2"),
+        # the model is scalar
+        pytest.param("diagnostics.families", [2],
+                     id="diagnostics.families-value3"),
+        pytest.param("diagnostics.families", [0],
+                     id="diagnostics.families-value4"),
+        pytest.param("diagnostics.seed", "x", id="diagnostics.seed-x"),
+        pytest.param("diagnostics.seed", -1, id="diagnostics.seed--1"),
+        pytest.param("diagnostics.seed", True, id="diagnostics.seed-True"),
         # a key deleted from the plan is refused as unknown, under its name
-        ("diagnostics.balance_regions", "many"),
-        ("diagnostics.tame_triangles", -3),
-        ("diagnostics.tame_triangles", 2.5),
-        ("diagnostics.np_budget_K", "big"),
-        ("diagnostics.np_budget_K", -1.0),
-        ("diagnostics.sbv_threshold", float("inf")),
-        ("outputs", "out"),
-        ("outputs.slice_times", [0.0, 6.0]),
-        ("outputs.slice_times", [-0.5]),
-        ("diagnostics.positive_decay_t", 9.0),  # deleted, as above
-        ("diagnostics.positive_decay_t", 0.0),
-        ("diagnostics.positive_decay_s", 3.75),
-        ("diagnostics.positive_decay_s", -0.1),
-        ("diagnostics.decay_t", 5.5),
-        ("diagnostics.decay_tau", 0.0),
-        ("diagnostics.decay_tau", 4.0),
-        ("diagnostics.families", []),  # no family to audit
-        ("diagnostics.families", [1, 1])])  # a family audited twice
+        pytest.param("diagnostics.balance_regions", "many",
+                     id="diagnostics.balance_regions-many"),
+        pytest.param("diagnostics.tame_triangles", -3,
+                     id="diagnostics.tame_triangles--3"),
+        pytest.param("diagnostics.tame_triangles", 2.5,
+                     id="diagnostics.tame_triangles-2.5"),
+        pytest.param("diagnostics.np_budget_K", "big",
+                     id="diagnostics.np_budget_K-big"),
+        pytest.param("diagnostics.np_budget_K", -1.0,
+                     id="diagnostics.np_budget_K--1.0"),
+        pytest.param("diagnostics.sbv_threshold", float("inf"),
+                     id="diagnostics.sbv_threshold-inf"),
+        pytest.param("outputs", "out", id="outputs-out"),
+        pytest.param("outputs.slice_times", [0.0, 6.0],
+                     id="outputs.slice_times-value15"),
+        pytest.param("outputs.slice_times", [-0.5],
+                     id="outputs.slice_times-value16"),
+        # deleted, as above
+        pytest.param("diagnostics.positive_decay_t", 9.0,
+                     id="diagnostics.positive_decay_t-9.0"),
+        pytest.param("diagnostics.positive_decay_t", 0.0,
+                     id="diagnostics.positive_decay_t-0.0"),
+        pytest.param("diagnostics.positive_decay_s", 3.75,
+                     id="diagnostics.positive_decay_s-3.75"),
+        pytest.param("diagnostics.positive_decay_s", -0.1,
+                     id="diagnostics.positive_decay_s--0.1"),
+        pytest.param("diagnostics.decay_t", 5.5, id="diagnostics.decay_t-5.5"),
+        pytest.param("diagnostics.decay_tau", 0.0,
+                     id="diagnostics.decay_tau-0.0"),
+        pytest.param("diagnostics.decay_tau", 4.0,
+                     id="diagnostics.decay_tau-4.0"),
+        # no family to audit
+        pytest.param("diagnostics.families", [],
+                     id="diagnostics.families-value24"),
+        # a family audited twice
+        pytest.param("diagnostics.families", [1, 1],
+                     id="diagnostics.families-value25")])
     def test_malformed_plan_value_names_key(self, tmp_path, key, value,
                                             capsys):
         # each would crash or be ignored mid-run; check and run refuse it
@@ -218,22 +241,37 @@ class TestParseConfig:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("key, value", [
-        ("diagnostics.convergence", "cubic_riemann"),
-        ("diagnostics.convergence.scenario", "kdv_soliton"),
-        ("diagnostics.convergence.scenario", ["burgers_shock"]),
-        ("diagnostics.convergence.ladder", "x"),
-        ("diagnostics.convergence.ladder", []),
-        ("diagnostics.convergence.ladder", [0.1, -0.05]),
-        ("diagnostics.convergence.ladder", [0.1, "fine"]),
+        pytest.param("diagnostics.convergence", "cubic_riemann",
+                     id="diagnostics.convergence-cubic_riemann"),
+        pytest.param("diagnostics.convergence.scenario", "kdv_soliton",
+                     id="diagnostics.convergence.scenario-kdv_soliton"),
+        pytest.param("diagnostics.convergence.scenario", ["burgers_shock"],
+                     id="diagnostics.convergence.scenario-value2"),
+        pytest.param("diagnostics.convergence.ladder", "x",
+                     id="diagnostics.convergence.ladder-x"),
+        pytest.param("diagnostics.convergence.ladder", [],
+                     id="diagnostics.convergence.ladder-value4"),
+        pytest.param("diagnostics.convergence.ladder", [0.1, -0.05],
+                     id="diagnostics.convergence.ladder-value5"),
+        pytest.param("diagnostics.convergence.ladder", [0.1, "fine"],
+                     id="diagnostics.convergence.ladder-value6"),
         # a key deleted from the plan is refused as unknown, under its name
-        ("diagnostics.convergence.t_eval", "late"),
-        ("diagnostics.convergence.t_eval", -1.0),
-        ("diagnostics.positive_decay_sets", [[1, 2]]),
-        ("diagnostics.positive_decay_sets", [[[0.0, 1.0, 2.0]]]),
-        ("diagnostics.positive_decay_sets", "all"),
-        ("diagnostics.decay_sets", [[[1.0, 0.0]]]),
-        ("diagnostics.decay_sets", [[["a", "b"]]]),
-        ("diagnostics.decay_sets", [[[0.0, float("inf")]]])])
+        pytest.param("diagnostics.convergence.t_eval", "late",
+                     id="diagnostics.convergence.t_eval-late"),
+        pytest.param("diagnostics.convergence.t_eval", -1.0,
+                     id="diagnostics.convergence.t_eval--1.0"),
+        pytest.param("diagnostics.positive_decay_sets", [[1, 2]],
+                     id="diagnostics.positive_decay_sets-value9"),
+        pytest.param("diagnostics.positive_decay_sets", [[[0.0, 1.0, 2.0]]],
+                     id="diagnostics.positive_decay_sets-value10"),
+        pytest.param("diagnostics.positive_decay_sets", "all",
+                     id="diagnostics.positive_decay_sets-all"),
+        pytest.param("diagnostics.decay_sets", [[[1.0, 0.0]]],
+                     id="diagnostics.decay_sets-value12"),
+        pytest.param("diagnostics.decay_sets", [[["a", "b"]]],
+                     id="diagnostics.decay_sets-value13"),
+        pytest.param("diagnostics.decay_sets", [[[0.0, float("inf")]]],
+                     id="diagnostics.decay_sets-value14")])
     def test_malformed_study_value_names_key(self, tmp_path, key, value,
                                              capsys):
         # each would pass check and then stop run mid-checks with a

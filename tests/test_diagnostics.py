@@ -1,7 +1,11 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fronttrack import cli
 from fronttrack import diagnostics as dg
@@ -130,6 +134,56 @@ class TestCharCurvePosition:
         assert c.position(1.5) == 1.0
         c.nodes.append((2.0, 3.0))
         assert c.position(1.5) == scan_position(c, 1.5) == 2.0
+
+
+class TestCurvePositions:
+    """CharCurve.positions equals position at every time, runs clean with
+    every RuntimeWarning an error, and its curve keeps its node arrays."""
+
+    @staticmethod
+    def check(curve, ts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = curve.positions(np.array(ts, dtype=float))
+        assert got.tolist() == [curve.position(t) for t in ts]
+
+    def test_characteristics(self, remark_timeline):
+        for x in (-0.6, 0.0, 0.5):
+            c = dg.min_characteristic(remark_timeline, 2, 0.2, x, 1.5)
+            self.check(c, TestCharCurvePosition.queries(c))
+
+    def test_repeated_node_times(self):
+        c = dg.CharCurve(family=1, nodes=[
+            (0.0, 0.1), (1.0, 0.30000000000000004), (1.0, 0.7), (1.5, 0.9),
+            (2.0, 1.3), (2.0, 1.7), (2.0, 2.1), (3.0, 2.2)])
+        self.check(c, TestCharCurvePosition.queries(c)
+                   + [1.0, 2.0, 0.999999, 2.000001, math.nan])
+
+    def test_single_node(self):
+        c = dg.CharCurve(family=1, nodes=[(0.5, -0.25)])
+        self.check(c, [0.0, 0.5, 1.0, math.nan])
+        self.check(c, [])
+
+    def test_grown_curve_rebuilds_arrays(self):
+        c = dg.CharCurve(family=1, nodes=[(0.0, 0.0), (1.0, 1.0)])
+        self.check(c, [1.5])
+        c.nodes.append((2.0, 3.0))
+        self.check(c, [1.5])
+
+    def test_region_without_events(self, sawtooth_timeline):
+        tl = sawtooth_timeline
+        quiet = quick_run("burgers", {"kind": "breakpoints", "xs": [0.0],
+                                      "values": [[0.4], [0.4]]}, 0.1, 2.0)
+        last = max(ev.t for ev in tl.events)
+        assert last < 1.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for timeline, t0 in ((tl, 1.9), (quiet, 0.5)):
+                region = dg.make_region(timeline, 1, t0, 0.1, [(-0.5, 0.5)])
+                assert not timeline.events_between(region.t0, region.t1)
+                rep = dg.region_balance_check(timeline, region)
+                assert rep == reference_region_balance_check(timeline, region)
+                assert rep["mu_I"] == 0.0 and rep["boundary_events"] == []
 
 
 class TestMinCharacteristic:
@@ -529,8 +583,9 @@ class TestNextCrossingMatchesFullScan:
         pairs = []
         nearest = dg._next_crossing
 
-        def both(fronts, t, x, slope, t_hi, skip):
-            got = nearest(fronts, t, x, slope, t_hi, skip)
+        def both(fronts, pos, t, x, slope, t_hi, skip):
+            assert pos == [g.position(t) for g in fronts]
+            got = nearest(fronts, pos, t, x, slope, t_hi, skip)
             pairs.append((got, reference_next_crossing(fronts, t, x, slope,
                                                        t_hi, skip)))
             return got
@@ -569,7 +624,7 @@ class TestNextCrossingMatchesFullScan:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_fields(self, seed):
-        # the inline bisection keeps bisect_right's place on ties: the
+        # bisect_right on the positions keeps its place on ties: the
         # characteristic may start on a front or on a point several share
         rng = np.random.default_rng(seed)
         hits = 0
@@ -581,7 +636,8 @@ class TestNextCrossingMatchesFullScan:
                 x = float(rng.uniform(-1.2, 1.2))
             skip = {g.id for g in fronts if rng.random() < 0.2}
             slope = float(rng.uniform(-3.0, 3.0))
-            got = dg._next_crossing(fronts, t, x, slope, t_hi, skip)
+            pos = [g.position(t) for g in fronts]
+            got = dg._next_crossing(fronts, pos, t, x, slope, t_hi, skip)
             ref = reference_next_crossing(fronts, t, x, slope, t_hi, skip)
             if ref is None:
                 assert got is None
@@ -686,6 +742,273 @@ class TestRegionAuditMatchesReference:
                 reference_region_balance_check(tl, region)
             built += 1
         assert built >= 30
+
+
+def walk_starts(tl, seed):
+    """Starts (i, t0, x0, t1) for a batch walk: seeded ones, starts at an
+    event point and on a front at an event time, ends on an event time and
+    at t_end, and a start whose t1 is the next event time."""
+    rng = np.random.default_rng(seed)
+    times = sorted({ev.t for ev in tl.events if 0.0 < ev.t < tl.t_end})
+    out = []
+    for i, t0, x0 in TestNextCrossingMatchesFullScan.starts(tl, seed):
+        t1 = tl.t_end
+        if times and rng.random() < 0.3:
+            later = [t for t in times if t > t0]
+            t1 = later[int(rng.integers(len(later)))] if later else t1
+        out.append((i, t0, x0, t1))
+    for t in times[::max(1, len(times) // 6)]:
+        fld = tl.slice_at(t)
+        for f, x in list(zip(fld.fronts, fld.xs))[::3]:
+            # on a front: the walk may start by riding it
+            out.append((f.family if f.family <= tl.model.N else 1, t, x,
+                        tl.t_end))
+    if len(times) > 1:
+        out.append((1, times[0], 0.0, times[1]))
+    return out
+
+
+class TestMinCharacteristicsBatch:
+    """One walk of the events builds every characteristic of a batch, equal
+    node for node to the per-characteristic reference."""
+
+    @pytest.mark.parametrize("fixture", REGION_FIXTURES)
+    def test_batch_matches_reference(self, fixture, request, monkeypatch):
+        tl = request.getfixturevalue(fixture)
+        starts = walk_starts(tl, 29)
+        starts.append((1, 0.5, 0.3, tl.t_end))  # rides into the tie point
+        applied = []
+        splice = tk.apply_event
+        monkeypatch.setattr(tk, "apply_event",
+                            lambda fronts, ev: (applied.append(ev.index),
+                                                splice(fronts, ev))[1])
+        got = dg.min_characteristics(tl, starts)
+        # every event is spliced at most once, in order
+        assert applied == sorted(set(applied))
+        rode = 0
+        for (i, t0, x0, t1), curve in zip(starts, got):
+            ref = reference_min_characteristic(tl, i, t0, x0, t1)
+            assert same_curve(curve, ref)
+            assert curve.nodes[-1][0] == t1
+            rode += any(r is not None for r in curve.rode)
+        assert rode >= 1
+
+    def test_bad_start_fails_alone(self, remark_timeline):
+        tl = remark_timeline
+        starts = walk_starts(tl, 31)[:30]
+        good = dg.min_characteristics(tl, starts)
+        bad = [(1, 0.6, 0.0, 0.6), (2, 0.9, 0.1, 0.4), (1, -0.1, 0.0, 1.0),
+               (1, 0.2, 0.0, tl.t_end + 1.0)]
+        mixed = starts[:10] + bad[:2] + starts[10:] + bad[2:]
+        got = dg.min_characteristics(tl, mixed)
+        for k in (10, 11, len(mixed) - 2, len(mixed) - 1):
+            assert isinstance(got[k], dg.SolverError)
+        rest = got[:10] + got[12:-2]
+        assert all(same_curve(a, b) for a, b in zip(rest, good))
+        assert dg.min_characteristics(tl, bad[:1])[0].args == got[10].args
+        with pytest.raises(dg.SolverError):
+            dg.min_characteristic(tl, 1, 0.6, 0.0, 0.6)
+        assert dg.min_characteristics(tl, []) == []
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline",
+                                         "sawtooth_timeline"])
+    def test_ride_start_turning_free(self, fixture, request, monkeypatch):
+        # a characteristic that starts riding a front and goes free at an
+        # event searches the field at that event time, not at its start
+        tl = request.getfixturevalue(fixture)
+        resolve, anchor = dg._resolve_at_point, dg._initial_anchor
+        starting = []
+
+        def initial(model, i, fld, x0):
+            starting.append(True)
+            try:
+                return anchor(model, i, fld, x0)
+            finally:
+                starting.pop()
+
+        def free_after_start(model, i, left_state, group):
+            if starting:
+                return resolve(model, i, left_state, group)
+            return "free", dg._lambda_i(model, i, left_state)
+
+        monkeypatch.setattr(dg, "_initial_anchor", initial)
+        monkeypatch.setattr(dg, "_resolve_at_point", free_after_start)
+        starts = [s for s in walk_starts(tl, 37) if s[3] == tl.t_end]
+        got = dg.min_characteristics(tl, starts)
+        turned = 0
+        for (i, t0, x0, t1), curve in zip(starts, got):
+            assert same_curve(curve, reference_min_characteristic(
+                tl, i, t0, x0, t1))
+            turned += curve.rode[0] is not None and curve.rode[-1] is None
+        assert turned >= 3
+
+    def test_walk_from_a_late_start(self, sawtooth_timeline, monkeypatch):
+        # the shared field starts at the earliest t0 and stops at the
+        # latest t1: no event outside that window is spliced
+        tl = sawtooth_timeline
+        applied = []
+        splice = tk.apply_event
+        monkeypatch.setattr(tk, "apply_event",
+                            lambda fronts, ev: (applied.append(ev),
+                                                splice(fronts, ev))[1])
+        starts = [(1, 0.8, x, 1.2) for x in (-0.5, 0.0, 0.5)]
+        got = dg.min_characteristics(tl, starts)
+        assert applied and all(0.8 < ev.t <= 1.2 for ev in applied)
+        for (i, t0, x0, t1), curve in zip(starts, got):
+            assert same_curve(curve, reference_min_characteristic(
+                tl, i, t0, x0, t1))
+
+
+def reference_make_region(timeline, i, t0, tau, intervals):
+    """make_region as one reference characteristic per endpoint, and the
+    crossing check as a loop over the node times."""
+    region = dg.Region(family=i, t0=t0, tau=tau, intervals=sorted(intervals))
+    t1 = min(t0 + tau, timeline.t_end)
+    region.tau = t1 - t0
+    for a, b in region.intervals:
+        if b <= a:
+            raise dg.SolverError("region intervals must be nondegenerate")
+        region.left_curves.append(
+            reference_min_characteristic(timeline, i, t0, a, t1))
+        region.right_curves.append(
+            reference_min_characteristic(timeline, i, t0, b, t1))
+    for lc, rc in zip(region.left_curves, region.right_curves):
+        for t in sorted({n[0] for n in lc.nodes} | {n[0] for n in rc.nodes}):
+            if lc.position(t) > rc.position(t) + 1e-10:
+                raise dg.SolverError("region bounding characteristics crossed")
+    return region
+
+
+class TestMakeRegionsBatch:
+    def test_regions_match_reference(self, remark_timeline):
+        tl = remark_timeline
+        specs = [(1, 0.2, 0.3, [(-0.5, 0.5)]),
+                 (2, 0.2, 0.3, [(0.5, -0.5)]),  # degenerate
+                 (2, 0.1, 0.4, [(0.0, 0.4), (-1.0, -0.2)]),
+                 (1, 0.3, 0.2, [(-1.0, 0.0), (0.5, 0.5)]),  # second degenerate
+                 (1, 0.9, 2.0, [(-0.3, 0.9)])]  # t1 clipped to t_end
+        got = dg.make_regions(tl, specs)
+        for spec, region in zip(specs, got):
+            try:
+                ref = reference_make_region(tl, *spec)
+            except dg.SolverError as exc:
+                assert isinstance(region, dg.SolverError)
+                assert region.args == exc.args
+                continue
+            assert region == ref
+        assert sum(isinstance(r, dg.Region) for r in got) == 3
+        # a start the walk refuses fails its own region only
+        late = dg.make_regions(tl, [(1, tl.t_end, 0.2, [(0.0, 1.0)])] + specs)
+        assert isinstance(late[0], dg.SolverError)
+        same = [r.args if isinstance(r, dg.SolverError) else r for r in got]
+        assert [r.args if isinstance(r, dg.SolverError) else r
+                for r in late[1:]] == same
+
+    @pytest.mark.parametrize("fixture", REGION_FIXTURES)
+    def test_crossing_check_matches_node_loop(self, fixture, request):
+        # with its curves swapped, a region is refused exactly when the
+        # loop over node times finds the left curve right of the right one
+        tl = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(43)
+        lo, hi = cli._domain_window(tl)
+        refused = 0
+        for _ in range(30):
+            t0 = float(rng.uniform(0.0, 0.7)) * tl.t_end
+            a = float(rng.uniform(lo, hi - 0.5))
+            b = a + float(rng.uniform(0.01, 0.6)) * (hi - a)
+            lc = dg.min_characteristic(tl, 1, t0, a, tl.t_end)
+            rc = dg.min_characteristic(tl, 1, t0, b, tl.t_end)
+            region = dg.Region(family=1, t0=t0, tau=tl.t_end - t0,
+                               intervals=[(a, b)])
+            got = dg._bound(region, [(rc, lc)], False)
+            ts = sorted({n[0] for n in lc.nodes} | {n[0] for n in rc.nodes})
+            crossed = any(rc.position(t) > lc.position(t) + 1e-10 for t in ts)
+            assert isinstance(got, dg.SolverError) == crossed
+            refused += crossed
+        assert refused >= 10
+
+
+def reference_balance(timeline, plan, rng, window):
+    """cli._balance as a loop over regions, each built by make_region."""
+    out = {"regions": [], "C_required_signed": 0.0, "C_required_split": 0.0}
+    ok = True
+    lo, hi = window
+    for i in plan["families"]:
+        for _ in range(20):
+            t0 = float(rng.uniform(0.0, 0.7)) * timeline.t_end
+            tau = float(rng.uniform(0.2, 0.3)) * timeline.t_end
+            a = float(rng.uniform(lo, hi - 0.5))
+            w = float(rng.uniform(0.3, 0.6)) * (hi - a)
+            try:
+                region = dg.make_region(timeline, i, t0, tau, [(a, a + w)])
+                rep = dg.region_balance_check(timeline, region)
+            except dg.SolverError:
+                continue
+            out["regions"].append({"family": i, "t0": t0, "tau": tau,
+                                   "a": a, "b": a + w,
+                                   "ratio_signed": rep["ratio_signed"],
+                                   "ratio_split": rep["ratio_split"]})
+            if math.isinf(rep["ratio_signed"]) or math.isinf(rep["ratio_split"]):
+                ok = False
+            out["C_required_signed"] = max(out["C_required_signed"],
+                                           min(rep["ratio_signed"], 1e18))
+            out["C_required_split"] = max(out["C_required_split"],
+                                          min(rep["ratio_split"], 1e18))
+    out["pass"] = ok
+    return out
+
+
+class TestBalanceBatch:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("fixture", ["remark_timeline",
+                                         "sawtooth_timeline"])
+    def test_report_equals_region_loop(self, fixture, seed, request):
+        tl = request.getfixturevalue(fixture)
+        plan = {"families": list(range(1, tl.model.N + 1))}
+        window = cli._domain_window(tl)
+        got = cli._balance(tl, plan, np.random.default_rng(seed), window)
+        ref = reference_balance(tl, plan, np.random.default_rng(seed), window)
+        assert got == ref
+        assert got["regions"]
+
+    def test_one_splice_per_event(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / \
+            "remark_audit.json"
+        cfg, plan = cli.parse_config(str(path))
+        tl = tk.run(cfg)
+        calls = []
+        splice = tk.apply_event
+        monkeypatch.setattr(tk, "apply_event",
+                            lambda fronts, ev: (calls.append(ev.index),
+                                                splice(fronts, ev))[1])
+        rep = cli._balance(tl, plan, np.random.default_rng(plan["seed"]),
+                           cli._domain_window(tl))
+        assert len(rep["regions"]) == 40
+        assert len(calls) <= len(tl.events)
+        assert len(calls) == len(set(calls))
+
+
+@settings(max_examples=12)
+@given(data=st.data())
+def test_batch_walk_on_corpus_timelines(data):
+    model_id = data.draw(st.sampled_from(["burgers", "cubic", "remark-2x2",
+                                          "p-system"]))
+    tl = corpus_run(model_id, data.draw(st.integers(0, 3)))
+    times = [0.0] + [ev.t for ev in tl.events if ev.t < tl.t_end]
+    starts = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(1, tl.model.N))
+        t0 = data.draw(st.sampled_from(times) | st.floats(0.0, 1.4))
+        x0 = data.draw(st.floats(-2.0, 2.0))
+        t1 = data.draw(st.floats(0.0, tl.t_end) | st.just(tl.t_end))
+        starts.append((i, t0, x0, t1))
+    got = dg.min_characteristics(tl, starts)
+    for (i, t0, x0, t1), curve in zip(starts, got):
+        if not 0.0 <= t0 < t1 <= tl.t_end:
+            assert isinstance(curve, dg.SolverError)
+            continue
+        assert same_curve(curve, reference_min_characteristic(
+            tl, i, t0, x0, t1))
 
 
 def pairwise_diameter(states):
