@@ -396,37 +396,6 @@ _ON_TOL = 1e-9  # positions within this of a boundary count as on it
 _BALANCE_ATOL = 1e-9  # a balance difference this small needs no mu mass
 
 
-def _region_membership(rec, t, sections):
-    x = rec.position(t)
-    return any(a - _ON_TOL <= x <= b + _ON_TOL for a, b in sections)
-
-
-def _boundary_transitions(rec, lo, hi, curve, inward_sign):
-    """Side changes of a front against one boundary polyline over [lo, hi].
-
-    Sampling the sign of (front - curve) at midpoints between curve nodes is
-    robust to crossings that land exactly on refraction nodes and to fronts
-    the boundary characteristic captures and rides (sign settles at ~0).
-    Returns a list of booleans: True = entered, False = exited.
-    _side_changes takes the same samples for many fronts at once.
-    """
-    ts = {lo, hi}
-    for t, _ in curve.nodes:
-        if lo < t < hi:
-            ts.add(t)
-    ts = sorted(ts)
-    samples = [lo] + [0.5 * (a + b) for a, b in zip(ts[:-1], ts[1:])] + [hi]
-    out = []
-    prev_in = None
-    for tm in samples:
-        s = (rec.position(tm) - curve.position(tm)) * inward_sign
-        now_in = s >= -_ON_TOL
-        if prev_in is not None and now_in != prev_in:
-            out.append(now_in)
-        prev_in = now_in
-    return out
-
-
 def _in_sections(xs, sections):
     """Whether each of the positions xs lies in some section, within
     _ON_TOL."""
@@ -437,15 +406,17 @@ def _in_sections(xs, sections):
 
 
 def _side_changes(curve, inward_sign, born_x, speed, born_t, lo, hi):
-    """_boundary_transitions for fronts k (born_x[k], speed[k], born_t[k])
-    over [lo[k], hi[k]], lo < hi, in array passes of at most about CHUNK
-    samples: the k of each side change, by front and then time, and whether
-    it entered.
+    """Side changes of fronts k (born_x[k], speed[k], born_t[k]) against one
+    boundary polyline over [lo[k], hi[k]], lo < hi, in array passes of at
+    most about CHUNK samples: the k of each side change, by front and then
+    time, and whether it entered. Sampling the sign of (front - curve)
+    between curve nodes is robust to crossings on refraction nodes and to
+    fronts the boundary characteristic rides (the sign settles at about 0).
 
     Front k's times E run through lo[k], the distinct node times strictly
     inside, and hi[k]; its samples are E[0], the midpoints of consecutive
     E, and E[-1], each 0.5 * (E[j - 1] + E[j]) with j - 1 and j clipped to
-    E (0.5 * (e + e) is e), as in the scalar loop.
+    E (0.5 * (e + e) is e).
     """
     nt = curve.node_arrays()[0]
     nt = nt[np.concatenate(([True], nt[1:] != nt[:-1]))]

@@ -43,9 +43,6 @@ class AtomicMeasure1D:
     def __len__(self):
         return len(self.xs)
 
-    def mass(self):
-        return float(self.ws.sum())
-
     def _mask(self, sets):
         mask = np.zeros(len(self.xs), dtype=bool)
         for a, b in sets:
@@ -134,14 +131,11 @@ def glimm_Q(field):
     the pairs alpha < beta. The sequences are streamed in blocks and summed in
     numpy's pairwise tree, so Q has the bits of the dense m x m sum in O(m)
     memory."""
-    fronts = field.fronts
-    m = len(fronts)
+    m = len(field.fronts)
     if m < 2:
         return 0.0
-    s = np.array([f.size for f in fronts])
-    fam = np.array([f.family for f in fronts])
-    sig = np.array([f.speed for f in fronts])
-    phys = np.array([f.is_physical for f in fronts])
+    s, fam, sig, phys = q_columns(field.fronts)
+    phys = phys > 0.0
     # pairs with fam_alpha > fam_beta: a front of family k is the beta of
     # every front of a larger family on its left
     n_trans = 0
@@ -153,15 +147,14 @@ def glimm_Q(field):
     def upper(r, c):  # alpha left of beta
         return np.arange(c.start, c.stop) > np.arange(r.start, r.stop)[:, None]
 
-    def transversal(r, c):
+    def transversal(r, c):  # |a|*|b| has the bits of |a*b|
         mask = upper(r, c) & (fam[r, None] > fam[None, c])
-        return np.abs(np.outer(s[r], s[c]))[mask]
+        return np.outer(s[r], s[c])[mask]
 
     def same(r, c):
         mask = (upper(r, c) & (fam[r, None] == fam[None, c])
                 & phys[r, None] & phys[None, c])
-        return (np.abs(np.outer(s[r], s[c]))
-                * np.abs(sig[r, None] - sig[None, c]))[mask]
+        return (np.outer(s[r], s[c]) * np.abs(sig[r, None] - sig[None, c]))[mask]
 
     q1 = _tree_sum(n_trans, _pair_blocks(m, transversal))
     # ordered-pair sum with the 1/4 prefactor collapses to 1/2 over alpha < beta
@@ -221,21 +214,18 @@ def q_columns(fronts):
                     dtype=float)
 
 
-def splice_columns(table, j, out):
-    """The q_columns table with columns j, j + 1 replaced by out's columns."""
-    return np.concatenate((table[:, :j], out, table[:, j + 2:]), axis=1)
-
-
 def splice_deltas(table, j, out):
     """(dV, dQ) of replacing the adjacent pair at columns j, j + 1 of a
-    field's q_columns table by the outgoing fronts' table. Only pairs with a
-    replaced front change Q, so one pass builds every such pair's signed
+    field's table by the outgoing fronts' table; the first four rows of each
+    are the q_columns rows, and any further row is not read. Only pairs with
+    a replaced front change Q, so one pass builds every such pair's signed
     weight: a row per window front (the incoming pair, then the outgoing
     fronts), a column per field front, then per outgoing front. A field
     front right of the window is the pair's beta, so its family difference
     is negated. Each block is copied into the layout of a pair-by-pair
     weight table before it is summed, so numpy sums in the same order and
     dQ keeps every bit; the cost is O(m) in numpy."""
+    table, out = table[:4], out[:4]
     m = table.shape[1]
     size, fam, sig, phys = np.concatenate((table, out), axis=1)
     win = np.concatenate((table[:, j:j + 2], out), axis=1)[:, :, None]

@@ -34,10 +34,11 @@ class FrontField:
     """The piecewise-constant solution at one time: fronts left to right,
     with xs[k] the position of fronts[k].
 
-    The live field of run (built by _make_live, advanced by step) holds xs
-    as a float64 array and cols, the fronts' measures.q_columns table (row
-    2 is the speeds); step splices both with fronts. Other fields hold xs as
-    a list of floats and no cols.
+    The live field of run (built by _make_live, advanced by step) holds
+    cols, one (5, m) float64 table: the fronts' measures.q_columns rows
+    (row 2 is the speeds) over a row of positions, of which xs is a view;
+    step splices it with fronts. Other fields hold xs as a list of floats
+    and no cols.
     """
 
     model: object
@@ -401,10 +402,17 @@ def init_sample(model, data_spec, eps, front_cap=math.inf):
 
 
 def _make_live(fld):
-    """Give a field the live loop's arrays: positions as a float64 array
-    and the fronts' (4, m) q_columns table."""
-    fld.xs = np.array(fld.xs, dtype=float)
-    fld.cols = ms.q_columns(fld.fronts)
+    """Give a field the live loop's table, with xs a view of its last row."""
+    fld.cols = _live_table(fld.fronts, fld.xs)
+    fld.xs = fld.cols[4]
+
+
+def _live_table(fronts, xs):
+    """The live (5, m) table: the fronts' q_columns rows over positions xs."""
+    table = np.empty((5, len(fronts)))
+    table[:4] = ms.q_columns(fronts)
+    table[4] = xs
+    return table
 
 
 def next_collision(fld, tie_tol=0.0):
@@ -413,29 +421,29 @@ def next_collision(fld, tie_tol=0.0):
     left front id. A pair whose collision time overflows never collides.
 
     Every pair is computed at once, each with the same float operations as
-    a pair-by-pair loop, so the winner is the same to the last bit."""
+    a pair-by-pair loop, so the winner is the same to the last bit; a pair
+    that does not approach gets an infinite time."""
     fronts = fld.fronts
+    if len(fronts) < 2:
+        return None
     xs = fld.xs
     sp = fld.cols[2]
     ds = sp[:-1] - sp[1:]
-    js = (ds > 0.0).nonzero()[0]
-    if not len(js):
-        return None
-    with np.errstate(over="ignore"):
-        dt = (xs[1:] - xs[:-1])[js] / ds[js]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dt = (xs[1:] - xs[:-1]) / ds
         dt[dt < 0.0] = 0.0
+        dt[~(ds > 0.0)] = math.inf
         ts = fld.time + dt
         t_min = ts[ts.argmin()]
         if t_min == math.inf:
             return None
         # positions only for the tie group; its pairs at the smallest x go by id
         group = (ts <= t_min + tie_tol).nonzero()[0]
-        jg = js[group]
-        xc = xs[jg] + sp[jg] * dt[group]
+        xc = xs[group] + sp[group] * dt[group]
     k = min((xc == xc[xc.argmin()]).nonzero()[0].tolist(),
-            key=lambda k: fronts[jg[k]].id)
-    j = int(jg[k])
-    return Collision(t=float(ts[group[k]]), x=float(xc[k]), index=j,
+            key=lambda k: fronts[group[k]].id)
+    j = int(group[k])
+    return Collision(t=float(ts[j]), x=float(xc[k]), index=j,
                      left_id=fronts[j].id, right_id=fronts[j + 1].id)
 
 
@@ -474,11 +482,11 @@ def step(fld, config, next_id, event_index, col):
         f.id = next_id()
     for f in (f_left, f_right):
         f.died_t = col.t
-    out = ms.q_columns(kept)
+    out = _live_table(kept, col.x)
     dV, dQ = ms.splice_deltas(fld.cols, j, out)
     fld.fronts[j:j + 2] = kept
-    fld.xs = np.concatenate((fld.xs[:j], [col.x] * len(kept), fld.xs[j + 2:]))
-    fld.cols = ms.splice_columns(fld.cols, j, out)
+    fld.cols = np.concatenate((fld.cols[:, :j], out, fld.cols[:, j + 2:]), 1)
+    fld.xs = fld.cols[4]
     if len(fld.fronts) > config.front_cap:
         raise CapExceededError(
             f"front cap {config.front_cap} exceeded at t={col.t:.6g} "

@@ -4,14 +4,17 @@ shipped audit and p-system scenarios are benchmark inputs, README's
 library example runs as written and its example scenario passes check,
 the benchmark and README name the checks of cli.CHECKS, README's numerics
 rows are the settings of tracker.NUMERICS and its diagnostics rows the
-keys of cli._DIAGNOSTICS, the package exports only
-what the program itself uses, and the solvers name no catalog model."""
+keys of cli._DIAGNOSTICS, the package exports only what the program
+itself uses, the program names every function, class and method it
+defines (or an allow-list says why not), and the solvers name no catalog
+model."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import fronttrack
@@ -149,6 +152,58 @@ def test_every_export_is_used_by_the_program():
                 used.add(node.attr)
     exported = set(fronttrack.__all__) - {"__version__"}
     assert sorted(exported - used) == []
+
+
+# definitions nothing in src/ names, each with the reason it stays
+UNREFERENCED_ALLOWED = {
+    "diagnostics.min_characteristic": "perfbench's SPANS trace it by name",
+    "diagnostics.make_region": "perfbench's SPANS trace it by name",
+    "tracker.FrontField.validate": "perfbench's gate_timeline calls it",
+    "measures.lambda_component_slice": "waits to become a check (ROADMAP item 2)",
+}
+
+
+def unreferenced_definitions(src):
+    """The module-level functions and classes (module.name) and non-dunder
+    methods (module.Class.method) of the .py files in src that no Name or
+    Attribute in those files names outside the definition itself, leaving
+    out the names in fronttrack.__all__."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    used = Counter(n for tree in trees.values() for n in names(tree))
+    defs = (ast.FunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            exported = node.name in fronttrack.__all__
+            members = [] if exported else [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__")
+                                     and m.name.endswith("__"))]
+            for qualname, d in members:
+                name = qualname.rsplit(".", 1)[-1]
+                if used[name] == Counter(names(d))[name]:
+                    found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_every_definition_is_used_by_the_program():
+    # a function, class or method that src/ never names outside itself is
+    # code the program does not run; the allow-list says why each is kept
+    src = Path(fronttrack.__file__).resolve().parent
+    assert sorted(unreferenced_definitions(src)) == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_solvers_name_no_catalog_model():

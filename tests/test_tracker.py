@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (PSYSTEM_SHOCK_MERGER, assert_keeps_own_eigs, bits,
                       child_python, corpus_run, needs_proc_status, quick_run,
                       random_breakpoint_scenario,
                       reference_events, reference_next_collision,
+                      reference_q_columns, replay_apply_event,
                       replay_slice_at)
 
 
@@ -551,6 +553,19 @@ class TestLiveColumns:
     def test_no_approaching_pair(self):
         assert self.check([0.0, 1.0, 2.0], [-1.0, 0.0, 0.0]) is None
 
+    def test_zero_over_zero_pair_beside_an_approaching_pair(self):
+        # two fronts at one x with equal speeds: dt = 0/0 never collides
+        col = self.check([0.0, 0.0, 1.0], [0.5, 0.5, 0.0])
+        assert (col.t, col.x, col.index) == (2.0, 1.0, 1)
+        col = self.check([0.0, 1.0, 1.0], [1.0, 0.0, 0.0])
+        assert (col.t, col.x, col.index) == (1.0, 1.0, 0)
+
+    def test_overflowing_time_never_collides(self):
+        # gap 1e300 over a speed difference 1e-10 overflows to dt = inf
+        assert self.check([0.0, 1e300], [1e-10, 0.0]) is None
+        col = self.check([-1.0, 0.0, 1e300], [1.0, 1e-10, 0.0])
+        assert (col.index, col.t) == (0, 1.0 / (1.0 - 1e-10))
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_fronts(self, n):
         assert self.check([0.0] * n, [1.0] * n) is None
@@ -587,6 +602,38 @@ class TestLiveColumns:
         ref = reference_events(cfg)
         assert len(ref) > 20
         assert got == ref
+
+    @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
+    def test_step_splices_one_table(self, fixture, request):
+        # after every event the live table is q_columns of the spliced fronts
+        # over their positions, as the pair-by-pair replay places them, and
+        # xs is a view of its last row
+        cfg = request.getfixturevalue(fixture).config
+        live = tk.init_sample(fc.make_model(cfg.model_id), cfg.initial,
+                              cfg.epsilon)
+        replay = tk.FrontField(model=live.model, time=0.0,
+                               left_state=live.left_state,
+                               fronts=list(live.fronts), xs=list(live.xs))
+        tk._make_live(live)
+        next_id = itertools.count(len(live.fronts)).__next__
+        tie_tol = tk.TIE_TOL_FACTOR * max(1.0, cfg.t_end)
+        kinds = set()
+        for index in itertools.count():
+            col = tk.next_collision(live, tie_tol)
+            if col is None or col.t > cfg.t_end:
+                break
+            replay_apply_event(replay, tk.step(live, cfg, next_id, index, col))
+            table = live.cols
+            expect = np.vstack((ms.q_columns(replay.fronts), replay.xs))
+            assert table.dtype == expect.dtype == np.float64
+            assert table.flags.c_contiguous and np.array_equal(table, expect)
+            assert live.xs.base is table and np.array_equal(live.xs, table[4])
+            # the rows are |size|, family, speed and the physical flag
+            for c, e in zip(table, reference_q_columns(replay.fronts)):
+                assert np.array_equal(c, e)
+            kinds |= {f.is_physical for f in replay.fronts}
+        assert index > 20 and kinds == (
+            {True, False} if cfg.model_id == "remark-2x2" else {True})
 
     @pytest.mark.parametrize("fixture", ["remark_timeline", "sawtooth_timeline"])
     def test_positions_and_records_are_floats(self, fixture, request):
